@@ -57,8 +57,8 @@ class Triplet:
     def __post_init__(self):
         if not self.documents:
             raise ValueError("triplet needs at least one document")
-        if any(not d for d in self.documents):
-            raise ValueError("triplet documents must be non-empty")
+        if any(not d.strip() for d in self.documents):
+            raise ValueError("triplet documents must contain non-whitespace text")
         origins = self.meta.get("origins")
         if origins is not None and len(origins) != len(self.documents):
             raise ValueError("origin tags must cover all documents")

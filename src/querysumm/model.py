@@ -126,6 +126,8 @@ def prepare_input(triplet, vocab: Vocabulary, config: ModelConfig) -> ModelInput
     docs = triplet.documents[: config.max_docs]
     doc_ids = [vocab.encode(tokenize(d))[: config.max_doc_tokens] for d in docs]
     query_ids = vocab.encode(tokenize(triplet.query))[: config.max_doc_tokens]
+    if config.use_query_encoder and not query_ids:
+        raise ValueError("query encoder requires a query with at least one token")
     target = None
     if triplet.summary:
         target = np.array(
@@ -327,23 +329,34 @@ class LocalLayer:
 
 
 class QueryLayer:
-    """Condition document token states on the query: the pooled query vector
-    is broadcast as the attention value while document states provide the
-    queries and keys, followed by the usual FFN sub-layer."""
+    """Condition document token states on the query: the projected pooled
+    query vector is added to every token of each real document, followed by
+    the usual FFN sub-layer.
+
+    This is the closed form of attention whose value is the pooled query at
+    every key: the softmax weights over a document's real tokens sum to 1,
+    so every token receives ``wv(pooled)`` whatever the queries and keys.
+    A fully padded document has no weights and receives zero context, so
+    ``wo(0)``.  Query/key projections could not affect the output, so the
+    layer has none.
+    """
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.pool = MultiHeadPooling(store, f"{name}.pool", cfg.d_model, cfg.heads)
-        self.attn = MultiHeadAttention(store, f"{name}.attn", cfg.d_model, cfg.heads)
+        # Parameter names of the attention form, so its checkpoints load.
+        self.wv = Linear(store, f"{name}.attn.wv", cfg.d_model, cfg.d_model)
+        self.wo = Linear(store, f"{name}.attn.wo", cfg.d_model, cfg.d_model)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.ffn_hidden)
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
         self.rate = cfg.dropout
 
     def __call__(self, x, query_states, token_mask, train=False, rng=None):
-        pooled = self.pool(query_states)  # (d,)
+        ctx = self.wv(self.pool(query_states))  # (d,)
         n, t, _ = x.shape
-        value = _broadcast_vector(pooled, n, t, query_states.dtype)
-        a, _ = self.attn(x, x, value, key_mask=token_mask)
+        real = np.asarray(token_mask, dtype=bool).any(axis=-1)  # (N,)
+        ctx = ad.mul(ad.tensor(real[:, None], dtype=x.dtype), ad.reshape(ctx, (1, -1)))
+        a = _broadcast_vector(self.wo(ctx), n, t, x.dtype)  # wo per document, not per token
         o1 = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng, train)))
         f = self.ffn(o1, train, rng, self.rate)
         return self.ln2(ad.add(o1, ad.dropout(f, self.rate, rng, train)))

@@ -26,8 +26,10 @@ from .text import Vocabulary, tokenize
 
 
 class NumericalAbort(RuntimeError):
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value} at step {step}")
+    """Training stopped at ``step`` on a non-finite loss or gradient."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"{reason} at step {step}")
         self.step = step
 
 
@@ -125,7 +127,7 @@ def train(
 ) -> TrainResult:
     """Run the optimization loop and return paths to the best (by validation
     ROUGE-L) and latest checkpoints.  Raises ``NumericalAbort`` on a
-    non-finite loss."""
+    non-finite loss or gradient."""
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     model.vocab = vocab
     if cfg.fine_tune_from and not resume_from:
@@ -188,11 +190,14 @@ def train(
                 total_loss += loss_sum.item()
                 total_count += count
         if not np.isfinite(total_loss):
-            raise NumericalAbort(step, total_loss)
+            raise NumericalAbort(step, f"non-finite loss {total_loss}")
         for p in model.params.values():
             if p.grad is not None:
                 p.grad /= total_count
-        opt.step()
+        try:
+            opt.step()
+        except FloatingPointError as exc:
+            raise NumericalAbort(step, str(exc)) from exc
         step += 1
         result.losses.append(total_loss / total_count)
 

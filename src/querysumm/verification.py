@@ -2,9 +2,11 @@
 
 Each named check builds a small float64 fragment (dropout off), wraps it in
 a weighted-sum loss so gradients are asymmetric, and compares analytic
-gradients against central differences.  ``run_gradient_suite`` drives the
-whole set; the CLI ``grad-check`` subcommand and the acceptance tests both
-call it, so there is exactly one definition of "the model differentiates
+gradients against central differences.  No parameter is excluded: every
+parameter of every fragment is checked (the full-model checks sample their
+coordinates from all of them).  ``run_gradient_suite`` drives the whole
+set; the CLI ``grad-check`` subcommand and the acceptance tests both call
+it, so there is exactly one definition of "the model differentiates
 correctly".
 """
 
@@ -32,25 +34,6 @@ from .optim import grad_check
 
 TOLERANCE = 1e-4
 
-# In the query layer the attention value is the same pooled vector at every
-# key position, so attention weights cannot change the output: the query/key
-# projections there have a structurally zero gradient.  Finite differences on
-# such coordinates measure pure rounding noise, so they are excluded.
-_INERT_PATTERNS = (".attn.wq.", ".attn.wk.")
-
-
-def _live_params(params: dict, inert_prefix: str | None) -> dict:
-    if inert_prefix is None:
-        return params
-    return {
-        name: p
-        for name, p in params.items()
-        if not (
-            name.startswith(inert_prefix) and any(s in name for s in _INERT_PATTERNS)
-        )
-    }
-
-
 def _toy_config(**flags) -> ModelConfig:
     return ModelConfig(
         vocab_size=13,
@@ -68,11 +51,6 @@ def _toy_config(**flags) -> ModelConfig:
         baseline_query_prepend=flags.pop("baseline_query_prepend", False),
         **flags,
     )
-
-
-def _weighted_sum(out: ad.Tensor, rng) -> ad.Tensor:
-    w = ad.tensor(rng.standard_normal(out.shape), np.float64)
-    return ad.tsum(ad.mul(out, w))
 
 
 def _states(rng, shape):
@@ -126,7 +104,7 @@ def check_query(seed=0) -> float:
         q = ad.add(ad.embedding_lookup(table, ids), ad.tensor(pos, np.float64))
         return ad.tsum(ad.mul(layer(x, q, mask), ad.tensor(w, np.float64)))
 
-    return grad_check(loss, _live_params(store.params, inert_prefix="query"))
+    return grad_check(loss, store.params)
 
 
 def check_global(seed=0) -> float:
@@ -216,8 +194,7 @@ def check_full(seed=0, max_coords=400, **flags) -> float:
     model = SummModel(cfg, seed=seed, dtype=np.float64)
     inp = _toy_input(rng, cfg)
     loss = lambda: model.loss(inp)
-    params = _live_params(model.params, inert_prefix="query." if cfg.use_query_encoder else None)
-    return grad_check(loss, params, max_coords=max_coords, seed=seed)
+    return grad_check(loss, model.params, max_coords=max_coords, seed=seed)
 
 
 LAYER_CHECKS = {

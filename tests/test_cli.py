@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from querysumm import cli
+from querysumm import autodiff as ad
+from querysumm import cli, training
 from querysumm.data import load_triplets, save_articles, save_ir_records, save_triplets
 from querysumm.synthetic import make_articles, make_ir_records
 from querysumm.training import NumericalAbort
@@ -143,8 +144,22 @@ class TestModelCommands:
         cfg = train_config(workdir)
 
         def explode(*a, **kw):
-            raise NumericalAbort(7, float("nan"))
+            raise NumericalAbort(7, "non-finite loss nan")
 
         monkeypatch.setattr(cli, "train", explode)
         assert run("train", "--config", str(cfg)) == cli.EXIT_NUMERICAL
         assert "step 7" in capsys.readouterr().err
+
+    def test_nonfinite_gradient_with_finite_loss_exit_code(self, workdir, monkeypatch, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--out", "triplets.jsonl")
+        cfg = train_config(workdir)
+        real_backward = training.backward
+
+        def poisoned_backward(loss):
+            # The loss value stays finite; only its gradients turn NaN.
+            real_backward(ad.scale(loss, float("nan")))
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        assert run("train", "--config", str(cfg)) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "non-finite gradient for" in err and "step 0" in err

@@ -335,6 +335,11 @@ def test_triplet_jsonl_roundtrip(tmp_path):
     assert [t.meta for t in again] == [json.loads(json.dumps(t.meta)) for t in trips]
 
 
+def test_whitespace_only_document_rejected():
+    with pytest.raises(ValueError, match="non-whitespace"):
+        Triplet("q", ["ok", " \n\t "], "s")
+
+
 def test_triplet_invariants():
     with pytest.raises(ValueError):
         Triplet("q", [], "s")

@@ -6,11 +6,14 @@ import pytest
 
 from querysumm import autodiff as ad
 from querysumm.autodiff import backward
+from querysumm.checkpoint import load_arrays, save_arrays
+from querysumm.data import Triplet
 from querysumm.model import (
     GlobalLayer,
     LocalLayer,
     ModelConfig,
     ModelInput,
+    MultiHeadAttention,
     MultiHeadPooling,
     OrderingScores,
     ParamStore,
@@ -22,6 +25,7 @@ from querysumm.model import (
     sinusoid_table,
 )
 from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, build_vocab, tokenize
+from querysumm.training import load_model_checkpoint, save_model_checkpoint
 
 from conftest import handmade_triplet, tiny_config
 
@@ -245,7 +249,7 @@ class TestLayers:
         cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
                           baseline_query_prepend=False)
         layer = QueryLayer(self.store, "q", cfg)
-        layer.attn.wv.w.values[:] = 0.0  # value path off; biases are zero
+        layer.wv.w.values[:] = 0.0  # value path off; biases are zero
         x = self.states(2, 4, 8)
         q = self.states(3, 8)
         out = layer(x, q, np.ones((2, 4), dtype=bool))
@@ -314,6 +318,63 @@ class TestLayers:
         r = scorer(ad.tensor(vecs, np.float64), np.ones(4, bool)).values
         r_perm = scorer(ad.tensor(vecs[perm], np.float64), np.ones(4, bool)).values
         np.testing.assert_allclose(r_perm, r[perm], atol=1e-12)
+
+
+class TestQueryLayerClosedForm:
+    """The query layer is the closed form of attention whose value is the
+    pooled query at every key; these tests hold it to that attention."""
+
+    def query_config(self):
+        return tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
+                           baseline_query_prepend=False)
+
+    def test_matches_explicit_attention_with_any_query_key_projections(self):
+        cfg = self.query_config()
+        rng = np.random.default_rng(3)
+        layer = QueryLayer(ParamStore(0, np.float64), "q", cfg)
+        for p in (layer.wv.b, layer.wo.b, layer.ln1.gain, layer.ln1.bias):
+            p.values[:] = rng.standard_normal(p.shape)
+        x = ad.tensor(rng.standard_normal((3, 4, 8)), np.float64)
+        q = ad.tensor(rng.standard_normal((5, 8)), np.float64)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[0, 3] = False  # a padded token
+        mask[2, :] = False  # a fully padded document
+        out = layer(x, q, mask)
+
+        value = ad.tensor(np.broadcast_to(layer.pool(q).values, (3, 4, 8)), np.float64)
+        for seed in (1, 2):  # random wq/wk, shared wv/wo
+            attn = MultiHeadAttention(ParamStore(seed, np.float64), "attn", 8, 2)
+            attn.wq.b.values[:] = rng.standard_normal(8)
+            attn.wv, attn.wo = layer.wv, layer.wo
+            a, _ = attn(x, x, value, key_mask=mask)
+            o1 = layer.ln1(ad.add(x, a))
+            expected = layer.ln2(ad.add(o1, layer.ffn(o1)))
+            np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-12)
+
+    def test_checkpoint_with_query_key_projections_still_loads(self, tmp_path):
+        trip = handmade_triplet(n_docs=2, doc_tokens=5, summary_tokens=3)
+        vocab = build_vocab(
+            [tokenize(d) for d in trip.documents] + [tokenize(trip.query), tokenize(trip.summary)],
+            64,
+        )
+        cfg = tiny_config(len(vocab), use_query_encoder=True, query_layers=1,
+                          baseline_query_prepend=False)
+        model = SummModel(cfg, seed=4)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab, {"step": 1})
+        arrays, meta = load_arrays(path)
+        rng = np.random.default_rng(0)
+        d = cfg.d_model
+        # The attention form of the query layer also stored these.
+        arrays["query.0.attn.wq.w"] = rng.standard_normal((d, d))
+        arrays["query.0.attn.wq.b"] = rng.standard_normal(d)
+        arrays["query.0.attn.wk.w"] = rng.standard_normal((d, d))
+        save_arrays(path, arrays, meta)
+
+        loaded, _, _ = load_model_checkpoint(path)
+        assert "query.0.attn.wq.w" not in loaded.params
+        inp = prepare_input(trip, vocab, cfg)
+        assert loaded.loss(inp).item() == pytest.approx(model.loss(inp).item(), rel=1e-6)
 
 
 class TestMergeAndMemory:
@@ -495,6 +556,17 @@ class TestPrepareInput:
         assert inp.target_ids.size <= 12
         assert inp.doc_ids[inp.token_mask].min() >= 0
         assert np.all(inp.doc_ids[~inp.token_mask] == PAD_ID)
+
+    def test_empty_query_rejected_under_query_encoder(self):
+        t = handmade_triplet()
+        vocab = build_vocab([tokenize(d) for d in t.documents], 64)
+        blank = Triplet("  ", t.documents, t.summary)
+        query_cfg = tiny_config(len(vocab), use_query_encoder=True, query_layers=1,
+                                baseline_query_prepend=False)
+        with pytest.raises(ValueError, match="query"):
+            prepare_input(blank, vocab, query_cfg)
+        # Prepending an empty query is a no-op, so the baseline accepts it.
+        assert prepare_input(blank, vocab, tiny_config(len(vocab))).query_ids.size == 0
 
     def test_loss_requires_target(self):
         model = SummModel(tiny_config(40, d_model=8, heads=2), seed=0)
