@@ -155,13 +155,21 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Leading (batch) dims must match exactly unless ``b``
-    is 2-D, in which case it is shared across the batch."""
+    """Matrix product.  Each leading (batch) dim of ``b`` must equal ``a``'s
+    or be 1, in which case that slice of ``b`` is shared across the batch;
+    a 2-D ``b`` is shared by every batch entry."""
     av, bv = a.values, b.values
     _shape_check(av.ndim >= 2 and bv.ndim >= 2, "matmul", av.shape, bv.shape)
     _shape_check(av.shape[-1] == bv.shape[-2], "matmul", av.shape, bv.shape)
     _shape_check(
-        bv.ndim == 2 or av.shape[:-2] == bv.shape[:-2], "matmul", av.shape, bv.shape
+        bv.ndim == 2
+        or (
+            bv.ndim == av.ndim
+            and all(nb in (1, na) for na, nb in zip(av.shape[:-2], bv.shape[:-2]))
+        ),
+        "matmul",
+        av.shape,
+        bv.shape,
     )
     out = Tensor(av @ bv, parents=(a, b))
 
@@ -172,7 +180,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 b, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             )
         else:
-            _accumulate(b, av.swapaxes(-1, -2) @ g)
+            _accumulate(b, _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape))
 
     out.backward_fn = bw
     return out

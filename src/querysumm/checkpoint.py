@@ -38,14 +38,27 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (manifest_len,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
+        header = fh.read(4)
+        if len(header) < 4:
+            raise ValueError(f"{path} is truncated: no manifest length")
+        (manifest_len,) = struct.unpack("<I", header)
+        raw = fh.read(manifest_len)
+        if len(raw) < manifest_len:
+            raise ValueError(
+                f"{path} is truncated: manifest of {manifest_len} bytes, {len(raw)} present"
+            )
+        manifest = json.loads(raw.decode("utf-8"))
         blob = fh.read()
     arrays = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 4 * count > len(blob):
+            raise ValueError(
+                f"{path} is truncated: {entry['name']} needs bytes {start}..{start + 4 * count}"
+                f" of a {len(blob)}-byte blob"
+            )
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).copy()
     return arrays, manifest["meta"]

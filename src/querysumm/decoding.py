@@ -10,7 +10,7 @@ repeat one of its existing trigrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,13 +52,10 @@ def _banned_by_trigram(tokens: list[int]) -> set[int]:
     return {w for (x, y, w) in seen if (x, y) == (a, b)}
 
 
-def _step_logprobs(model: SummModel, tokens: list[int], enc: EncodedBatch) -> np.ndarray:
-    logits = model.decode_logits([BOS_ID] + tokens, enc.memory, enc.memory_mask)
-    return log_softmax_values(logits.values[-1])
-
-
-def _masked_logprobs(model, tokens, enc, config) -> np.ndarray:
-    logp = _step_logprobs(model, tokens, enc).astype(np.float64).copy()
+def _masked_logprobs(logits: np.ndarray, tokens: list[int], config) -> np.ndarray:
+    """Next-token log-probabilities of one hypothesis with every banned
+    continuation at -inf."""
+    logp = log_softmax_values(logits).astype(np.float64)
     logp[list(STRUCTURAL_IDS)] = -np.inf
     if len(tokens) < config.min_len:
         logp[EOS_ID] = -np.inf
@@ -70,33 +67,27 @@ def _masked_logprobs(model, tokens, enc, config) -> np.ndarray:
 
 
 def greedy_decode(model: SummModel, enc: EncodedBatch, config: DecodeConfig) -> list[int]:
-    """Pick the argmax token every step; ties go to the lowest id."""
-    tokens: list[int] = []
-    while len(tokens) < config.max_len:
-        logp = _masked_logprobs(model, tokens, enc, config)
-        if not np.isfinite(logp).any():
-            break  # every continuation banned; terminate early
-        nxt = int(np.argmax(logp))
-        if nxt == EOS_ID:
-            break
-        tokens.append(nxt)
-    return tokens
+    """Pick the argmax token every step; ties go to the lowest id.  This is
+    beam search with a beam of one."""
+    return beam_search_nbest(model, enc, replace(config, beam=1))[0][0]
 
 
 def beam_search_nbest(
     model: SummModel, enc: EncodedBatch, config: DecodeConfig
 ) -> list[tuple[list[int], float]]:
     """All finished hypotheses sorted by length-normalized score, best
-    first.  Ties break toward lexicographically smaller token sequences."""
+    first.  Ties break toward lexicographically smaller token sequences.
+
+    Every live hypothesis has the same length, so one ``DecoderState.step``
+    advances them all; the cache then follows the survivors of pruning."""
+    state = model.start_decoding(enc)
     active: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
-    while active:
-        expansions: list[tuple[list[int], float]] = []
-        for tokens, score in active:
-            if len(tokens) >= config.max_len:
-                finished.append((tokens, score))
-                continue
-            logp = _masked_logprobs(model, tokens, enc, config)
+    while active and len(active[0][0]) < config.max_len:
+        logits = state.step([tokens[-1] if tokens else BOS_ID for tokens, _ in active])
+        expansions: list[tuple[list[int], float, int]] = []  # + row of the parent
+        for row, (tokens, score) in enumerate(active):
+            logp = _masked_logprobs(logits[row], tokens, config)
             if not np.isfinite(logp).any():
                 finished.append((tokens, score))
                 continue
@@ -108,9 +99,12 @@ def beam_search_nbest(
                 if v == EOS_ID:
                     finished.append((tokens, score + float(lp_v)))
                 else:
-                    expansions.append((tokens + [int(v)], score + float(lp_v)))
-        expansions.sort(key=lambda ts: (-ts[1], ts[0]))
-        active = expansions[: config.beam]
+                    expansions.append((tokens + [int(v)], score + float(lp_v), row))
+        expansions.sort(key=lambda e: (-e[1], e[0]))
+        kept = expansions[: config.beam]
+        active = [(tokens, score) for tokens, score, _ in kept]
+        state.reorder([row for _, _, row in kept])
+    finished.extend(active)  # cut off at max_len
     ranked = [
         (tokens, score / length_penalty(len(tokens), config.alpha))
         for tokens, score in finished

@@ -235,8 +235,12 @@ class MultiHeadAttention:
     """Scaled dot-product attention, heads split from d_model.
 
     Inputs are (..., T, d_model); ``key_mask`` is (..., Tk) boolean and
-    ``causal`` adds a lower-triangular constraint.  Returns the projected
-    context and the attention distribution (..., heads, Tq, Tk).
+    ``causal`` lets query i see keys up to ``Tk - Tq + i``: the keys end with
+    the queries' own positions, possibly after cached earlier ones.  ``kv``
+    replaces ``key``/``value`` by keys and values already projected with
+    ``project_kv``; a size-1 leading axis there is shared by the whole
+    query batch.  Returns the projected context and the attention
+    distribution (..., heads, Tq, Tk).
     """
 
     def __init__(self, store, name, d_model, heads):
@@ -253,17 +257,20 @@ class MultiHeadAttention:
         *lead, t, d = x.shape
         return ad.swapaxes(ad.reshape(x, (*lead, t, self.heads, self.dk)), -2, -3)
 
-    def __call__(self, query, key, value, key_mask=None, causal=False):
+    def project_kv(self, key, value) -> tuple[Tensor, Tensor]:
+        """Keys and values split into heads, each (..., heads, Tk, dk)."""
+        return self._split(self.wk(key)), self._split(self.wv(value))
+
+    def __call__(self, query, key=None, value=None, key_mask=None, causal=False, kv=None):
         q = self._split(self.wq(query))
-        k = self._split(self.wk(key))
-        v = self._split(self.wv(value))
+        k, v = self.project_kv(key, value) if kv is None else kv
         scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(self.dk))
         tq, tk = scores.shape[-2], scores.shape[-1]
         mask = None
         if key_mask is not None:
             mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
         if causal:
-            tri = np.tril(np.ones((tq, tk), dtype=bool))
+            tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
         attn = ad.softmax(scores, mask)
         ctx = ad.swapaxes(ad.matmul(attn, v), -2, -3)
@@ -417,13 +424,25 @@ class DecoderLayer:
         self.ln3 = LayerNorm(store, f"{name}.ln3", cfg.d_model)
         self.rate = cfg.dropout
 
-    def __call__(self, x, memory, memory_mask, train=False, rng=None):
-        a, _ = self.self_attn(x, x, x, causal=True)
+    def project_memory(self, memory: Tensor) -> tuple[Tensor, Tensor]:
+        """Cross-attention K/V of the encoder memory (..., M, d)."""
+        return self.cross_attn.project_kv(memory, memory)
+
+    def __call__(self, x, memory_kv, memory_mask, past_kv=None, train=False, rng=None):
+        """Run new positions x (..., S, d): causal self-attention, then
+        cross-attention against ``memory_kv`` from ``project_memory``, then
+        the FFN.  ``past_kv`` holds the self-attention K/V of the P positions
+        before x, (..., heads, P, dk).  Returns the output and the
+        self-attention K/V of all P + S positions."""
+        kv = self.self_attn.project_kv(x, x)
+        if past_kv is not None:
+            kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
+        a, _ = self.self_attn(x, kv=kv, causal=True)
         x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng, train)))
-        c, _ = self.cross_attn(x, memory, memory, key_mask=memory_mask)
+        c, _ = self.cross_attn(x, kv=memory_kv, key_mask=memory_mask)
         x = self.ln2(ad.add(x, ad.dropout(c, self.rate, rng, train)))
         f = self.ffn(x, train, rng, self.rate)
-        return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng, train)))
+        return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng, train))), kv
 
 
 class SummModel:
@@ -561,26 +580,43 @@ class SummModel:
 
     # --- decoder ---------------------------------------------------------
 
-    def decode_logits(
-        self, prefix_ids, memory: Tensor, memory_mask, train: bool = False, rng=None
-    ) -> Tensor:
-        """Logits (S, vocab) for every position of the decoder prefix, which
-        must start with the sequence-start id."""
-        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-        if prefix_ids.size == 0 or prefix_ids[0] != BOS_ID:
-            raise ValueError("decoder prefix must start with the sequence-start token")
+    def embed_target(self, ids: np.ndarray, start: int) -> Tensor:
+        """Decoder input: scaled embeddings of ``ids`` (..., S) plus the
+        sinusoids of positions ``start`` .. ``start + S - 1``."""
         cfg = self.config
-        emb = ad.scale(ad.embedding_lookup(self.embed, prefix_ids), math.sqrt(cfg.d_model))
-        pos = sinusoid_table(prefix_ids.size, cfg.d_model, self.dtype)
-        x = ad.add(emb, ad.tensor(pos, dtype=self.dtype))
-        x = ad.dropout(x, cfg.dropout, rng, train)
-        for layer in self.decoder:
-            x = layer(x, memory, memory_mask, train, rng)
+        emb = ad.scale(ad.embedding_lookup(self.embed, ids), math.sqrt(cfg.d_model))
+        pos = sinusoid_table(start + ids.shape[-1], cfg.d_model, self.dtype)[start:]
+        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
+
+    def output_logits(self, x: Tensor) -> Tensor:
+        """Vocabulary logits of final decoder states (..., d)."""
+        cfg = self.config
         if cfg.tie_embeddings:
             logits = ad.matmul(x, ad.swapaxes(self.embed, 0, 1))
         else:
             logits = self.out_proj(x)
         return ad.scale(logits, 1.0 / math.sqrt(cfg.d_model))
+
+    def decode_logits(
+        self, prefix_ids, memory: Tensor, memory_mask, train: bool = False, rng=None
+    ) -> Tensor:
+        """Logits (S, vocab) for every position of the decoder prefix, which
+        must start with the sequence-start id.
+
+        The full-sequence forward: ``loss_sum`` trains through it, and it is
+        the oracle that ``DecoderState.step`` is tested against.  Decoding
+        runs through ``start_decoding`` instead."""
+        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
+        if prefix_ids.size == 0 or prefix_ids[0] != BOS_ID:
+            raise ValueError("decoder prefix must start with the sequence-start token")
+        x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng, train)
+        for layer in self.decoder:
+            x, _ = layer(x, layer.project_memory(memory), memory_mask, train=train, rng=rng)
+        return self.output_logits(x)
+
+    def start_decoding(self, enc: EncodedBatch) -> DecoderState:
+        """Incremental decoder over ``enc``; see ``DecoderState``."""
+        return DecoderState(self, enc)
 
     # --- losses ----------------------------------------------------------
 
@@ -615,3 +651,52 @@ class SummModel:
             if tuple(arrays[name].shape) != tuple(p.values.shape):
                 raise ValueError(f"shape mismatch for {name}")
             p.values = arrays[name].astype(self.dtype)
+
+
+def _leaf(t: Tensor) -> Tensor:
+    """The values of ``t`` as a constant, cut from the graph that made them."""
+    return ad.tensor(t.values, dtype=t.dtype)
+
+
+class DecoderState:
+    """Incremental decoding of one encoded example, forward only.
+
+    Each decoder layer's cross-attention K/V is projected from the memory
+    once, as (1, heads, M, dk), and shared by every hypothesis.  Each step
+    feeds B live hypotheses one token each as a (B, 1, d) pass; the layers'
+    self-attention K/V of the positions so far are cached per hypothesis
+    row.  Cached K/V are constants, so no autodiff graph outlives a step.
+    Step logits match the matching rows of ``SummModel.decode_logits`` up to
+    floating-point summation order.
+    """
+
+    def __init__(self, model: SummModel, enc: EncodedBatch):
+        self.model = model
+        self.memory_mask = enc.memory_mask
+        memory = ad.tensor(enc.memory.values[None], dtype=enc.memory.dtype)
+        self.memory_kv = [
+            tuple(_leaf(t) for t in layer.project_memory(memory)) for layer in model.decoder
+        ]
+        self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(model.decoder)
+        self.length = 0  # positions decoded so far
+
+    def step(self, last_ids) -> np.ndarray:
+        """Advance every hypothesis by its latest token (the sequence-start
+        id on the first step); returns next-token logits (B, vocab)."""
+        ids = np.asarray(last_ids, dtype=np.int64).reshape(-1, 1)
+        if self.length == 0 and (ids != BOS_ID).any():
+            raise ValueError("decoder prefix must start with the sequence-start token")
+        x = self.model.embed_target(ids, self.length)
+        for i, layer in enumerate(self.model.decoder):
+            x, kv = layer(x, self.memory_kv[i], self.memory_mask, past_kv=self.self_kv[i])
+            self.self_kv[i] = tuple(_leaf(t) for t in kv)
+        self.length += 1
+        return self.model.output_logits(x).values[:, 0, :]
+
+    def reorder(self, index) -> None:
+        """Keep cache row ``index[j]`` as hypothesis j, e.g. the parent of
+        each hypothesis that survives beam pruning."""
+        index = np.asarray(index, dtype=np.int64)
+        self.self_kv = [
+            tuple(ad.tensor(t.values[index], dtype=t.dtype) for t in kv) for kv in self.self_kv
+        ]

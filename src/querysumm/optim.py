@@ -64,7 +64,11 @@ class AdamNoam:
         )
 
     def step(self) -> float:
-        """Apply one update; returns the learning rate used."""
+        """Apply one update; returns the learning rate used.  All or
+        nothing: a non-finite gradient raises before any state changes."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"non-finite gradient for {name}")
         self.step_count += 1
         lr = self.lr()
         bc1 = 1.0 - self.beta1**self.step_count
@@ -73,8 +77,6 @@ class AdamNoam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.values)
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for {name}")
             m = self.exp_avg[name]
             v = self.exp_avg_sq[name]
             m *= self.beta1

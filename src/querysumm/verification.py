@@ -167,7 +167,9 @@ def check_decoder(seed=0) -> float:
     memory_mask = np.array([True] * 5 + [False])
     w = rng.standard_normal((3, cfg.d_model))
     loss = lambda: ad.tsum(
-        ad.mul(layer(x, memory, memory_mask), ad.tensor(w, np.float64))
+        ad.mul(
+            layer(x, layer.project_memory(memory), memory_mask)[0], ad.tensor(w, np.float64)
+        )
     )
     return grad_check(loss, store.params)
 

@@ -77,6 +77,8 @@ class TestForwardValues:
         b = ad.tensor(np.zeros((4, 5)))
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(a, b)
+        with pytest.raises(ShapeError, match="matmul"):  # batch 3 is neither 2 nor 1
+            ad.matmul(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((3, 4, 5))))
         with pytest.raises(ShapeError, match="add"):
             ad.add(a, b)
         with pytest.raises(ShapeError, match="linear"):
@@ -178,6 +180,14 @@ class TestBackward:
         wt = rng.standard_normal((6, 2))
         checks["swapaxes"] = grad_check(
             lambda: wsum(ad.swapaxes(rs, 0, 1), wt), {"x": rs}
+        )
+
+        # b's size-1 batch axis is shared by every a row: its gradient sums.
+        mb1 = rand(rng, 3, 2, 1, 4)
+        mb2 = rand(rng, 1, 2, 4, 5)
+        wmb = rng.standard_normal((3, 2, 1, 5))
+        checks["matmul_shared_b"] = grad_check(
+            lambda: wsum(ad.matmul(mb1, mb2), wmb), {"a": mb1, "b": mb2}
         )
 
         for name, err in checks.items():

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from querysumm import autodiff as ad
+from querysumm.autodiff import log_softmax_values
 from querysumm.decoding import (
+    STRUCTURAL_IDS,
     DecodeConfig,
+    _banned_by_trigram,
     beam_search,
     beam_search_nbest,
     greedy_decode,
     length_penalty,
 )
-from querysumm.model import EncodedBatch
-from querysumm.text import EOS_ID
+from querysumm.model import DecoderState, EncodedBatch, ModelInput, SummModel
+from querysumm.text import BOS_ID, EOS_ID
+
+from conftest import tiny_config
 
 
 class RiggedModel:
@@ -21,9 +25,25 @@ class RiggedModel:
         self.vocab_size = vocab_size
         self.row_fn = row_fn
 
-    def decode_logits(self, prefix_ids, memory, memory_mask):
-        rows = [self.row_fn(t) for t in range(len(prefix_ids))]
-        return ad.tensor(np.stack(rows), np.float64)
+    def start_decoding(self, enc):
+        return RiggedState(self.row_fn)
+
+
+class RiggedState:
+    """Replays ``row_fn(t)`` for every live hypothesis: all hypotheses of a
+    beam have the same length t, so pruning has nothing to reorder."""
+
+    def __init__(self, row_fn):
+        self.row_fn = row_fn
+        self.t = 0
+
+    def step(self, last_ids):
+        row = self.row_fn(self.t)
+        self.t += 1
+        return np.tile(row, (len(last_ids), 1))
+
+    def reorder(self, index):
+        pass
 
 
 def dummy_enc():
@@ -179,3 +199,128 @@ class TestNBest:
             logits = row(t)
             logp += logits[tok] - np.log(np.exp(logits).sum())
         assert score == pytest.approx(logp / length_penalty(2, 0.4), rel=1e-9)
+
+
+def reference_beam_search_nbest(model, enc, config):
+    """Full-recompute beam search: every hypothesis reruns ``decode_logits``
+    on its whole prefix at every step.  The oracle of the incremental one."""
+
+    def masked_logprobs(tokens):
+        logits = model.decode_logits([BOS_ID] + tokens, enc.memory, enc.memory_mask)
+        logp = log_softmax_values(logits.values[-1]).astype(np.float64)
+        logp[list(STRUCTURAL_IDS)] = -np.inf
+        if len(tokens) < config.min_len:
+            logp[EOS_ID] = -np.inf
+        if config.block_trigrams:
+            banned = _banned_by_trigram(tokens)
+            if banned:
+                logp[list(banned)] = -np.inf
+        return logp
+
+    active, finished = [([], 0.0)], []
+    while active:
+        expansions = []
+        for tokens, score in active:
+            if len(tokens) >= config.max_len:
+                finished.append((tokens, score))
+                continue
+            logp = masked_logprobs(tokens)
+            if not np.isfinite(logp).any():
+                finished.append((tokens, score))
+                continue
+            order = np.lexsort((np.arange(logp.size), -logp))
+            for v in order[: config.beam]:
+                if not np.isfinite(logp[v]):
+                    break
+                if v == EOS_ID:
+                    finished.append((tokens, score + float(logp[v])))
+                else:
+                    expansions.append((tokens + [int(v)], score + float(logp[v])))
+        expansions.sort(key=lambda ts: (-ts[1], ts[0]))
+        active = expansions[: config.beam]
+    ranked = [(t, s / length_penalty(len(t), config.alpha)) for t, s in finished]
+    ranked.sort(key=lambda ts: (-ts[1], ts[0]))
+    return ranked
+
+
+def real_model_and_encoding(seed, vocab_size=12, **kw):
+    """A tiny float64 model; a small vocabulary keeps the end token within
+    reach of every beam, so hypotheses finish at different steps."""
+    cfg = tiny_config(vocab_size, decoder_layers=2, baseline_query_prepend=False, **kw)
+    model = SummModel(cfg, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    inp = ModelInput(
+        doc_ids=rng.integers(5, vocab_size, size=(2, 6)).astype(np.int64),
+        token_mask=np.ones((2, 6), dtype=bool),
+        doc_mask=np.ones(2, dtype=bool),
+        query_ids=np.array([6], dtype=np.int64),
+    )
+    return model, model.encode(inp)
+
+
+class TestIncrementalAgainstFullRecompute:
+    def test_nbest_matches_reference_beam_search(self, monkeypatch):
+        reorders = []
+        original = DecoderState.reorder
+
+        def spy(state, index):
+            reorders.append(list(index))
+            original(state, index)
+
+        monkeypatch.setattr(DecoderState, "reorder", spy)
+        lengths = set()
+        for seed in range(4):
+            model, enc = real_model_and_encoding(seed)
+            for beam in (1, 2, 3, 4):
+                cfg = DecodeConfig(beam=beam, alpha=0.4, min_len=1, max_len=8, block_trigrams=True)
+                got = beam_search_nbest(model, enc, cfg)
+                want = reference_beam_search_nbest(model, enc, cfg)
+                assert [t for t, _ in got] == [t for t, _ in want], (seed, beam)
+                np.testing.assert_allclose(
+                    [s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12
+                )
+                lengths.add(tuple(sorted({len(t) for t, _ in got})))
+                if beam == 1:
+                    assert greedy_decode(model, enc, cfg) == want[0][0]
+        # The cases exercised: hypotheses finished at different steps, and
+        # pruning dropped or duplicated cache rows.
+        assert any(len(ls) > 1 for ls in lengths)
+        assert any(index != list(range(len(index))) for index in reorders)
+
+
+class CountingLinear:
+    """Wraps a ``Linear`` and counts its calls and the rows it maps."""
+
+    def __init__(self, linear):
+        self.linear = linear
+        self.calls = 0
+        self.rows = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        self.rows += x.values.size // x.shape[-1]
+        return self.linear(x)
+
+
+class TestWorkPerDecode:
+    @pytest.mark.parametrize("length", [5, 20])
+    def test_memory_projected_once_and_each_position_computed_once(self, length):
+        model, enc = real_model_and_encoding(0, vocab_size=40, tie_embeddings=False)
+        # The end token wins as soon as it is allowed, so the decode stops
+        # on it after exactly ``length`` tokens.
+        model.params["out_proj.b"].values[EOS_ID] = 100.0
+        for beam in (1, 3):
+            memory_k, positions = [], []
+            for layer in model.decoder:
+                layer.cross_attn.wk = CountingLinear(layer.cross_attn.wk)
+                layer.self_attn.wq = CountingLinear(layer.self_attn.wq)
+                memory_k.append(layer.cross_attn.wk)
+                positions.append(layer.self_attn.wq)
+            cfg = DecodeConfig(beam=beam, min_len=length, max_len=length + 5)
+            tokens = (greedy_decode if beam == 1 else beam_search)(model, enc, cfg)
+            assert len(tokens) == length
+            assert [c.calls for c in memory_k] == [1] * len(model.decoder)
+            if beam == 1:
+                assert [c.rows for c in positions] == [length + 1] * len(model.decoder)
+            for layer, k, q in zip(model.decoder, memory_k, positions):
+                layer.cross_attn.wk, layer.self_attn.wq = k.linear, q.linear

@@ -545,6 +545,62 @@ class TestDecoderAndForward:
         assert counts["baseline"] < counts["merge"] < counts["ordering"] < counts["query"]
 
 
+class TestDecoderState:
+    """Incremental decoding against its oracle, the full-sequence
+    ``decode_logits``."""
+
+    def model_and_encoding(self, dtype, seed=0, **kw):
+        cfg = tiny_config(
+            60, d_model=16, heads=4, decoder_layers=2, baseline_query_prepend=False, **kw
+        )
+        model = SummModel(cfg, seed=seed, dtype=dtype)
+        rng = np.random.default_rng(seed + 20)
+        mask = np.ones((3, 6), dtype=bool)
+        mask[2, 4:] = False  # padded memory rows must stay masked
+        inp = ModelInput(
+            doc_ids=rng.integers(5, 60, size=(3, 6)).astype(np.int64),
+            token_mask=mask,
+            doc_mask=np.ones(3, dtype=bool),
+            query_ids=np.array([7, 8], dtype=np.int64),
+        )
+        return model, model.encode(inp)
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_every_step_row_matches_decode_logits(self, dtype, atol, tie):
+        model, enc = self.model_and_encoding(dtype, tie_embeddings=tie)
+        rng = np.random.default_rng(1)
+        prefixes = [[BOS_ID] + rng.integers(5, 60, size=9).tolist() for _ in range(3)]
+        state = model.start_decoding(enc)
+        for t in range(10):
+            if t == 4:
+                # Beam pruning: hypothesis 0 dies, 2 survives twice and the
+                # copies continue differently from here on.
+                index = [2, 1, 2]
+                state.reorder(index)
+                prefixes = [list(prefixes[i]) for i in index]
+                prefixes[2][t:] = rng.integers(5, 60, size=10 - t).tolist()
+            logits = state.step([p[t] for p in prefixes])
+            assert logits.shape == (3, 60) and logits.dtype == dtype
+            for row, prefix in enumerate(prefixes):
+                full = model.decode_logits(prefix[: t + 1], enc.memory, enc.memory_mask)
+                np.testing.assert_allclose(logits[row], full.values[-1], rtol=0, atol=atol)
+
+    def test_step_leaves_no_graph_behind(self):
+        model, enc = self.model_and_encoding(np.float64)
+        state = model.start_decoding(enc)
+        for t in range(3):
+            state.step([BOS_ID if t == 0 else 9] * 2)
+        for kv in state.memory_kv + state.self_kv:
+            assert all(not t.requires_grad and not t.parents for t in kv)
+        assert state.memory_kv[0][0].shape[0] == 1  # one memory K/V for the beam
+
+    def test_first_step_must_be_sequence_start(self):
+        model, enc = self.model_and_encoding(np.float64)
+        with pytest.raises(ValueError):
+            model.start_decoding(enc).step([5])
+
+
 class TestPrepareInput:
     def test_truncation_and_padding(self, small_vocab):
         t = handmade_triplet(n_docs=5, doc_tokens=30, summary_tokens=20)

@@ -73,6 +73,20 @@ class TestAdamNoam:
         with pytest.raises(FloatingPointError):
             opt.step()
 
+    def test_nonfinite_gradient_leaves_every_state_unchanged(self):
+        a = ad.parameter(np.array([1.0, 2.0]), np.float64)
+        b = ad.parameter(np.array([3.0]), np.float64)
+        opt = AdamNoam({"a": a, "b": b}, d_model=64, warmup=1)
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([0.1])
+        opt.step()
+        before = (a.values.copy(), opt.exp_avg["a"].copy(), opt.exp_avg_sq["a"].copy())
+        a.grad, b.grad = np.array([1.0, 1.0]), np.array([np.nan])
+        with pytest.raises(FloatingPointError, match="for b"):
+            opt.step()
+        assert opt.step_count == 1
+        for now, then in zip((a.values, opt.exp_avg["a"], opt.exp_avg_sq["a"]), before):
+            np.testing.assert_array_equal(now, then)
+
     def test_descends_on_quadratic(self):
         x = ad.parameter(np.array([5.0, -3.0]), np.float64)
         opt = AdamNoam({"x": x}, d_model=4, base_lr=5.0, warmup=10)
@@ -156,3 +170,15 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         load_arrays(path)
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_arrays(path, {"a.w": np.ones((3, 4), np.float32)}, {"n": 1})
+    full = path.read_bytes()
+    # Cut inside the last tensor, inside the manifest, inside its length.
+    for keep in (len(full) - 3, 40, 10):
+        path.write_bytes(full[:keep])
+        with pytest.raises(ValueError, match="truncated") as info:
+            load_arrays(path)
+        assert str(path) in str(info.value)
