@@ -1,19 +1,27 @@
 """Binary checkpoint container.
 
 Layout: 8-byte magic, little-endian uint32 manifest length, UTF-8 JSON
-manifest, then one contiguous blob of raw little-endian float32 arrays.  The
-manifest lists (name, shape, offset) per tensor plus a free-form ``meta``
-dict.  Optimizer state rides in a sidecar file with the same layout.
+manifest, then one contiguous blob of raw little-endian arrays.  The
+manifest lists (name, shape, offset, dtype) per tensor plus a free-form
+``meta`` dict; an entry without a dtype is float32, as every tensor was
+before dtypes were recorded.  Optimizer state rides in a sidecar file with
+the same layout.
+
+A save writes a temporary file next to the target, syncs it to disk and
+renames it over the target, so a crash mid-write leaves the previous file
+intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
 MAGIC = b"QSUMCKPT"
+LEGACY_DTYPE = "<f4"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -21,17 +29,29 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
     blobs = []
     offset = 0
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        arr = np.asarray(arr)
+        data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        entries.append(
+            {"name": name, "shape": list(arr.shape), "offset": offset, "dtype": data.dtype.str}
+        )
         blobs.append(data.tobytes())
         offset += data.nbytes
     manifest = json.dumps({"meta": meta or {}, "tensors": entries}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(manifest)))
+            fh.write(manifest)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -52,13 +72,15 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     arrays = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
+        dtype = np.dtype(entry.get("dtype", LEGACY_DTYPE))
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        if start + 4 * count > len(blob):
+        end = start + dtype.itemsize * count
+        if end > len(blob):
             raise ValueError(
-                f"{path} is truncated: {entry['name']} needs bytes {start}..{start + 4 * count}"
+                f"{path} is truncated: {entry['name']} needs bytes {start}..{end}"
                 f" of a {len(blob)}-byte blob"
             )
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
+        arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
     return arrays, manifest["meta"]

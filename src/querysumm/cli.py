@@ -25,15 +25,16 @@ import sys
 
 from . import data as dataforge
 from .data import load_articles, load_ir_records, load_triplets, save_triplets
-from .decoding import DecodeConfig, beam_search
+from .decoding import DecodeConfig
 from .evaluation import (
     TRANSFER_DECODE_DEFAULTS,
     TransferSpec,
+    decode_triplets,
     evaluate,
     interleave,
     transfer_pipeline,
 )
-from .model import ModelConfig, SummModel, prepare_input
+from .model import ModelConfig, SummModel
 from .text import build_vocab, tokenize
 from .training import NumericalAbort, TrainConfig, load_model_checkpoint, train
 from .verification import TOLERANCE, run_gradient_suite
@@ -203,20 +204,10 @@ def _decode_config(args) -> DecodeConfig:
 def cmd_decode(args) -> int:
     model, vocab, _ = load_model_checkpoint(args.ckpt)
     triplets = load_triplets(args.input)
-    decode_cfg = _decode_config(args)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i, triplet in enumerate(triplets):
-            inp = prepare_input(triplet, vocab, model.config)
-            enc = model.encode(inp)
-            ids = beam_search(model, enc, decode_cfg)
+        for row_id, ids in decode_triplets(model, triplets, vocab, _decode_config(args)):
             summary = " ".join(vocab.decode(ids))
-            fh.write(
-                json.dumps(
-                    {"id": triplet.meta.get("source_id", i), "summary": summary},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"id": row_id, "summary": summary}, ensure_ascii=False) + "\n")
     print(f"decoded {len(triplets)} triplets to {args.out}")
     return EXIT_OK
 

@@ -62,6 +62,32 @@ def _decode_with_config(model, inp, decode_cfg):
     return beam_search(model, enc, decode_cfg)
 
 
+def decode_triplets(
+    model: SummModel,
+    triplets: list[Triplet],
+    vocab: Vocabulary,
+    decode_cfg: DecodeConfig,
+    decode_fn=None,
+):
+    """Yield ``(id, token ids)`` per triplet, the id being its
+    ``source_id`` or else its position.
+
+    Inputs are prepared under the model config with ``decode_cfg``'s
+    document limits where set.  ``decode_fn(model, inp, decode_cfg) ->
+    token id list`` can replace the encode plus beam search (used by oracle
+    tests)."""
+    cfg = model.config
+    input_cfg = replace(
+        cfg,
+        max_doc_tokens=decode_cfg.max_doc_tokens or cfg.max_doc_tokens,
+        max_docs=decode_cfg.max_docs or cfg.max_docs,
+    )
+    decode_fn = decode_fn or _decode_with_config
+    for i, triplet in enumerate(triplets):
+        inp = prepare_input(triplet, vocab, input_cfg)
+        yield triplet.meta.get("source_id", i), decode_fn(model, inp, decode_cfg)
+
+
 def evaluate(
     model: SummModel,
     triplets: list[Triplet],
@@ -72,44 +98,29 @@ def evaluate(
 ) -> EvalReport:
     """Decode every triplet and average ROUGE against its reference summary.
 
-    ``decode_fn(model, inp, decode_cfg) -> token id list`` can replace the
-    beam search (used by oracle tests).
+    ``decode_fn`` is passed to ``decode_triplets``.
     """
     if not triplets:
         raise ValueError("cannot evaluate an empty dataset")
     if mode not in ("f1", "recall250"):
         raise ValueError(f"unknown mode {mode!r}")
-    decode_fn = decode_fn or _decode_with_config
-    original_cfg = model.config
-    model_cfg = original_cfg
-    if decode_cfg.max_doc_tokens or decode_cfg.max_docs:
-        model_cfg = replace(
-            original_cfg,
-            max_doc_tokens=decode_cfg.max_doc_tokens or original_cfg.max_doc_tokens,
-            max_docs=decode_cfg.max_docs or original_cfg.max_docs,
-        )
 
     rows = []
-    model.config = model_cfg
-    try:
-        for i, triplet in enumerate(triplets):
-            inp = prepare_input(triplet, vocab, model_cfg)
-            ids = decode_fn(model, inp, decode_cfg)
-            hyp = vocab.decode(ids)
-            ref = tokenize(triplet.summary)
-            row = {"id": triplet.meta.get("source_id", i), "summary": " ".join(hyp)}
-            if mode == "f1":
-                for m, score in zip(
-                    F1_METRICS,
-                    (rouge_n(hyp, ref, 1), rouge_n(hyp, ref, 2), rouge_l(hyp, ref)),
-                ):
-                    row[m] = (score.precision, score.recall, score.f1)
-            else:
-                recalls = rouge_recall_truncated(hyp, ref, RECALL_WORD_LIMIT)
-                row.update(recalls)
-            rows.append(row)
-    finally:
-        model.config = original_cfg
+    decoded = decode_triplets(model, triplets, vocab, decode_cfg, decode_fn)
+    for triplet, (row_id, ids) in zip(triplets, decoded):
+        hyp = vocab.decode(ids)
+        ref = tokenize(triplet.summary)
+        row = {"id": row_id, "summary": " ".join(hyp)}
+        if mode == "f1":
+            for m, score in zip(
+                F1_METRICS,
+                (rouge_n(hyp, ref, 1), rouge_n(hyp, ref, 2), rouge_l(hyp, ref)),
+            ):
+                row[m] = (score.precision, score.recall, score.f1)
+        else:
+            recalls = rouge_recall_truncated(hyp, ref, RECALL_WORD_LIMIT)
+            row.update(recalls)
+        rows.append(row)
 
     averages: dict[str, object] = {}
     if mode == "f1":
@@ -159,8 +170,9 @@ def transfer_pipeline(
     recall-truncated mode.  Returns the report and the (last) train result.
 
     At full scale, fine-tuning conventionally truncates documents to 600
-    tokens and targets to 400 (set through the model config); evaluation
-    decode settings come from ``spec.decode_config``, for which
+    tokens and targets to 400; ``prepare_input`` applies whatever limits
+    ``spec.model_config`` holds.  Evaluation decode settings, including its
+    own document limits, come from ``spec.decode_config``, for which
     ``TRANSFER_DECODE_DEFAULTS`` holds the full-scale protocol."""
     if model is None:
         model = SummModel(spec.model_config, seed=spec.train_config.seed)

@@ -105,7 +105,7 @@ class ModelInput:
     doc_ids: np.ndarray  # (N, T) padded with PAD_ID
     token_mask: np.ndarray  # (N, T) bool
     doc_mask: np.ndarray  # (N,) bool
-    query_ids: np.ndarray  # (Tq,)
+    query_ids: np.ndarray  # (Tq,), read by the query encoder only
     target_ids: np.ndarray | None = None  # summary ids, no specials
 
 
@@ -122,12 +122,20 @@ class EncodedBatch:
 
 
 def prepare_input(triplet, vocab: Vocabulary, config: ModelConfig) -> ModelInput:
-    """Tokenize, numericalize and truncate one triplet."""
-    docs = triplet.documents[: config.max_docs]
-    doc_ids = [vocab.encode(tokenize(d))[: config.max_doc_tokens] for d in docs]
+    """Tokenize, numericalize and truncate one triplet into encoder input.
+
+    The only place input limits apply: at most ``max_docs`` documents,
+    each document and the query cut to ``max_doc_tokens``, the target to
+    ``max_summary_tokens``.  With ``baseline_query_prepend`` a non-empty
+    query plus separator become the head of document 1 before its cut.
+    The model encodes the result as given."""
+    docs = [vocab.encode(tokenize(d)) for d in triplet.documents[: config.max_docs]]
     query_ids = vocab.encode(tokenize(triplet.query))[: config.max_doc_tokens]
     if config.use_query_encoder and not query_ids:
         raise ValueError("query encoder requires a query with at least one token")
+    if config.baseline_query_prepend and query_ids and docs:
+        docs[0] = query_ids + [QSEP_ID] + docs[0]
+    doc_ids = [ids[: config.max_doc_tokens] for ids in docs]
     target = None
     if triplet.summary:
         target = np.array(
@@ -476,44 +484,10 @@ class SummModel:
 
     # --- input embedding -----------------------------------------------
 
-    def _clip(self, inp: ModelInput) -> ModelInput:
-        cfg = self.config
-        n = min(inp.doc_ids.shape[0], cfg.max_docs)
-        doc_ids = inp.doc_ids[:n]
-        token_mask = inp.token_mask[:n]
-        if cfg.baseline_query_prepend and inp.query_ids.size:
-            # Query plus separator become the head of document 1; other
-            # documents stay left-aligned so intra positions are unchanged.
-            prefix = np.concatenate([inp.query_ids, [QSEP_ID]]).astype(np.int64)
-            first = int(token_mask[0].sum())
-            head = np.concatenate([prefix, doc_ids[0, :first]])
-            width = max(doc_ids.shape[1], head.size)
-            ids = np.full((n, width), PAD_ID, dtype=np.int64)
-            mask = np.zeros((n, width), dtype=bool)
-            ids[:, : doc_ids.shape[1]] = doc_ids
-            mask[:, : doc_ids.shape[1]] = token_mask
-            ids[0, :] = PAD_ID
-            ids[0, : head.size] = head
-            mask[0, :] = False
-            mask[0, : head.size] = True
-            doc_ids, token_mask = ids, mask
-        t = min(doc_ids.shape[1], cfg.max_doc_tokens)
-        return ModelInput(
-            doc_ids=doc_ids[:, :t],
-            token_mask=token_mask[:, :t],
-            doc_mask=inp.doc_mask[:n],
-            query_ids=inp.query_ids[: cfg.max_doc_tokens],
-            target_ids=None
-            if inp.target_ids is None
-            else inp.target_ids[: cfg.max_summary_tokens],
-        )
-
-    def embed_inputs(self, inp: ModelInput) -> tuple[Tensor, ModelInput]:
+    def embed_inputs(self, inp: ModelInput) -> Tensor:
         """Token embedding plus [inter-document ; intra-document] sinusoid
-        concatenation; the inter half is zeroed when ordering is on.  Inputs
-        beyond max_docs/max_doc_tokens are truncated, never an error."""
+        concatenation; the inter half is zeroed when ordering is on."""
         cfg = self.config
-        inp = self._clip(inp)
         n, t = inp.doc_ids.shape
         half = cfg.d_model // 2
         inter = sinusoid_table(n, half, self.dtype)
@@ -525,7 +499,7 @@ class SummModel:
             axis=-1,
         )
         emb = ad.scale(ad.embedding_lookup(self.embed, inp.doc_ids), math.sqrt(cfg.d_model))
-        return ad.add(emb, ad.tensor(pos, dtype=self.dtype)), inp
+        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
 
     def embed_query(self, query_ids: np.ndarray) -> Tensor:
         if query_ids.size == 0:
@@ -539,7 +513,7 @@ class SummModel:
 
     def encode(self, inp: ModelInput, train: bool = False, rng=None) -> EncodedBatch:
         cfg = self.config
-        x, inp = self.embed_inputs(inp)
+        x = self.embed_inputs(inp)
         x = ad.dropout(x, cfg.dropout, rng, train)
         for layer in self.local:
             x = layer(x, inp.token_mask, train, rng)
@@ -625,10 +599,9 @@ class SummModel:
         count, for exact gradient accumulation across micro-batches."""
         if inp.target_ids is None or inp.target_ids.size == 0:
             raise ValueError("loss needs target ids")
-        target = inp.target_ids[: self.config.max_summary_tokens]
         enc = self.encode(inp, train, rng)
-        dec_in = np.concatenate([[BOS_ID], target])
-        dec_tgt = np.concatenate([target, [EOS_ID]])
+        dec_in = np.concatenate([[BOS_ID], inp.target_ids])
+        dec_tgt = np.concatenate([inp.target_ids, [EOS_ID]])
         logits = self.decode_logits(dec_in, enc.memory, enc.memory_mask, train, rng)
         return ad.cross_entropy_sum(logits, dec_tgt, ignore_id=PAD_ID)
 

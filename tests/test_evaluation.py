@@ -89,6 +89,25 @@ class TestEvaluate:
         assert a.averages == b.averages
         assert [r["summary"] for r in a.rows] == [r["summary"] for r in b.rows]
 
+    def test_decode_time_limits_reach_input_not_model(self):
+        trips = [handmade_triplet(n_docs=5, doc_tokens=30, tag=f"e{i}") for i in range(2)]
+        vocab = build_vocab(corpus_tokens(trips), 64)
+        model = SummModel(tiny_config(len(vocab), d_model=16, heads=2), seed=0)
+        config = model.config
+        seen = []
+
+        def check_decoder(m, inp, cfg):
+            assert m.config is config
+            assert (config.max_docs, config.max_doc_tokens) == (3, 24)
+            seen.append(inp.doc_ids.shape)
+            return list(inp.target_ids)
+
+        evaluate(
+            model, trips, vocab, DecodeConfig(beam=1, max_doc_tokens=7, max_docs=2),
+            mode="f1", decode_fn=check_decoder,
+        )
+        assert seen == [(2, 7), (2, 7)]
+
     def test_empty_dataset_and_bad_mode(self):
         trips, vocab, model = setup_eval(n=1)
         with pytest.raises(ValueError):

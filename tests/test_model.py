@@ -24,7 +24,7 @@ from querysumm.model import (
     prepare_input,
     sinusoid_table,
 )
-from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, build_vocab, tokenize
+from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, Vocabulary, build_vocab, tokenize
 from querysumm.training import load_model_checkpoint, save_model_checkpoint
 
 from conftest import handmade_triplet, tiny_config
@@ -141,7 +141,7 @@ class TestEmbedInputs:
     def test_matches_independent_sinusoid_oracle(self):
         model = self.make_model(baseline_query_prepend=False)
         ids = [[5, 6, 7], [8, 9, 5]]
-        states, _ = model.embed_inputs(self.input_for(ids))
+        states = model.embed_inputs(self.input_for(ids))
         half = 4
         inter = reference_sinusoid(range(2), half)
         intra = reference_sinusoid(range(3), half)
@@ -154,52 +154,23 @@ class TestEmbedInputs:
 
     def test_identical_tokens_differ_only_in_intra_half(self):
         model = self.make_model(baseline_query_prepend=False)
-        states, _ = model.embed_inputs(self.input_for([[5, 5, 5]]))
+        states = model.embed_inputs(self.input_for([[5, 5, 5]]))
         diff = states.values[0, 1] - states.values[0, 0]
         np.testing.assert_allclose(diff[:4], 0.0, atol=1e-12)  # same document
         assert np.abs(diff[4:]).max() > 0
 
     def test_ordering_zeroes_inter_document_half(self):
         model = self.make_model(use_ordering=True, baseline_query_prepend=False)
-        states, _ = model.embed_inputs(self.input_for([[5, 6], [5, 6]]))
+        states = model.embed_inputs(self.input_for([[5, 6], [5, 6]]))
         # identical token at same intra position in different documents must
         # now embed identically
         np.testing.assert_array_equal(states.values[0, 0], states.values[1, 0])
 
-    def test_query_prepend_moves_query_into_document_one(self):
-        model = self.make_model(baseline_query_prepend=True)
-        inp = self.input_for([[5, 6], [7, 8]])
-        inp.query_ids = np.array([9, 10], dtype=np.int64)
-        _, clipped = model.embed_inputs(inp)
-        assert list(clipped.doc_ids[0][:3]) == [9, 10, QSEP_ID]
-        assert list(clipped.doc_ids[0][3:5]) == [5, 6]
-        assert list(clipped.doc_ids[1][:2]) == [7, 8]
-        assert clipped.token_mask[0].sum() == 5
-        assert clipped.token_mask[1].sum() == 2
-
-    def test_prepend_then_truncate_keeps_cap(self):
-        model = self.make_model(baseline_query_prepend=True, max_doc_tokens=10)
-        inp = self.input_for([[5, 6, 7, 8, 9, 10, 11, 12], [13, 14, 15, 16, 17, 18, 19, 20]])
-        inp.query_ids = np.arange(5, 12, dtype=np.int64)  # 7 query tokens
-        states, clipped = model.embed_inputs(inp)
-        assert states.shape[1] == 10  # prepended width capped at max_doc_tokens
-        assert list(clipped.doc_ids[0][:8]) == list(range(5, 12)) + [QSEP_ID]
-        assert list(clipped.doc_ids[0][8:]) == [5, 6]  # document tail truncated
-        assert list(clipped.doc_ids[1][:8]) == list(range(13, 21))
-        assert list(clipped.doc_ids[1][8:]) == [PAD_ID, PAD_ID]  # padded to width
-        assert clipped.token_mask[1].sum() == 8
-
-    def test_truncation_never_errors(self):
+    def test_encodes_input_as_given(self):
+        # Input limits belong to prepare_input; the model never cuts.
         model = self.make_model(baseline_query_prepend=False)
-        ids = np.full((10, 50), 5, dtype=np.int64)
-        inp = ModelInput(
-            doc_ids=ids,
-            token_mask=np.ones(ids.shape, dtype=bool),
-            doc_mask=np.ones(10, dtype=bool),
-            query_ids=np.array([], dtype=np.int64),
-        )
-        states, clipped = model.embed_inputs(inp)
-        assert states.shape == (3, 24, 8)  # max_docs=3, max_doc_tokens=24
+        states = model.embed_inputs(self.input_for(np.full((10, 50), 5)))
+        assert states.shape == (10, 50, 8)  # beyond max_docs=3, max_doc_tokens=24
 
 
 class TestLayers:
@@ -602,6 +573,45 @@ class TestDecoderState:
 
 
 class TestPrepareInput:
+    # Token "t<k>" has id k, so expected ids read straight off the text.
+    VOCAB = Vocabulary([f"t{k}" for k in range(5, 40)])
+
+    def prepare(self, docs, query_ids=(), **cfg):
+        triplet = Triplet(
+            query=" ".join(f"t{k}" for k in query_ids),
+            documents=[" ".join(f"t{k}" for k in doc) for doc in docs],
+            summary="t5",
+        )
+        return prepare_input(triplet, self.VOCAB, tiny_config(40, d_model=8, heads=2, **cfg))
+
+    def test_query_prepend_moves_query_into_document_one(self):
+        inp = self.prepare([[5, 6], [7, 8]], query_ids=[9, 10], baseline_query_prepend=True)
+        assert list(inp.doc_ids[0][:3]) == [9, 10, QSEP_ID]
+        assert list(inp.doc_ids[0][3:5]) == [5, 6]
+        assert list(inp.doc_ids[1][:2]) == [7, 8]
+        assert inp.token_mask[0].sum() == 5
+        assert inp.token_mask[1].sum() == 2
+
+    def test_prepend_then_truncate_keeps_cap(self):
+        inp = self.prepare(
+            [list(range(5, 13)), list(range(13, 21))],
+            query_ids=range(5, 12),  # 7 query tokens
+            baseline_query_prepend=True,
+            max_doc_tokens=10,
+        )
+        assert inp.doc_ids.shape[1] == 10  # prepended width capped at max_doc_tokens
+        assert list(inp.doc_ids[0][:8]) == list(range(5, 12)) + [QSEP_ID]
+        assert list(inp.doc_ids[0][8:]) == [5, 6]  # document tail truncated
+        assert list(inp.doc_ids[1][:8]) == list(range(13, 21))
+        assert list(inp.doc_ids[1][8:]) == [PAD_ID, PAD_ID]  # padded to width
+        assert inp.token_mask[1].sum() == 8
+
+    def test_truncation_never_errors(self):
+        inp = self.prepare([[5] * 50] * 10, baseline_query_prepend=False)
+        assert inp.doc_ids.shape == (3, 24)  # max_docs=3, max_doc_tokens=24
+        model = SummModel(tiny_config(40, d_model=8, heads=2), seed=3, dtype=np.float64)
+        assert model.embed_inputs(inp).shape == (3, 24, 8)
+
     def test_truncation_and_padding(self, small_vocab):
         t = handmade_triplet(n_docs=5, doc_tokens=30, summary_tokens=20)
         cfg = tiny_config(len(small_vocab))

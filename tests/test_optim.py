@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from querysumm import autodiff as ad
 from querysumm.autodiff import backward
-from querysumm.checkpoint import load_arrays, save_arrays
+from querysumm import checkpoint
+from querysumm.checkpoint import MAGIC, load_arrays, save_arrays
 from querysumm.optim import AdamNoam, grad_check, kaiming_uniform, warmup_lr
 
 
@@ -182,3 +186,59 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         with pytest.raises(ValueError, match="truncated") as info:
             load_arrays(path)
         assert str(path) in str(info.value)
+
+
+def test_checkpoint_keeps_each_tensor_dtype(tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {
+        "wide": rng.standard_normal((5, 3)),  # float64 needs all 53 mantissa bits
+        "narrow": rng.standard_normal(4).astype(np.float32),
+    }
+    save_arrays(tmp_path / "x.ckpt", arrays)
+    loaded, _ = load_arrays(tmp_path / "x.ckpt")
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+def test_checkpoint_without_dtypes_loads_as_float32(tmp_path):
+    # The layout written before the manifest recorded dtypes.
+    values = np.arange(6, dtype="<f4").reshape(2, 3)
+    manifest = json.dumps(
+        {"meta": {"n": 1}, "tensors": [{"name": "a.w", "shape": [2, 3], "offset": 0}]}
+    ).encode("utf-8")
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest + values.tobytes())
+    loaded, meta = load_arrays(path)
+    assert meta == {"n": 1}
+    assert loaded["a.w"].dtype == np.float32
+    np.testing.assert_array_equal(loaded["a.w"], values)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.ckpt"
+    save_arrays(path, {"a.w": np.ones((3, 4), np.float32)}, {"n": 1})
+    before = path.read_bytes()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        write = fh.write
+
+        def half_write(data):
+            if len(data) >= 4096:  # the tensor blob, not the header
+                write(data[: len(data) // 2])
+                raise OSError("disk full")
+            return write(data)
+
+        fh.write = half_write
+        return fh
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_arrays(path, {"a.w": np.zeros((64, 64), np.float32)}, {"n": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    loaded, meta = load_arrays(path)
+    assert meta == {"n": 1}
+    np.testing.assert_array_equal(loaded["a.w"], np.ones((3, 4), np.float32))
+    assert list(tmp_path.iterdir()) == [path]

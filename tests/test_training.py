@@ -209,6 +209,14 @@ class TestCheckpointIO:
                 loaded.params[name].values, p.values.astype(np.float32), atol=1e-7
             )
 
+    def test_float64_model_checkpoint_is_bit_exact(self, tmp_path):
+        trips, vocab, model = setup_uniform(dtype=np.float64)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab, {})
+        loaded, _, _ = load_model_checkpoint(path, dtype=np.float64)
+        for name, p in model.params.items():
+            assert loaded.params[name].values.tobytes() == p.values.tobytes()
+
     def test_reloaded_model_reproduces_eval_loss(self, tmp_path):
         trips, vocab, model = setup_uniform()
         inp = prepare_input(trips[0], vocab, model.config)
