@@ -43,8 +43,11 @@ class Article:
     def __post_init__(self):
         if not self.paragraphs:
             raise ValueError(f"article {self.id} has no paragraphs")
-        if not self.title:
-            raise ValueError(f"article {self.id} has an empty title")
+        if not self.title.strip():
+            raise ValueError(f"article {self.id} has a blank title")
+        for i, paragraph in enumerate(self.paragraphs):
+            if not paragraph.strip():
+                raise ValueError(f"article {self.id} has a blank paragraph {i}")
 
 
 @dataclass

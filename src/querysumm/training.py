@@ -148,9 +148,17 @@ def train(
     )
     start_step = 0
     if resume_from:
+        opt_path = resume_from + ".opt"
         arrays, meta = load_arrays(resume_from)
+        opt_arrays, opt_meta = load_arrays(opt_path)
+        # The two files are replaced one after the other, so a crash between
+        # the writes leaves weights and optimizer state from different steps.
+        if meta.get("step") != opt_meta["step"]:
+            raise ValueError(
+                f"checkpoint {resume_from} is at step {meta.get('step')} but its "
+                f"optimizer state {opt_path} is at step {opt_meta['step']}"
+            )
         model.load_state_arrays(arrays)
-        opt_arrays, opt_meta = load_arrays(resume_from + ".opt")
         opt.load_state_arrays(opt_arrays, step=opt_meta["step"])
         start_step = opt_meta["step"]
 

@@ -1,9 +1,72 @@
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from querysumm.bm25 import build_index, dump_index, idf, score, top_k
+
+
+def reference_top_k(index, chunk_ids, query, k, exclude_article=None):
+    """The sort-every-chunk ranking that ``top_k`` replaced: score every
+    eligible chunk and sort by (-score, chunk_id)."""
+    eligible = [
+        cid
+        for cid in sorted(chunk_ids)
+        if exclude_article is None or index.chunk_meta[cid][0] != exclude_article
+    ]
+    return sorted(eligible, key=lambda cid: (-score(index, query, cid), cid))[:k]
+
+
+def formula_score(chunks, query, chunk_id, k1=1.2, b=0.75):
+    """The documented BM25 formula evaluated from the raw token lists."""
+    n_docs = len(chunks)
+    avg_len = sum(len(tokens) for _, tokens, _ in chunks) / n_docs
+    tokens = next(t for cid, t, _ in chunks if cid == chunk_id)
+    total = 0.0
+    for term in query:
+        tf = tokens.count(term)
+        if tf == 0:
+            continue
+        df = sum(1 for _, t, _ in chunks if term in t)
+        term_idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        total += term_idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(tokens) / avg_len))
+    return total
+
+
+def random_corpus(rng, n_chunks, vocab, first_id=0, id_gap=1, n_articles=7):
+    """Chunks with ids ``first_id, first_id + id_gap, ...`` in shuffled input
+    order; every fifth chunk copies the previous one, so scores tie."""
+    chunks = []
+    for i in range(n_chunks):
+        cid = first_id + i * id_gap
+        if i % 5 == 4:
+            tokens = list(chunks[-1][1])
+        else:
+            tokens = [f"t{int(j)}" for j in rng.integers(0, vocab, size=rng.integers(1, 14))]
+        chunks.append((cid, tokens, f"art{int(rng.integers(n_articles))}"))
+    order = rng.permutation(n_chunks)
+    return [chunks[i] for i in order]
+
+
+class RecordingMapping(Mapping):
+    """Read-only mapping that records every key it is asked for."""
+
+    def __init__(self, data):
+        self.data = data
+        self.keys_read = set()
+        self.iterated = False
+
+    def __getitem__(self, key):
+        self.keys_read.add(key)
+        return self.data[key]
+
+    def __iter__(self):
+        self.iterated = True
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
 
 
 def two_doc_index(k1=1.2, b=0.75):
@@ -30,6 +93,14 @@ class TestBuildIndex:
             build_index([(0, ["a"], "x"), (0, ["b"], "x")])
         with pytest.raises(ValueError):
             build_index([])
+
+    def test_corpus_without_tokens_rejected(self):
+        with pytest.raises(ValueError, match="2 chunks that hold no tokens"):
+            build_index([(0, [], "a"), (1, [], "b")])
+        # One token anywhere is enough; empty chunks then rank as zero-score.
+        idx = build_index([(0, [], "a"), (1, ["x"], "b"), (2, [], "c")])
+        assert top_k(idx, ["x"], 3) == [1, 0, 2]
+        assert score(idx, ["x"], 0) == 0.0
 
     def test_postings_match_brute_force_counts(self):
         rng = np.random.default_rng(0)
@@ -62,6 +133,16 @@ class TestScore:
     def test_repeated_query_term_doubles_score(self):
         idx = two_doc_index()
         assert score(idx, ["a", "a"], 0) == pytest.approx(2 * score(idx, ["a"], 0))
+
+    def test_equals_documented_formula_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for trial in range(5):
+            chunks = random_corpus(rng, 40, vocab=20, first_id=7, id_gap=1 + trial)
+            idx = build_index(chunks)
+            for _ in range(20):
+                query = [f"t{int(i)}" for i in rng.integers(0, 24, size=rng.integers(0, 6))]
+                for cid, _, _ in chunks:
+                    assert score(idx, query, cid) == formula_score(chunks, query, cid)
 
     def test_unknown_chunk(self):
         with pytest.raises(KeyError):
@@ -134,6 +215,55 @@ class TestTopK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             top_k(two_doc_index(), ["a"], 0)
+
+    @pytest.mark.parametrize("first_id,id_gap", [(0, 1), (7, 1), (7, 3)])
+    def test_matches_sort_every_chunk_reference(self, first_id, id_gap):
+        # Small vocabularies with duplicated chunks give many exact ties;
+        # queries repeat terms, hold terms outside the vocabulary or are empty;
+        # k runs past the eligible set; exclusion on and off.
+        rng = np.random.default_rng(first_id * 10 + id_gap)
+        for trial in range(6):
+            n_chunks = int(rng.integers(1, 45))
+            chunks = random_corpus(rng, n_chunks, vocab=12 + 4 * trial, first_id=first_id, id_gap=id_gap)
+            idx = build_index(chunks)
+            ids = [cid for cid, _, _ in chunks]
+            articles = sorted({art for _, _, art in chunks}) + [None, "no-such-article"]
+            for _ in range(25):
+                query = [f"t{int(i)}" for i in rng.integers(0, 36, size=rng.integers(0, 7))]
+                if query and rng.random() < 0.3:
+                    query += query[: int(rng.integers(1, len(query) + 1))]
+                exclude = articles[int(rng.integers(len(articles)))]
+                for k in (1, 3, 10, n_chunks + 5):
+                    got = top_k(idx, query, k, exclude_article=exclude)
+                    assert got == reference_top_k(idx, ids, query, k, exclude), (query, k, exclude)
+
+    def test_empty_and_unknown_queries_pad_in_ascending_id(self):
+        chunks = [(cid, ["x", "y"], f"a{cid % 2}") for cid in (9, 7, 11, 8)]
+        idx = build_index(chunks)
+        assert top_k(idx, [], 3) == [7, 8, 9]
+        assert top_k(idx, ["nope", "never"], 10) == [7, 8, 9, 11]
+        assert top_k(idx, [], 10, exclude_article="a1") == [8]
+        # Positive scores first, then zero-score chunks by id.
+        idx = build_index([(7, ["p"], "a"), (8, ["q"], "b"), (9, ["r", "p"], "c")])
+        assert top_k(idx, ["p"], 3) == [7, 9, 8]
+
+    def test_reads_only_chunks_in_query_postings(self):
+        # At least k eligible chunks share a query term, so no chunk outside
+        # the query terms' postings may be looked at.
+        rng = np.random.default_rng(8)
+        chunks = random_corpus(rng, 300, vocab=60, first_id=7, id_gap=2)
+        chunks.extend((1000 + i, ["shared", f"u{i}"], f"art{i % 3}") for i in range(6))
+        idx = build_index(chunks)
+        query = ["shared", "t3", "t3", "unknown"]
+        expected = reference_top_k(idx, [c for c, _, _ in chunks], query, 4, "art1")
+        in_postings = {cid for term in query for cid, _ in idx.postings.get(term, ())}
+        idx.chunk_meta = RecordingMapping(idx.chunk_meta)
+        idx.norm = RecordingMapping(idx.norm)
+        assert top_k(idx, query, 4, exclude_article="art1") == expected
+        for mapping in (idx.chunk_meta, idx.norm):
+            assert not mapping.iterated
+            assert mapping.keys_read <= in_postings
+        assert len(in_postings) < len(chunks) // 2
 
 
 def test_dump_index(tmp_path):

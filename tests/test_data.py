@@ -56,6 +56,16 @@ class TestChunkArticle:
         with pytest.raises(ValueError):
             Article("x", "t", [], "s")
 
+    @pytest.mark.parametrize("title", ["", "   ", "\n\t"])
+    def test_blank_title_rejected_with_article_id(self, title):
+        with pytest.raises(ValueError, match="article art-7 has a blank title"):
+            Article("art-7", title, ["a paragraph ."], "s .")
+
+    @pytest.mark.parametrize("blank", ["", " ", " \n\t "])
+    def test_blank_paragraph_rejected_with_article_id(self, blank):
+        with pytest.raises(ValueError, match="article art-7 has a blank paragraph 1"):
+            Article("art-7", "a title", ["first .", blank, "third ."], "s .")
+
 
 class TestBuildQmdscnn:
     def test_needs_two_articles(self):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from querysumm import training
 from querysumm.checkpoint import load_arrays
 from querysumm.model import SummModel, prepare_input
 from querysumm.text import build_vocab
@@ -129,6 +130,41 @@ class TestTrainLoop:
             resume_from=str(tmp_path / "latest.ckpt"),
         )
         assert resumed.best_score >= first.best_score
+
+    def test_resume_rejects_checkpoint_and_optimizer_from_different_steps(
+        self, tmp_path, monkeypatch
+    ):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1
+        )
+        real_save = training.save_arrays
+
+        def crash_on_step2_opt(path, arrays, meta):
+            if str(path).endswith("latest.ckpt.opt") and meta.get("step") == 2:
+                raise OSError("simulated crash between the two checkpoint writes")
+            real_save(path, arrays, meta)
+
+        monkeypatch.setattr(training, "save_arrays", crash_on_step2_opt)
+        with pytest.raises(OSError, match="simulated crash"):
+            train(model, cfg, trips, trips[:2], vocab)
+        monkeypatch.setattr(training, "save_arrays", real_save)
+        latest = str(tmp_path / "latest.ckpt")
+        assert load_arrays(latest)[1]["step"] == 2
+        assert load_arrays(latest + ".opt")[1]["step"] == 1
+
+        _, _, fresh = setup_uniform()
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=4, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1
+        )
+        with pytest.raises(ValueError) as exc:
+            train(fresh, more, trips, trips[:2], vocab, resume_from=latest)
+        message = str(exc.value)
+        assert f"{latest} is at step 2" in message
+        assert f"{latest}.opt is at step 1" in message
+        for name, p in fresh.params.items():
+            np.testing.assert_array_equal(p.values, before[name], err_msg=name)
 
     def test_nonfinite_loss_aborts_with_step(self, tmp_path):
         trips, vocab, model = setup_uniform()
