@@ -5,12 +5,18 @@ pushes incoming gradients to its parents.  Graphs are built eagerly by the
 primitive functions below and differentiated by ``backward``, which walks
 the (acyclic) parent graph in reverse topological order.
 
+Every primitive builds its result through ``_node``, the one place that
+decides whether it joins the graph; inside ``with no_grad():`` none does, so
+forward-only passes free each activation once the next layer has read it.
+
 Training runs in float32; gradient checking runs the same code in float64,
 where central finite differences are meaningful.  The dtype is fixed by the
 leaf tensors (parameters and inputs) and propagates through numpy promotion.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,12 +33,10 @@ def _shape_check(ok: bool, op: str, *shapes):
 class Tensor:
     __slots__ = ("values", "grad", "parents", "backward_fn", "requires_grad")
 
-    def __init__(self, values, parents=(), backward_fn=None, requires_grad=None):
+    def __init__(self, values, parents=(), backward_fn=None, requires_grad=False):
         self.values = np.asarray(values)
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
-        if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self.parents)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -53,12 +57,35 @@ class Tensor:
 
 def tensor(values, dtype=np.float32) -> Tensor:
     """Leaf constant; carries no gradient."""
-    return Tensor(np.asarray(values, dtype=dtype), requires_grad=False)
+    return Tensor(np.asarray(values, dtype=dtype))
 
 
 def parameter(values, dtype=np.float32) -> Tensor:
     """Leaf tensor that accumulates gradients."""
     return Tensor(np.array(values, dtype=dtype), requires_grad=True)
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block primitives build no graph: every result is a
+    constant.  Nests, and restores the previous mode on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _node(values, parents, backward_fn) -> Tensor:
+    """Result of a primitive: linked to ``parents`` through ``backward_fn``
+    when gradients are on and some parent requires one, else a constant."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(values, parents, backward_fn, requires_grad=True)
+    return Tensor(values)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -88,9 +115,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(root: Tensor, grad=None) -> None:
     """Accumulate d(root)/d(leaf) into every reachable ``requires_grad``
-    leaf.  ``grad`` seeds the root cotangent (defaults to ones)."""
+    leaf.  ``grad`` seeds the root cotangent (defaults to ones).  A root
+    without a graph (e.g. built under ``no_grad``) raises ``ValueError``."""
     if not root.requires_grad:
-        return
+        raise ValueError("backward: root has no graph (built under no_grad or from constants)")
     if grad is None:
         grad = np.ones_like(root.values)
     root.grad = np.asarray(grad, dtype=root.values.dtype) + (
@@ -119,14 +147,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out_values = a.values + b.values
     except ValueError:
         _shape_check(False, "add", a.shape, b.shape)
-    out = Tensor(out_values, parents=(a, b))
 
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
 
-    out.backward_fn = bw
-    return out
+    return _node(out_values, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -134,20 +160,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out_values = a.values * b.values
     except ValueError:
         _shape_check(False, "mul", a.shape, b.shape)
-    out = Tensor(out_values, parents=(a, b))
 
     def bw(g):
         _accumulate(a, _unbroadcast(g * b.values, a.shape))
         _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
-    out.backward_fn = bw
-    return out
+    return _node(out_values, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.values * c, parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * c)
-    return out
+    return _node(a.values * c, (a,), lambda g: _accumulate(a, g * c))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -171,7 +193,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         av.shape,
         bv.shape,
     )
-    out = Tensor(av @ bv, parents=(a, b))
 
     def bw(g):
         _accumulate(a, g @ bv.swapaxes(-1, -2))
@@ -182,8 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         else:
             _accumulate(b, _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape))
 
-    out.backward_fn = bw
-    return out
+    return _node(av @ bv, (a, b), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -196,7 +216,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out_values = out_values + bias.values
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_values, parents=parents)
 
     def bw(g):
         _accumulate(x, g @ weight.values.T)
@@ -205,30 +224,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             _accumulate(bias, g2.sum(axis=0))
 
-    out.backward_fn = bw
-    return out
+    return _node(out_values, parents, bw)
 
 
 # --- shape plumbing ---------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.values.reshape(shape), parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g.reshape(a.shape))
-    return out
+    return _node(a.values.reshape(shape), (a,), lambda g: _accumulate(a, g.reshape(a.shape)))
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    out = Tensor(a.values.swapaxes(axis1, axis2), parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g.swapaxes(axis1, axis2))
-    return out
+    out_values = a.values.swapaxes(axis1, axis2)
+    return _node(out_values, (a,), lambda g: _accumulate(a, g.swapaxes(axis1, axis2)))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     _shape_check(len(tensors) >= 1, "concat")
-    out = Tensor(
-        np.concatenate([t.values for t in tensors], axis=axis), parents=tuple(tensors)
-    )
     sizes = [t.shape[axis] for t in tensors]
 
     def bw(g):
@@ -239,8 +251,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             _accumulate(t, g[tuple(idx)])
             offset += size
 
-    out.backward_fn = bw
-    return out
+    return _node(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def split(a: Tensor, sizes: list[int], axis: int) -> list[Tensor]:
@@ -252,15 +263,13 @@ def split(a: Tensor, sizes: list[int], axis: int) -> list[Tensor]:
     for size in sizes:
         idx = [slice(None)] * a.values.ndim
         idx[axis] = slice(offset, offset + size)
-        piece = Tensor(a.values[tuple(idx)], parents=(a,))
 
         def bw(g, idx=tuple(idx)):
             full = np.zeros_like(a.values)
             full[idx] = g
             _accumulate(a, full)
 
-        piece.backward_fn = bw
-        outs.append(piece)
+        outs.append(_node(a.values[tuple(idx)], (a,), bw))
         offset += size
     return outs
 
@@ -269,28 +278,20 @@ def split(a: Tensor, sizes: list[int], axis: int) -> list[Tensor]:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.values, 0), parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * (a.values > 0))
-    return out
+    return _node(np.maximum(a.values, 0), (a,), lambda g: _accumulate(a, g * (a.values > 0)))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_values = np.tanh(a.values)
-    out = Tensor(out_values, parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * (1.0 - out_values**2))
-    return out
+    return _node(out_values, (a,), lambda g: _accumulate(a, g * (1.0 - out_values**2)))
 
 
 def sin(a: Tensor) -> Tensor:
-    out = Tensor(np.sin(a.values), parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * np.cos(a.values))
-    return out
+    return _node(np.sin(a.values), (a,), lambda g: _accumulate(a, g * np.cos(a.values)))
 
 
 def cos(a: Tensor) -> Tensor:
-    out = Tensor(np.cos(a.values), parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * -np.sin(a.values))
-    return out
+    return _node(np.cos(a.values), (a,), lambda g: _accumulate(a, g * -np.sin(a.values)))
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -309,14 +310,12 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     e = np.exp(x - x_max)
     z = e.sum(axis=-1, keepdims=True)
     p = np.where(z > 0, e / np.where(z > 0, z, 1.0), 0.0)
-    out = Tensor(p, parents=(a,))
 
     def bw(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         _accumulate(a, p * (g - inner))
 
-    out.backward_fn = bw
-    return out
+    return _node(p, (a,), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -335,7 +334,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    out = Tensor(xhat * gain.values + bias.values, parents=(a, gain, bias))
 
     def bw(g):
         dxhat = g * gain.values
@@ -348,8 +346,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
         _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
 
-    out.backward_fn = bw
-    return out
+    return _node(xhat * gain.values + bias.values, (a, gain, bias), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
@@ -360,9 +357,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, train: bool
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
     keep = (rng.random(a.shape) >= rate).astype(a.values.dtype) / (1.0 - rate)
-    out = Tensor(a.values * keep, parents=(a,))
-    out.backward_fn = lambda g: _accumulate(a, g * keep)
-    return out
+    return _node(a.values * keep, (a,), lambda g: _accumulate(a, g * keep))
 
 
 # --- embeddings and loss ----------------------------------------------------
@@ -374,17 +369,13 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     _shape_check(table.values.ndim == 2, "embedding_lookup", table.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("embedding_lookup: id out of range")
-    out = Tensor(table.values[ids], parents=(table,))
 
     def bw(g):
-        if not table.requires_grad:
-            return
         if table.grad is None:
             table.grad = np.zeros_like(table.values)
         np.add.at(table.grad, ids, g)
 
-    out.backward_fn = bw
-    return out
+    return _node(table.values[ids], (table,), bw)
 
 
 def log_softmax_values(x: np.ndarray) -> np.ndarray:
@@ -411,7 +402,6 @@ def cross_entropy_sum(
     logp = log_softmax_values(logits.values)
     rows = np.arange(targets.shape[0])
     nll = np.where(keep, -logp[rows, targets], 0.0)
-    out = Tensor(np.asarray(nll.sum(), dtype=logits.dtype), parents=(logits,))
 
     def bw(g):
         soft = np.exp(logp)
@@ -420,8 +410,7 @@ def cross_entropy_sum(
         d[~keep] = 0.0
         _accumulate(logits, g * d)
 
-    out.backward_fn = bw
-    return out, count
+    return _node(np.asarray(nll.sum(), dtype=logits.dtype), (logits,), bw), count
 
 
 def cross_entropy(
@@ -436,7 +425,6 @@ def cross_entropy(
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or everything to a scalar."""
-    out = Tensor(a.values.sum(axis=axis), parents=(a,))
 
     def bw(g):
         if axis is None:
@@ -444,5 +432,4 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
-    out.backward_fn = bw
-    return out
+    return _node(a.values.sum(axis=axis), (a,), bw)

@@ -37,6 +37,9 @@ class DecodeConfig:
             raise ValueError(f"beam must be >= 1, got {self.beam}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
+        for name in ("max_doc_tokens", "max_docs"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be None or >= 1, got {getattr(self, name)}")
 
 
 def length_penalty(length: int, alpha: float) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import no_grad
 from .data import Triplet
 from .decoding import DecodeConfig, beam_search
 from .model import SummModel, prepare_input
@@ -75,7 +76,7 @@ def decode_triplets(
     Inputs are prepared under the model config with ``decode_cfg``'s
     document limits where set.  ``decode_fn(model, inp, decode_cfg) ->
     token id list`` can replace the encode plus beam search (used by oracle
-    tests)."""
+    tests); it runs under ``no_grad``, so no autodiff graph is built."""
     cfg = model.config
     input_cfg = replace(
         cfg,
@@ -85,7 +86,9 @@ def decode_triplets(
     decode_fn = decode_fn or _decode_with_config
     for i, triplet in enumerate(triplets):
         inp = prepare_input(triplet, vocab, input_cfg)
-        yield triplet.meta.get("source_id", i), decode_fn(model, inp, decode_cfg)
+        with no_grad():
+            ids = decode_fn(model, inp, decode_cfg)
+        yield triplet.meta.get("source_id", i), ids
 
 
 def evaluate(

@@ -72,6 +72,9 @@ class ModelConfig:
             raise ValueError("at least one global layer is required")
         if self.vocab_size <= 5:
             raise ValueError("vocab_size must exceed the 5 reserved ids")
+        for name in ("max_doc_tokens", "max_docs", "max_summary_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -626,11 +629,6 @@ class SummModel:
             p.values = arrays[name].astype(self.dtype)
 
 
-def _leaf(t: Tensor) -> Tensor:
-    """The values of ``t`` as a constant, cut from the graph that made them."""
-    return ad.tensor(t.values, dtype=t.dtype)
-
-
 class DecoderState:
     """Incremental decoding of one encoded example, forward only.
 
@@ -638,18 +636,18 @@ class DecoderState:
     once, as (1, heads, M, dk), and shared by every hypothesis.  Each step
     feeds B live hypotheses one token each as a (B, 1, d) pass; the layers'
     self-attention K/V of the positions so far are cached per hypothesis
-    row.  Cached K/V are constants, so no autodiff graph outlives a step.
-    Step logits match the matching rows of ``SummModel.decode_logits`` up to
-    floating-point summation order.
+    row.  Everything runs under ``ad.no_grad``, so the K/V are constants and
+    no graph is built, even over a memory that has one.  Step logits match
+    the matching rows of ``SummModel.decode_logits`` up to floating-point
+    summation order.
     """
 
     def __init__(self, model: SummModel, enc: EncodedBatch):
         self.model = model
         self.memory_mask = enc.memory_mask
-        memory = ad.tensor(enc.memory.values[None], dtype=enc.memory.dtype)
-        self.memory_kv = [
-            tuple(_leaf(t) for t in layer.project_memory(memory)) for layer in model.decoder
-        ]
+        with ad.no_grad():
+            memory = ad.reshape(enc.memory, (1, *enc.memory.shape))
+            self.memory_kv = [layer.project_memory(memory) for layer in model.decoder]
         self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(model.decoder)
         self.length = 0  # positions decoded so far
 
@@ -659,12 +657,14 @@ class DecoderState:
         ids = np.asarray(last_ids, dtype=np.int64).reshape(-1, 1)
         if self.length == 0 and (ids != BOS_ID).any():
             raise ValueError("decoder prefix must start with the sequence-start token")
-        x = self.model.embed_target(ids, self.length)
-        for i, layer in enumerate(self.model.decoder):
-            x, kv = layer(x, self.memory_kv[i], self.memory_mask, past_kv=self.self_kv[i])
-            self.self_kv[i] = tuple(_leaf(t) for t in kv)
+        with ad.no_grad():
+            x = self.model.embed_target(ids, self.length)
+            for i, layer in enumerate(self.model.decoder):
+                x, kv = layer(x, self.memory_kv[i], self.memory_mask, past_kv=self.self_kv[i])
+                self.self_kv[i] = kv
+            logits = self.model.output_logits(x)
         self.length += 1
-        return self.model.output_logits(x).values[:, 0, :]
+        return logits.values[:, 0, :]
 
     def reorder(self, index) -> None:
         """Keep cache row ``index[j]`` as hypothesis j, e.g. the parent of

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import backward, no_grad
 from .checkpoint import load_arrays, save_arrays
 from .data import Triplet
 from .decoding import DecodeConfig, greedy_decode
@@ -48,10 +48,9 @@ class TrainConfig:
     fine_tune_from: str | None = None
 
     def __post_init__(self):
-        if self.accum_steps < 1:
-            raise ValueError("accum_steps must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("steps", "batch_tokens", "accum_steps", "val_interval", "warmup"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -88,14 +87,16 @@ def pack_batches(sizes: list[int], order: np.ndarray, budget: int) -> list[list[
 
 
 def validate(model: SummModel, val_inputs, val_refs, vocab: Vocabulary, decode_cfg=None) -> float:
-    """Mean ROUGE-L F1 of greedy decodes against the references."""
+    """Mean ROUGE-L F1 of greedy decodes against the references; encodes
+    and decodes under ``no_grad``."""
     cfg = decode_cfg or DecodeConfig(
         beam=1, alpha=0.0, min_len=1, max_len=model.config.max_summary_tokens
     )
     scores = []
     for inp, ref_tokens in zip(val_inputs, val_refs):
-        enc = model.encode(inp)
-        hyp = vocab.decode(greedy_decode(model, enc, cfg))
+        with no_grad():
+            ids = greedy_decode(model, model.encode(inp), cfg)
+        hyp = vocab.decode(ids)
         scores.append(rouge_l(hyp, ref_tokens).f1)
     return float(np.mean(scores)) if scores else 0.0
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,93 @@ class TestBackward:
         table = ad.parameter(np.zeros((4, 2)))
         with pytest.raises(IndexError):
             ad.embedding_lookup(table, np.array([5]))
+
+
+def _primitive_calls():
+    """One call per primitive on operands that require gradients; each
+    returns the primitive's result tensors."""
+    rng = np.random.default_rng(6)
+
+    def p(*shape):
+        return rand(rng, *shape)
+
+    return {
+        "add": lambda: [ad.add(p(3, 4), p(3, 4))],
+        "mul": lambda: [ad.mul(p(3, 4), p(3, 4))],
+        "scale": lambda: [ad.scale(p(3, 4), 2.0)],
+        "matmul": lambda: [ad.matmul(p(2, 3, 4), p(2, 4, 5))],
+        "linear": lambda: [ad.linear(p(4, 6), p(6, 3), p(3))],
+        "reshape": lambda: [ad.reshape(p(2, 6), (3, 4))],
+        "swapaxes": lambda: [ad.swapaxes(p(2, 6), 0, 1)],
+        "concat": lambda: [ad.concat([p(2, 3), p(2, 5)], axis=1)],
+        "split": lambda: ad.split(p(2, 8), [3, 5], axis=1),
+        "relu": lambda: [ad.relu(p(3, 4))],
+        "tanh": lambda: [ad.tanh(p(3, 4))],
+        "sin": lambda: [ad.sin(p(3, 4))],
+        "cos": lambda: [ad.cos(p(3, 4))],
+        "softmax": lambda: [ad.softmax(p(3, 5), np.ones((3, 5), bool))],
+        "layer_norm": lambda: [ad.layer_norm(p(4, 6), p(6), p(6))],
+        "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0), train=True)],
+        "embedding_lookup": lambda: [ad.embedding_lookup(p(9, 4), np.array([[1, 2], [2, 8]]))],
+        "cross_entropy_sum": lambda: [ad.cross_entropy_sum(p(5, 7), np.array([1, 0, 3, 0, 6]))[0]],
+        "tsum": lambda: [ad.tsum(p(3, 4), axis=1)],
+    }
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("prim", sorted(_primitive_calls()))
+    def test_every_primitive_builds_no_node(self, prim):
+        call = _primitive_calls()[prim]
+        assert all(out.requires_grad and out.parents for out in call())
+        with ad.no_grad():
+            outs = call()
+        assert outs
+        for out in outs:
+            assert not out.requires_grad
+            assert out.parents == () and out.backward_fn is None
+
+    def test_nests_and_restores(self):
+        x = ad.parameter(np.ones(2), np.float64)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.add(x, x).requires_grad
+            assert not ad.add(x, x).requires_grad
+        assert ad.add(x, x).requires_grad
+
+    def test_restores_after_exception(self):
+        x = ad.parameter(np.ones(2), np.float64)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.add(x, x).requires_grad
+
+    def test_backward_through_graph_free_result_raises(self):
+        x = ad.parameter(np.ones(3), np.float64)
+        with ad.no_grad():
+            loss = ad.tsum(ad.mul(x, x))
+        with pytest.raises(ValueError, match="no graph"):
+            backward(loss)
+        assert x.grad is None
+
+
+def test_only_node_tensor_and_parameter_construct_tensors():
+    """Every primitive must go through ``_node``; a direct ``Tensor(...)``
+    elsewhere would build graph nodes that ``no_grad`` cannot switch off."""
+
+    class Constructors(ast.NodeVisitor):
+        def __init__(self):
+            self.scopes, self.callers = ["<module>"], []
+
+        def visit_FunctionDef(self, node):
+            self.scopes.append(node.name)
+            self.generic_visit(node)
+            self.scopes.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id == "Tensor":
+                self.callers.append(self.scopes[-1])
+            self.generic_visit(node)
+
+    finder = Constructors()
+    finder.visit(ast.parse(Path(ad.__file__).read_text()))
+    assert set(finder.callers) == {"_node", "tensor", "parameter"}

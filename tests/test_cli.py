@@ -135,6 +135,17 @@ class TestModelCommands:
         assert run("transfer", "--config", str(cfg_path), "--source", "missing",
                    "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
 
+    def test_zero_val_interval_rejected_before_training(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = train_config(workdir)
+        cfg = json.loads(path.read_text())
+        cfg["train"]["val_interval"] = 0
+        path.write_text(json.dumps(cfg))
+        assert run("train", "--config", str(path)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "val_interval" in err
+        assert not (workdir / "ckpt").exists()
+
     def test_grad_check_single_module(self, workdir, capsys):
         assert run("grad-check", "--module", "merge") == 0
         assert "merge" in capsys.readouterr().out

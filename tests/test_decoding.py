@@ -85,6 +85,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(min_len=10, max_len=5)
 
+    @pytest.mark.parametrize("field", ["max_doc_tokens", "max_docs"])
+    def test_input_limits_none_or_positive(self, field):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                DecodeConfig(**{field: value})
+        assert getattr(DecodeConfig(**{field: None}), field) is None
+        assert getattr(DecodeConfig(**{field: 1}), field) == 1
+
 
 class TestGreedyBeamEquivalence:
     def test_beam_one_equals_greedy_on_random_models(self):

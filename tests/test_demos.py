@@ -1,4 +1,5 @@
-"""The retrieval, dataset and metric demos run to completion."""
+"""The retrieval, dataset, metric, autodiff and transfer demos run to
+completion."""
 
 import os
 import subprocess
@@ -11,7 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_build_datasets.py", "02_bm25_retrieval.py", "03_rouge_metrics.py"]
+    "demo",
+    [
+        "01_build_datasets.py",
+        "02_bm25_retrieval.py",
+        "03_rouge_metrics.py",
+        "04_autodiff_core.py",
+        "06_transfer_pipeline.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

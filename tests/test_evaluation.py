@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from querysumm.decoding import DecodeConfig
+from querysumm import autodiff as ad
+from querysumm.decoding import DecodeConfig, beam_search
 from querysumm.evaluation import (
     TransferSpec,
     evaluate,
@@ -107,6 +108,24 @@ class TestEvaluate:
             mode="f1", decode_fn=check_decoder,
         )
         assert seen == [(2, 7), (2, 7)]
+
+    def test_decodes_build_no_graph(self):
+        trips, vocab, model = setup_eval(n=2)
+        seen = []
+
+        def graph_free_decoder(m, inp, cfg):
+            enc = m.encode(inp)
+            assert enc.memory.parents == () and not enc.memory.requires_grad
+            seen.append(inp.doc_ids.shape)
+            return beam_search(m, enc, cfg)
+
+        evaluate(
+            model, trips, vocab, DecodeConfig(beam=2, max_len=4),
+            mode="f1", decode_fn=graph_free_decoder,
+        )
+        assert len(seen) == 2
+        x = model.params["embed"]
+        assert ad.add(x, x).requires_grad  # graph building is back on
 
     def test_empty_dataset_and_bad_mode(self):
         trips, vocab, model = setup_eval(n=1)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestModelConfig:
             ModelConfig(vocab_size=100, use_query_encoder=True, baseline_query_prepend=True)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=3)
+
+    @pytest.mark.parametrize("field", ["max_doc_tokens", "max_docs", "max_summary_tokens"])
+    def test_input_limits_must_be_positive(self, field):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                ModelConfig(vocab_size=100, **{field: value})
+        assert getattr(ModelConfig(vocab_size=100, **{field: 1}), field) == 1
 
     def test_json_roundtrip_mirrors_field_names(self):
         cfg = tiny_config(50, use_hierarchical_merge=True)
@@ -570,6 +578,37 @@ class TestDecoderState:
         model, enc = self.model_and_encoding(np.float64)
         with pytest.raises(ValueError):
             model.start_decoding(enc).step([5])
+
+
+class TestGraphFreeEncode:
+    def test_no_grad_encode_frees_activations_and_keeps_values(self):
+        model = SummModel(tiny_config(50, local_layers=4, global_layers=2), seed=0)
+        rng = np.random.default_rng(0)
+        inp = ModelInput(
+            doc_ids=rng.integers(5, 50, size=(8, 64)).astype(np.int64),
+            token_mask=np.ones((8, 64), dtype=bool),
+            doc_mask=np.ones(8, dtype=bool),
+            query_ids=np.array([7, 8], dtype=np.int64),
+        )
+
+        def peak_bytes(encode):
+            tracemalloc.start()
+            try:
+                enc = encode()
+                return enc, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        graph, graph_peak = peak_bytes(lambda: model.encode(inp))
+
+        def graph_free():
+            with ad.no_grad():
+                return model.encode(inp)
+
+        free, free_peak = peak_bytes(graph_free)
+        assert graph.memory.parents and free.memory.parents == ()
+        np.testing.assert_array_equal(free.memory.values, graph.memory.values)
+        assert free_peak < 0.5 * graph_peak, (free_peak, graph_peak)
 
 
 class TestPrepareInput:

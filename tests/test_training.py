@@ -51,7 +51,25 @@ class TestBatching:
         assert example_size(inp) == int(inp.token_mask.sum()) + inp.target_ids.size
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["val_interval", "warmup", "batch_tokens"])
+    def test_counts_must_be_positive(self, tmp_path, field):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(steps=1, checkpoint_dir=str(tmp_path), **{field: value})
+
+
 class TestTrainLoop:
+    def test_validate_leaves_graph_building_on(self):
+        trips, vocab, model = setup_uniform(dtype=np.float64)
+        inputs = [prepare_input(t, vocab, model.config) for t in trips[:2]]
+        refs = [t.summary.split() for t in trips[:2]]
+        training.validate(model, inputs, refs, vocab)
+        loss, _ = model.loss_sum(inputs[0])
+        training.backward(loss)
+        missing = [name for name, p in model.params.items() if p.grad is None]
+        assert not missing
+
     def test_budget_validation(self, tmp_path):
         trips, vocab, model = setup_uniform()
         cfg = TrainConfig(steps=1, checkpoint_dir=str(tmp_path), batch_tokens=2)
