@@ -4,8 +4,8 @@ Layout: 8-byte magic, little-endian uint32 manifest length, UTF-8 JSON
 manifest, then one contiguous blob of raw little-endian arrays.  The
 manifest lists (name, shape, offset, dtype) per tensor plus a free-form
 ``meta`` dict; an entry without a dtype is float32, as every tensor was
-before dtypes were recorded.  Optimizer state rides in a sidecar file with
-the same layout.
+before dtypes were recorded.  A training checkpoint is one such file:
+weights, optimizer moments under ``opt/`` names, and the step in ``meta``.
 
 A save writes a temporary file next to the target, syncs it to disk and
 renames it over the target, so a crash mid-write leaves the previous file

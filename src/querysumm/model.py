@@ -60,8 +60,12 @@ class ModelConfig:
             self.local_layers = 5 if self.use_query_encoder else 6
         if self.query_layers is None:
             self.query_layers = 1 if self.use_query_encoder else 0
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads:
             raise ValueError("d_model must be divisible by heads")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % 4:
             raise ValueError("d_model must be divisible by 4 for split sinusoids")
         if self.use_query_encoder != (self.query_layers > 0):

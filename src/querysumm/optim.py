@@ -92,17 +92,21 @@ class AdamNoam:
             p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Both moments of every parameter, under ``opt/`` names that cannot
+        clash with the model's own arrays in a shared checkpoint."""
         out = {}
         for name in self.params:
-            out[f"m.{name}"] = self.exp_avg[name]
-            out[f"v.{name}"] = self.exp_avg_sq[name]
+            out[f"opt/m.{name}"] = self.exp_avg[name]
+            out[f"opt/v.{name}"] = self.exp_avg_sq[name]
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int) -> None:
-        for name, p in self.params.items():
-            self.exp_avg[name] = arrays[f"m.{name}"].astype(p.values.dtype)
-            self.exp_avg_sq[name] = arrays[f"v.{name}"].astype(p.values.dtype)
-        self.step_count = step
+        """Restore what ``state_arrays`` saved; all or nothing: a missing
+        moment raises ``KeyError`` before any state changes."""
+        dtypes = {name: p.values.dtype for name, p in self.params.items()}
+        exp_avg = {k: arrays[f"opt/m.{k}"].astype(dt) for k, dt in dtypes.items()}
+        exp_avg_sq = {k: arrays[f"opt/v.{k}"].astype(dt) for k, dt in dtypes.items()}
+        self.exp_avg, self.exp_avg_sq, self.step_count = exp_avg, exp_avg_sq, step
 
 
 def grad_check(

@@ -51,6 +51,8 @@ class TrainConfig:
         for name in ("steps", "batch_tokens", "accum_steps", "val_interval", "warmup"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.base_lr < float("inf"):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
 
 
 @dataclass
@@ -101,11 +103,11 @@ def validate(model: SummModel, val_inputs, val_refs, vocab: Vocabulary, decode_c
     return float(np.mean(scores)) if scores else 0.0
 
 
-def save_model_checkpoint(path, model: SummModel, vocab: Vocabulary, meta: dict) -> None:
-    meta = dict(meta)
-    meta["model_config"] = asdict(model.config)
-    meta["vocab"] = vocab.id_to_token[5:]
-    save_arrays(path, model.state_arrays(), meta)
+def save_model_checkpoint(path, model: SummModel, opt: AdamNoam, vocab: Vocabulary, meta: dict):
+    """One atomic write of weights, optimizer moments, model config, vocabulary
+    and ``meta``, whose ``step`` is where a resume continues."""
+    meta = dict(meta, model_config=asdict(model.config), vocab=vocab.id_to_token[5:])
+    save_arrays(path, {**model.state_arrays(), **opt.state_arrays()}, meta)
 
 
 def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
@@ -114,7 +116,6 @@ def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary
     vocab = Vocabulary(meta["vocab"])
     model = SummModel(config, seed=0, dtype=dtype)
     model.load_state_arrays(arrays)
-    model.vocab = vocab
     return model, vocab, meta
 
 
@@ -127,14 +128,12 @@ def train(
     resume_from: str | None = None,
 ) -> TrainResult:
     """Run the optimization loop and return paths to the best (by validation
-    ROUGE-L) and latest checkpoints.  Raises ``NumericalAbort`` on a
-    non-finite loss or gradient."""
+    ROUGE-L) and latest checkpoints.  Each validation rewrites
+    ``latest.ckpt``, and ``best.ckpt`` when the score improves, as one file
+    each; either one resumes the run.  ``cfg.fine_tune_from`` loads only the
+    weights of a checkpoint.  Raises ``NumericalAbort`` on a non-finite loss
+    or gradient."""
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-    model.vocab = vocab
-    if cfg.fine_tune_from and not resume_from:
-        arrays, _ = load_arrays(cfg.fine_tune_from)
-        model.load_state_arrays(arrays)
-
     inputs = [prepare_input(t, vocab, model.config) for t in train_triplets]
     sizes = [example_size(inp) for inp in inputs]
     if max(sizes) > cfg.batch_tokens:
@@ -147,21 +146,20 @@ def train(
     opt = AdamNoam(
         model.params, d_model=model.config.d_model, base_lr=cfg.base_lr, warmup=cfg.warmup
     )
-    start_step = 0
-    if resume_from:
-        opt_path = resume_from + ".opt"
-        arrays, meta = load_arrays(resume_from)
-        opt_arrays, opt_meta = load_arrays(opt_path)
-        # The two files are replaced one after the other, so a crash between
-        # the writes leaves weights and optimizer state from different steps.
-        if meta.get("step") != opt_meta["step"]:
-            raise ValueError(
-                f"checkpoint {resume_from} is at step {meta.get('step')} but its "
-                f"optimizer state {opt_path} is at step {opt_meta['step']}"
-            )
+    if resume_from or cfg.fine_tune_from:
+        # A checkpoint of another vocabulary, or one without moments to
+        # resume from, is refused before anything is loaded.
+        path = resume_from or cfg.fine_tune_from
+        arrays, meta = load_arrays(path)
+        if meta.get("vocab") != vocab.id_to_token[5:]:
+            raise ValueError(f"{path} was saved with a different vocabulary than this run's")
+        if resume_from:
+            try:
+                opt.load_state_arrays(arrays, step=meta["step"])
+            except KeyError as exc:
+                raise ValueError(f"{path} holds no optimizer state to resume from") from exc
         model.load_state_arrays(arrays)
-        opt.load_state_arrays(opt_arrays, step=opt_meta["step"])
-        start_step = opt_meta["step"]
+    start_step = opt.step_count
 
     def micro_batches():
         """Deterministic stream of micro-batches, reshuffled per epoch."""
@@ -214,11 +212,9 @@ def train(
             score = validate(model, val_inputs, val_refs, vocab)
             result.val_scores.append((step, score))
             meta = {"step": step, "val_rouge_l": score}
-            save_model_checkpoint(latest_path, model, vocab, meta)
-            save_arrays(latest_path + ".opt", opt.state_arrays(), {"step": step})
+            save_model_checkpoint(latest_path, model, opt, vocab, meta)
             if score > result.best_score:
                 result.best_score = score
-                save_model_checkpoint(best_path, model, vocab, meta)
-                save_arrays(best_path + ".opt", opt.state_arrays(), {"step": step})
+                save_model_checkpoint(best_path, model, opt, vocab, meta)
     result.steps_run = step
     return result

@@ -4,6 +4,7 @@ import pytest
 
 from querysumm import autodiff as ad
 from querysumm import cli, training
+from querysumm.checkpoint import load_arrays, save_arrays
 from querysumm.data import load_triplets, save_articles, save_ir_records, save_triplets
 from querysumm.synthetic import make_articles, make_ir_records
 from querysumm.training import NumericalAbort
@@ -145,6 +146,29 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "val_interval" in err
         assert not (workdir / "ckpt").exists()
+
+    def test_invalid_dropout_is_validation_error(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = train_config(workdir)
+        cfg = json.loads(path.read_text())
+        cfg["model"]["dropout"] = 1.0
+        path.write_text(json.dumps(cfg))
+        assert run("train", "--config", str(path)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dropout" in err
+
+    def test_resume_from_weights_only_checkpoint_is_validation_error(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        cfg = train_config(workdir, steps=2)
+        assert run("train", "--config", str(cfg)) == 0
+        arrays, meta = load_arrays(workdir / "ckpt" / "latest.ckpt")
+        weights = {k: v for k, v in arrays.items() if not k.startswith("opt/")}
+        save_arrays(workdir / "weights.ckpt", weights, meta)
+        capsys.readouterr()
+        assert run("train", "--config", str(train_config(workdir, steps=4)),
+                   "--resume", "weights.ckpt") == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "weights.ckpt" in err
 
     def test_grad_check_single_module(self, workdir, capsys):
         assert run("grad-check", "--module", "merge") == 0

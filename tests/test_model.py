@@ -25,6 +25,7 @@ from querysumm.model import (
     prepare_input,
     sinusoid_table,
 )
+from querysumm.optim import AdamNoam
 from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, Vocabulary, build_vocab, tokenize
 from querysumm.training import load_model_checkpoint, save_model_checkpoint
 
@@ -62,12 +63,16 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=3)
 
-    @pytest.mark.parametrize("field", ["max_doc_tokens", "max_docs", "max_summary_tokens"])
+    @pytest.mark.parametrize(
+        "field", ["max_doc_tokens", "max_docs", "max_summary_tokens", "heads", "dropout"]
+    )
     def test_input_limits_must_be_positive(self, field):
-        for value in (0, -1):
+        # A dropout rate must also stay below 1, where nothing is kept.
+        bad, good = ((1.0, -0.1, float("nan")), 0.0) if field == "dropout" else ((0, -1), 1)
+        for value in bad:
             with pytest.raises(ValueError, match=field):
                 ModelConfig(vocab_size=100, **{field: value})
-        assert getattr(ModelConfig(vocab_size=100, **{field: 1}), field) == 1
+        assert getattr(ModelConfig(vocab_size=100, **{field: good}), field) == good
 
     def test_json_roundtrip_mirrors_field_names(self):
         cfg = tiny_config(50, use_hierarchical_merge=True)
@@ -340,7 +345,7 @@ class TestQueryLayerClosedForm:
                           baseline_query_prepend=False)
         model = SummModel(cfg, seed=4)
         path = tmp_path / "m.ckpt"
-        save_model_checkpoint(path, model, vocab, {"step": 1})
+        save_model_checkpoint(path, model, AdamNoam(model.params, cfg.d_model), vocab, {"step": 1})
         arrays, meta = load_arrays(path)
         rng = np.random.default_rng(0)
         d = cfg.d_model

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from querysumm import training
-from querysumm.checkpoint import load_arrays
+from querysumm.checkpoint import load_arrays, save_arrays
 from querysumm.model import SummModel, prepare_input
-from querysumm.text import build_vocab
+from querysumm.optim import AdamNoam
+from querysumm.text import Vocabulary, build_vocab
 from querysumm.training import (
     NumericalAbort,
     TrainConfig,
@@ -52,9 +53,10 @@ class TestBatching:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field", ["val_interval", "warmup", "batch_tokens"])
+    @pytest.mark.parametrize("field", ["val_interval", "warmup", "batch_tokens", "base_lr"])
     def test_counts_must_be_positive(self, tmp_path, field):
-        for value in (0, -1):
+        bad = (0, -1, float("nan"), float("inf")) if field == "base_lr" else (0, -1)
+        for value in bad:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(steps=1, checkpoint_dir=str(tmp_path), **{field: value})
 
@@ -84,9 +86,14 @@ class TestTrainLoop:
         )
         result = train(model, cfg, trips, trips[:2], vocab)
         assert len(result.losses) == 4
-        assert os.path.exists(result.best_path)
-        assert os.path.exists(result.latest_path)
-        assert os.path.exists(result.latest_path + ".opt")
+        # One file per checkpoint: no optimizer sidecar, no leftover temp file.
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "latest.ckpt"]
+        arrays, meta = load_arrays(result.latest_path)
+        assert meta["step"] == 4
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(arrays[name], p.values, err_msg=name)
+            assert arrays[f"opt/m.{name}"].shape == p.values.shape
+            assert arrays[f"opt/v.{name}"].shape == p.values.shape
         assert result.val_scores and result.val_scores[-1][0] == 4
 
     def test_accumulation_matches_single_large_batch(self, tmp_path):
@@ -149,38 +156,102 @@ class TestTrainLoop:
         )
         assert resumed.best_score >= first.best_score
 
-    def test_resume_rejects_checkpoint_and_optimizer_from_different_steps(
+    def test_crash_at_any_checkpoint_write_leaves_a_resumable_latest(
         self, tmp_path, monkeypatch
     ):
-        trips, vocab, model = setup_uniform()
-        cfg = TrainConfig(
-            steps=2, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1
-        )
+        trips, vocab, model_full = setup_uniform(dropout=0.1)
+        cfg = dict(batch_tokens=128, val_interval=1, seed=1, base_lr=1.0, warmup=50)
         real_save = training.save_arrays
+        calls = []
 
-        def crash_on_step2_opt(path, arrays, meta):
-            if str(path).endswith("latest.ckpt.opt") and meta.get("step") == 2:
-                raise OSError("simulated crash between the two checkpoint writes")
+        def counting_save(path, arrays, meta):
+            calls.append(path)
             real_save(path, arrays, meta)
 
-        monkeypatch.setattr(training, "save_arrays", crash_on_step2_opt)
-        with pytest.raises(OSError, match="simulated crash"):
-            train(model, cfg, trips, trips[:2], vocab)
-        monkeypatch.setattr(training, "save_arrays", real_save)
-        latest = str(tmp_path / "latest.ckpt")
-        assert load_arrays(latest)[1]["step"] == 2
-        assert load_arrays(latest + ".opt")[1]["step"] == 1
+        monkeypatch.setattr(training, "save_arrays", counting_save)
+        full = train(
+            model_full, TrainConfig(steps=3, checkpoint_dir=str(tmp_path / "full"), **cfg),
+            trips, trips[:2], vocab,
+        )
+        assert len(calls) >= 3  # latest.ckpt at every step, best.ckpt at least once
+
+        for crash_at in range(len(calls)):
+            run_dir = tmp_path / f"crash{crash_at}"
+            run_cfg = TrainConfig(steps=3, checkpoint_dir=str(run_dir), **cfg)
+            count = iter(range(len(calls)))
+
+            def crashing_save(path, arrays, meta):
+                if next(count) == crash_at:
+                    raise OSError("simulated crash")
+                real_save(path, arrays, meta)
+
+            monkeypatch.setattr(training, "save_arrays", crashing_save)
+            _, _, model = setup_uniform(dropout=0.1)
+            with pytest.raises(OSError, match="simulated crash"):
+                train(model, run_cfg, trips, trips[:2], vocab)
+            monkeypatch.setattr(training, "save_arrays", real_save)
+
+            assert not any(name.endswith(".tmp") for name in os.listdir(run_dir))
+            latest = run_dir / "latest.ckpt"
+            if crash_at == 0:
+                assert not latest.exists()
+                continue
+            step = load_arrays(latest)[1]["step"]
+            _, _, resumed_model = setup_uniform(dropout=0.1)
+            resumed = train(
+                resumed_model, run_cfg, trips, trips[:2], vocab, resume_from=str(latest)
+            )
+            np.testing.assert_allclose(
+                resumed.losses, full.losses[step:], rtol=1e-5, err_msg=f"crash at {crash_at}"
+            )
+            for name, p in model_full.params.items():
+                np.testing.assert_allclose(
+                    resumed_model.params[name].values, p.values, rtol=1e-5, atol=1e-7,
+                    err_msg=name,
+                )
+
+    def test_resume_refuses_weights_only_checkpoint(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "run"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:2], vocab)
+        arrays, meta = load_arrays(result.latest_path)
+        weights_only = str(tmp_path / "weights.ckpt")
+        save_arrays(
+            weights_only, {k: v for k, v in arrays.items() if not k.startswith("opt/")}, meta
+        )
 
         _, _, fresh = setup_uniform()
         before = {name: p.values.copy() for name, p in fresh.params.items()}
         more = TrainConfig(
-            steps=4, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1
+            steps=2, checkpoint_dir=str(tmp_path / "res"), batch_tokens=128, val_interval=1
         )
-        with pytest.raises(ValueError) as exc:
-            train(fresh, more, trips, trips[:2], vocab, resume_from=latest)
-        message = str(exc.value)
-        assert f"{latest} is at step 2" in message
-        assert f"{latest}.opt is at step 1" in message
+        with pytest.raises(ValueError, match="optimizer state") as exc:
+            train(fresh, more, trips, trips[:2], vocab, resume_from=weights_only)
+        assert weights_only in str(exc.value)
+        for name, p in fresh.params.items():
+            np.testing.assert_array_equal(p.values, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("load", ["resume", "fine_tune"])
+    def test_checkpoint_of_another_vocabulary_is_refused(self, tmp_path, load):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        # Same tokens and size, other order: every embedding row means another token.
+        shuffled = Vocabulary(list(reversed(vocab.id_to_token[5:])))
+        _, _, fresh = setup_uniform(seed=9)
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1,
+            fine_tune_from=result.latest_path if load == "fine_tune" else None,
+        )
+        resume_from = result.latest_path if load == "resume" else None
+        with pytest.raises(ValueError, match="different vocabulary") as exc:
+            train(fresh, more, trips, trips[:1], shuffled, resume_from=resume_from)
+        assert result.latest_path in str(exc.value)
         for name, p in fresh.params.items():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
 
@@ -217,7 +288,6 @@ class TestOverfitTrend:
         # windows never increases (trend monotonicity, not per-step).
         from querysumm.autodiff import backward
         from querysumm.data import build_qmdscnn
-        from querysumm.optim import AdamNoam
         from querysumm.synthetic import make_articles
 
         articles = make_articles(8, seed=3, min_paragraphs=2, max_paragraphs=3)
@@ -253,7 +323,7 @@ class TestCheckpointIO:
     def test_model_checkpoint_roundtrip(self, tmp_path):
         trips, vocab, model = setup_uniform()
         path = tmp_path / "m.ckpt"
-        save_model_checkpoint(path, model, vocab, {"step": 5})
+        save_model_checkpoint(path, model, AdamNoam(model.params, 16), vocab, {"step": 5})
         loaded, vocab2, meta = load_model_checkpoint(path)
         assert meta["step"] == 5
         assert vocab2.id_to_token == vocab.id_to_token
@@ -266,7 +336,7 @@ class TestCheckpointIO:
     def test_float64_model_checkpoint_is_bit_exact(self, tmp_path):
         trips, vocab, model = setup_uniform(dtype=np.float64)
         path = tmp_path / "m.ckpt"
-        save_model_checkpoint(path, model, vocab, {})
+        save_model_checkpoint(path, model, AdamNoam(model.params, 16), vocab, {})
         loaded, _, _ = load_model_checkpoint(path, dtype=np.float64)
         for name, p in model.params.items():
             assert loaded.params[name].values.tobytes() == p.values.tobytes()
@@ -276,6 +346,6 @@ class TestCheckpointIO:
         inp = prepare_input(trips[0], vocab, model.config)
         expected = model.loss(inp).item()
         path = tmp_path / "m.ckpt"
-        save_model_checkpoint(path, model, vocab, {})
+        save_model_checkpoint(path, model, AdamNoam(model.params, 16), vocab, {})
         loaded, _, _ = load_model_checkpoint(path)
         assert loaded.loss(inp).item() == pytest.approx(expected, rel=1e-5)
