@@ -54,20 +54,31 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         raise
 
 
+def _read_manifest(fh, path) -> dict:
+    """Check the magic and read the manifest, leaving ``fh`` at the blob."""
+    if fh.read(8) != MAGIC:
+        raise ValueError(f"{path} is not a checkpoint file")
+    header = fh.read(4)
+    if len(header) < 4:
+        raise ValueError(f"{path} is truncated: no manifest length")
+    (manifest_len,) = struct.unpack("<I", header)
+    raw = fh.read(manifest_len)
+    if len(raw) < manifest_len:
+        raise ValueError(
+            f"{path} is truncated: manifest of {manifest_len} bytes, {len(raw)} present"
+        )
+    return json.loads(raw.decode("utf-8"))
+
+
+def load_meta(path) -> dict:
+    """The ``meta`` dict alone; no array is read."""
+    with open(path, "rb") as fh:
+        return _read_manifest(fh, path)["meta"]
+
+
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        header = fh.read(4)
-        if len(header) < 4:
-            raise ValueError(f"{path} is truncated: no manifest length")
-        (manifest_len,) = struct.unpack("<I", header)
-        raw = fh.read(manifest_len)
-        if len(raw) < manifest_len:
-            raise ValueError(
-                f"{path} is truncated: manifest of {manifest_len} bytes, {len(raw)} present"
-            )
-        manifest = json.loads(raw.decode("utf-8"))
+        manifest = _read_manifest(fh, path)
         blob = fh.read()
     arrays = {}
     for entry in manifest["tensors"]:

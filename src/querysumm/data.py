@@ -18,6 +18,7 @@ alignment histogram, and corpus statistics.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,10 +170,13 @@ def make_query_variant(
 
     ``original`` returns the triplets unchanged.  ``distractor`` swaps in the
     other triplet's query with the highest ROUGE-1 F1 against the current
-    one (ties to the lowest index).  ``dull`` uses the fixed string
-    ``"what is it ?"``.  ``dissimilar`` takes the first other query (by
-    ascending index) whose ROUGE-1 F1 with the current one is below 0.2 and
-    raises if no query qualifies.
+    one (ties to the lowest index).  Only queries sharing a token can score
+    above 0, so the queries are indexed by token and only those are scored;
+    when none shares a token, every F1 is 0 and the lowest other index
+    wins.  ``dull`` uses the fixed string ``"what is it ?"``.
+    ``dissimilar`` takes the first other query (by ascending index) whose
+    ROUGE-1 F1 with the current one is below 0.2 and raises if no query
+    qualifies.
 
     Every variant is deterministic given its inputs; ``seed`` is accepted
     for interface stability but unused by the current selection rules.
@@ -190,14 +194,19 @@ def make_query_variant(
         raise ValueError(f"{variant} variant needs at least 2 triplets")
 
     token_cache = [tokenize(t.query) for t in triplets]
+    if variant == "distractor":
+        postings: dict[str, list[int]] = {}
+        for j, tokens in enumerate(token_cache):
+            for token in set(tokens):
+                postings.setdefault(token, []).append(j)
     out = []
     for i, t in enumerate(triplets):
         if variant == "distractor":
-            best_j, best_f1 = -1, -1.0
-            for j, other in enumerate(token_cache):
-                if j == i:
-                    continue
-                f1 = rouge_n(other, token_cache[i], 1).f1
+            sharing = {j for token in set(token_cache[i]) for j in postings[token]}
+            sharing.discard(i)
+            best_j, best_f1 = (1 if i == 0 else 0), 0.0
+            for j in sorted(sharing):
+                f1 = rouge_n(token_cache[j], token_cache[i], 1).f1
                 if f1 > best_f1:
                     best_j, best_f1 = j, f1
             out.append(_with_query(t, triplets[best_j].query, variant))
@@ -249,11 +258,16 @@ def alignment_histogram(triplets: list[Triplet]) -> dict[int, int]:
     return hist
 
 
-def sentence_coverage(sentence_tokens: list[str], doc_tokens: list[str]) -> float:
-    """ROUGE-1 recall of the sentence against the document: the matching
-    score used by the coverage filter (the document is typically much longer
-    than the sentence, so recall is the informative direction)."""
-    return rouge_n(doc_tokens, sentence_tokens, 1).recall
+def _best_coverage(sentence_tokens: list[str], doc_counts: list[Counter]) -> float:
+    """Highest ROUGE-1 recall of the sentence against any of the documents'
+    unigram counts: the matching score of the coverage filter (a document
+    is typically much longer than the sentence, so recall is the
+    informative direction).  An empty sentence or document scores 0."""
+    if not sentence_tokens:
+        return 0.0
+    sentence = Counter(sentence_tokens)
+    overlap = max(sum(min(doc[w], k) for w, k in sentence.items()) for doc in doc_counts)
+    return overlap / len(sentence_tokens)
 
 
 REJECT_TOO_FEW_SENTENCES = "answer_under_2_sentences"
@@ -288,10 +302,9 @@ def filter_qmdsir(
         if len(remaining) < 3:
             rejected.append((i, REJECT_TOO_FEW_DOCUMENTS))
             continue
-        doc_tokens = [tokenize(doc) for _, doc in remaining]
+        doc_counts = [Counter(tokenize(doc)) for _, doc in remaining]
         covered = all(
-            max(sentence_coverage(tokenize(s), d) for d in doc_tokens)
-            >= COVERAGE_THRESHOLD
+            _best_coverage(tokenize(s), doc_counts) >= COVERAGE_THRESHOLD
             for s in sentences
         )
         if not covered:

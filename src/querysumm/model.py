@@ -625,11 +625,14 @@ class SummModel:
         return {name: p.values for name, p in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """All or nothing: every name and shape is checked before any
+        parameter is assigned."""
         for name, p in self.params.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint is missing parameter {name}")
             if tuple(arrays[name].shape) != tuple(p.values.shape):
                 raise ValueError(f"shape mismatch for {name}")
+        for name, p in self.params.items():
             p.values = arrays[name].astype(self.dtype)
 
 

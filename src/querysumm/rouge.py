@@ -3,7 +3,9 @@
 Inputs are flat token lists (see ``querysumm.text.tokenize``); multi-sentence
 summaries are scored as one joined sequence.  No stemming, no stopword
 removal.  SU4 pools unigrams together with skip-bigrams of positional gap
-<= 4 into a single clipped multiset match.
+<= 4 into a single clipped multiset match.  ROUGE-L's longest common
+subsequence is computed exactly by bit-parallel LCS (Allison & Dix 1986;
+Hyyrö 2004) in O(|long| * ceil(|short| / 64)) word operations.
 """
 
 from __future__ import annotations
@@ -46,16 +48,30 @@ def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length via the classic O(|a||b|) table."""
-    if not a or not b:
+    """Longest common subsequence length by bit-parallel LCS (Allison & Dix
+    1986, *A bit-string longest-common-subsequence algorithm*; Hyyrö 2004).
+
+    Bit k of a token's match mask is set where the shorter sequence holds
+    that token at position k.  Each token y of the longer sequence updates
+    the row vector ``v`` (initially all ones) by ``u = v & mask[y]``,
+    ``v = ((v + u) | (v - u)) & full``; the LCS is the number of zero bits
+    left in ``v``.  Exact integer arithmetic on Python ints, so the cost is
+    O(|long| * ceil(|short| / 64)) word operations.
+    """
+    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+    if not short:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b):
-            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+    masks: dict[str, int] = {}
+    for k, y in enumerate(short):
+        masks[y] = masks.get(y, 0) | (1 << k)
+    full = (1 << len(short)) - 1
+    v = full
+    for y in long_:
+        match = masks.get(y)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(short) - v.bit_count()
 
 
 def rouge_l(candidate: list[str], reference: list[str]) -> RougeScore:

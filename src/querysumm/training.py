@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import backward, no_grad
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, load_meta, save_arrays
 from .data import Triplet
 from .decoding import DecodeConfig, greedy_decode
 from .model import ModelConfig, ModelInput, SummModel, prepare_input
@@ -158,7 +158,10 @@ def train(
                 opt.load_state_arrays(arrays, step=meta["step"])
             except KeyError as exc:
                 raise ValueError(f"{path} holds no optimizer state to resume from") from exc
-        model.load_state_arrays(arrays)
+        try:
+            model.load_state_arrays(arrays)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from exc
     start_step = opt.step_count
 
     def micro_batches():
@@ -180,8 +183,7 @@ def train(
     best_score = -1.0
     if resume_from and os.path.exists(best_path):
         # Keep honoring the pre-interruption best instead of clobbering it.
-        _, best_meta = load_arrays(best_path)
-        best_score = best_meta.get("val_rouge_l", -1.0)
+        best_score = load_meta(best_path).get("val_rouge_l", -1.0)
     result = TrainResult(best_path, latest_path, best_score=best_score, steps_run=start_step)
 
     step = start_step

@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from querysumm import data
 from querysumm.data import (
     Article,
     IrRecord,
@@ -18,7 +21,9 @@ from querysumm.data import (
     save_triplets,
     triplet_stats,
 )
+from querysumm.rouge import rouge_n
 from querysumm.synthetic import make_articles, make_ir_records
+from querysumm.text import tokenize
 
 
 def article(n_paragraphs, ident="a0"):
@@ -179,6 +184,74 @@ class TestQueryVariants:
             make_query_variant(self.make(["a", "b"]), "nonsense")
 
 
+    @staticmethod
+    def scan(queries, variant):
+        """Oracle: score every ordered pair, as the selection rules read."""
+        tokens = [tokenize(q) for q in queries]
+        picks = []
+        for i in range(len(tokens)):
+            if variant == "distractor":
+                best_j, best_f1 = -1, -1.0
+                for j, other in enumerate(tokens):
+                    if j == i:
+                        continue
+                    f1 = rouge_n(other, tokens[i], 1).f1
+                    if f1 > best_f1:
+                        best_j, best_f1 = j, f1
+                picks.append(queries[best_j])
+            else:
+                for j, other in enumerate(tokens):
+                    if j != i and rouge_n(other, tokens[i], 1).f1 < data.DISSIMILAR_MAX_F1:
+                        picks.append(queries[j])
+                        break
+                else:
+                    picks.append(None)
+        return picks
+
+    GROUPS = [
+        # F1 ties: rows 1 and 2 both score 0.5 against row 0.
+        ["storm coast", "storm rain", "storm wind", "market shares"],
+        # Row 0 shares no token with any other: the fallback is row 1.
+        ["market shares", "storm coast", "storm rain"],
+        # Empty-token queries, first and later.
+        ["", "storm coast", "storm", "", "coast flood"],
+        ["?", ""],
+    ]
+
+    @pytest.mark.parametrize("variant", ["distractor", "dissimilar"])
+    def test_variants_equal_the_all_pairs_scan(self, variant):
+        rng = np.random.default_rng(23)
+        words = [f"w{k}" for k in range(10)]
+        groups = list(self.GROUPS)
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            groups.append(
+                [" ".join(rng.choice(words, int(rng.integers(0, 5)))) for _ in range(n)]
+            )
+        for queries in groups:
+            expected = self.scan(queries, variant)
+            if None in expected:
+                with pytest.raises(ValueError):
+                    make_query_variant(self.make(queries), variant)
+                continue
+            out = make_query_variant(self.make(queries), variant)
+            assert [t.query for t in out] == expected, queries
+
+    def test_distractor_scores_only_queries_sharing_a_token(self, monkeypatch):
+        queries = ["storm coast", "storm rain", "market shares", "rain flood", "", "market"]
+        scored = []
+
+        def recording_rouge_n(candidate, reference, n):
+            scored.append((candidate, reference))
+            return rouge_n(candidate, reference, n)
+
+        monkeypatch.setattr(data, "rouge_n", recording_rouge_n)
+        out = make_query_variant(self.make(queries), "distractor")
+        assert [t.query for t in out] == self.scan(queries, "distractor")
+        assert scored
+        assert all(set(a) & set(b) for a, b in scored)
+
+
 class TestAlignmentHistogram:
     def triplet(self, docs, summary, origins=None):
         return Triplet(
@@ -239,7 +312,27 @@ def record(sentences=2, docs=4, covered=True, source=0):
     return IrRecord(" ".join(words[:3]), " ".join(sents), doc_texts, source)
 
 
+def sentence_coverage(sentence_tokens, doc_tokens):
+    """Oracle: ROUGE-1 recall of the sentence against one document."""
+    return rouge_n(doc_tokens, sentence_tokens, 1).recall
+
+
 class TestFilterQmdsir:
+    def test_best_coverage_equals_rouge_n_recall(self):
+        rng = np.random.default_rng(29)
+        words = [f"w{k}" for k in range(8)]
+
+        def seq(max_len):
+            return list(rng.choice(words, int(rng.integers(0, max_len + 1))))
+
+        for _ in range(300):
+            sentence = seq(8)
+            docs = [seq(30) for _ in range(int(rng.integers(1, 5)))]
+            counts = [Counter(d) for d in docs]
+            expected = max(sentence_coverage(sentence, d) for d in docs)
+            assert data._best_coverage(sentence, counts) == expected
+
+
     def test_good_record_kept(self):
         kept, rejected = filter_qmdsir([record()])
         assert len(kept) == 1 and not rejected

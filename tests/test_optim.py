@@ -7,7 +7,7 @@ import pytest
 from querysumm import autodiff as ad
 from querysumm.autodiff import backward
 from querysumm import checkpoint
-from querysumm.checkpoint import MAGIC, load_arrays, save_arrays
+from querysumm.checkpoint import MAGIC, load_arrays, load_meta, save_arrays
 from querysumm.optim import AdamNoam, grad_check, kaiming_uniform, warmup_lr
 
 
@@ -185,6 +185,22 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         path.write_bytes(full[:keep])
         with pytest.raises(ValueError, match="truncated") as info:
             load_arrays(path)
+        assert str(path) in str(info.value)
+
+
+def test_load_meta_reads_the_manifest_alone(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_arrays(path, {"a.w": np.ones((3, 4), np.float32)}, {"n": 1, "val_rouge_l": 0.25})
+    assert load_meta(path) == load_arrays(path)[1]
+    full = path.read_bytes()
+    # Cut inside the last tensor: the manifest is whole, only the arrays fail.
+    path.write_bytes(full[:-3])
+    assert load_meta(path) == {"n": 1, "val_rouge_l": 0.25}
+    # Cut inside the manifest, inside its length.
+    for keep in (40, 10):
+        path.write_bytes(full[:keep])
+        with pytest.raises(ValueError, match="truncated") as info:
+            load_meta(path)
         assert str(path) in str(info.value)
 
 

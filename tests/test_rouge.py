@@ -23,6 +23,17 @@ def lcs_by_subsequence_enumeration(a, b):
     return best
 
 
+def lcs_by_table(a, b):
+    """Oracle: the classic O(|a||b|) dynamic-programming table."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
 def random_seqs(rng, max_len=30, alphabet=6):
     n = int(rng.integers(0, max_len + 1))
     return [f"w{int(i)}" for i in rng.integers(0, alphabet, size=n)]
@@ -79,6 +90,21 @@ class TestRougeL:
             a = random_seqs(rng, max_len=9, alphabet=4)
             b = random_seqs(rng, max_len=9, alphabet=4)
             assert lcs_length(a, b) == lcs_by_subsequence_enumeration(a, b)
+
+    def test_matches_table_oracle_past_one_machine_word(self):
+        # Lengths up to 150 put the shorter side's mask past 64 and 128 bits;
+        # small alphabets make long runs of repeated tokens.
+        rng = np.random.default_rng(17)
+        pairs = [([], []), ([], ["w0"] * 70), (["w0"] * 130, ["w0"] * 65)]
+        for alphabet in range(1, 9):
+            pairs += [
+                (random_seqs(rng, 150, alphabet), random_seqs(rng, 150, alphabet))
+                for _ in range(25)
+            ]
+        for a, b in pairs:
+            expected = lcs_by_table(a, b)
+            assert lcs_length(a, b) == expected
+            assert lcs_length(b, a) == expected
 
 
 def su4_oracle(candidate, reference, max_gap=4):

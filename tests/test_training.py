@@ -255,6 +255,36 @@ class TestTrainLoop:
         for name, p in fresh.params.items():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
 
+    @pytest.mark.parametrize("load", ["resume", "fine_tune"])
+    def test_misshapen_checkpoint_is_refused_whole(self, tmp_path, load):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        arrays, meta = load_arrays(result.latest_path)
+        # Every weight differs from the fresh model's; the last one is misshapen.
+        last = list(model.params)[-1]
+        arrays = {k: v + 1 if k in model.params else v for k, v in arrays.items()}
+        arrays[last] = arrays[last].reshape(-1, 1)
+        bad = str(tmp_path / "bad.ckpt")
+        save_arrays(bad, arrays, meta)
+
+        _, _, fresh = setup_uniform(seed=9)
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1,
+            fine_tune_from=bad if load == "fine_tune" else None,
+        )
+        with pytest.raises(ValueError, match=f"shape mismatch for {last}") as exc:
+            train(
+                fresh, more, trips, trips[:1], vocab,
+                resume_from=bad if load == "resume" else None,
+            )
+        assert bad in str(exc.value)
+        for name, p in fresh.params.items():
+            assert p.values.tobytes() == before[name].tobytes(), name
+
     def test_nonfinite_loss_aborts_with_step(self, tmp_path):
         trips, vocab, model = setup_uniform()
         model.params["embed"].values[:] = np.nan
