@@ -349,13 +349,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _node(xhat * gain.values + bias.values, (a, gain, bias), bw)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-rate) at train time
-    so evaluation is the identity."""
-    if not train or rate == 0.0:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout, run iff an ``rng`` is given: kept activations are
+    scaled by 1/(1-rate), so without an rng (or at rate 0) it returns ``a``."""
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
     keep = (rng.random(a.shape) >= rate).astype(a.values.dtype) / (1.0 - rate)
     return _node(a.values * keep, (a,), lambda g: _accumulate(a, g * keep))
 

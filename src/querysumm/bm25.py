@@ -118,12 +118,12 @@ def top_k(
     k: int,
     exclude_article: object = None,
 ) -> list[int]:
-    """Chunk ids ranked by descending BM25 score, ties by ascending id.
+    """The at most ``k`` chunk ids that score above zero, ranked by
+    descending BM25 score, ties by ascending id.
 
     Chunks whose source article equals ``exclude_article`` are skipped.
-    When fewer than ``k`` eligible chunks score above zero, the list is
-    filled up with zero-score eligible chunks in ascending id; fewer than
-    ``k`` ids come back only when the eligible corpus is exhausted.
+    Fewer than ``k`` ids come back when fewer eligible chunks share a
+    query term; an empty or unknown query gets ``[]``.
 
     Each chunk's score is accumulated from the operands of ``score`` in the
     same order, so it equals ``score(index, query, chunk_id)`` bit for bit.
@@ -148,21 +148,10 @@ def top_k(
     # rank in the top k, ties included.
     best = heapq.nlargest(k, scores.values())
     floor = best[-1] if best else 0.0
-    hits = sorted(
+    return sorted(
         (cid for cid, s in scores.items() if s >= floor and s > 0.0),
         key=lambda cid: (-scores[cid], cid),
     )[:k]
-    if len(hits) < k:
-        taken = set(hits)
-        for chunk_id in norms:
-            if len(hits) == k:
-                break
-            if chunk_id in taken:
-                continue
-            if exclude_article is not None and meta[chunk_id][0] == exclude_article:
-                continue
-            hits.append(chunk_id)
-    return hits
 
 
 def dump_index(index: RetrievalIndex, path) -> None:

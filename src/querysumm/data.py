@@ -133,7 +133,7 @@ def build_qmdscnn(
     """One triplet per article: title as query, own chunks as documents,
     plus the top ``k_retrieved`` BM25 chunks from other articles.
 
-    Retrieved chunks with zero BM25 score are discarded, so triplets may
+    ``top_k`` returns only chunks that score above zero, so triplets may
     carry fewer than ``k_retrieved`` foreign documents on small corpora.
     """
     if len(corpus) < 2:
@@ -149,7 +149,6 @@ def build_qmdscnn(
     for article, own in zip(corpus, per_article):
         query_tokens = tokenize(article.title)
         hits = bm25.top_k(index, query_tokens, k_retrieved, exclude_article=article.id)
-        hits = [cid for cid in hits if bm25.score(index, query_tokens, cid) > 0.0]
         documents = [c.text for c in own] + [flat[cid].text for cid in hits]
         origins = [ORIGIN_CHUNK] * len(own) + [ORIGIN_RETRIEVED] * len(hits)
         ranks = [None] * len(own) + list(range(1, len(hits) + 1))
@@ -352,98 +351,68 @@ def triplet_stats(triplets: list[Triplet]) -> TripletStats:
 # --- JSON-lines IO ---------------------------------------------------------
 
 
-def load_articles(path) -> list[Article]:
-    articles = []
+def _read_jsonl(path) -> list[dict]:
+    """One object per non-blank line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                articles.append(
-                    Article(obj["id"], obj["title"], obj["paragraphs"], obj["summary"])
-                )
-    return articles
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _write_jsonl(rows, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def load_articles(path) -> list[Article]:
+    return [
+        Article(o["id"], o["title"], o["paragraphs"], o["summary"]) for o in _read_jsonl(path)
+    ]
 
 
 def save_articles(articles: list[Article], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in articles:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": a.id,
-                        "title": a.title,
-                        "paragraphs": a.paragraphs,
-                        "summary": a.summary,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        (
+            {"id": a.id, "title": a.title, "paragraphs": a.paragraphs, "summary": a.summary}
+            for a in articles
+        ),
+        path,
+    )
 
 
 def load_ir_records(path) -> list[IrRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                records.append(
-                    IrRecord(
-                        obj["query"],
-                        obj["answer_passage"],
-                        obj["documents"],
-                        obj["answer_source_index"],
-                    )
-                )
-    return records
+    return [
+        IrRecord(o["query"], o["answer_passage"], o["documents"], o["answer_source_index"])
+        for o in _read_jsonl(path)
+    ]
 
 
 def save_ir_records(records: list[IrRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "query": r.query,
-                        "answer_passage": r.answer_passage,
-                        "documents": r.ranked_documents,
-                        "answer_source_index": r.answer_source_index,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        (
+            {
+                "query": r.query,
+                "answer_passage": r.answer_passage,
+                "documents": r.ranked_documents,
+                "answer_source_index": r.answer_source_index,
+            }
+            for r in records
+        ),
+        path,
+    )
 
 
 def load_triplets(path) -> list[Triplet]:
-    triplets = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                triplets.append(
-                    Triplet(
-                        obj["query"],
-                        obj["documents"],
-                        obj["summary"],
-                        obj.get("meta", {}),
-                    )
-                )
-    return triplets
+    return [
+        Triplet(o["query"], o["documents"], o["summary"], o.get("meta", {}))
+        for o in _read_jsonl(path)
+    ]
 
 
 def save_triplets(triplets: list[Triplet], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "query": t.query,
-                        "documents": t.documents,
-                        "summary": t.summary,
-                        "meta": t.meta,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        (
+            {"query": t.query, "documents": t.documents, "summary": t.summary, "meta": t.meta}
+            for t in triplets
+        ),
+        path,
+    )

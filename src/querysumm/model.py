@@ -237,13 +237,13 @@ class LayerNorm:
 
 
 class FeedForward:
-    def __init__(self, store, name, d_model, hidden):
-        self.w1 = Linear(store, f"{name}.w1", d_model, hidden)
-        self.w2 = Linear(store, f"{name}.w2", hidden, d_model)
+    def __init__(self, store, name, cfg: ModelConfig):
+        self.w1 = Linear(store, f"{name}.w1", cfg.d_model, cfg.ffn_hidden)
+        self.w2 = Linear(store, f"{name}.w2", cfg.ffn_hidden, cfg.d_model)
+        self.rate = cfg.dropout
 
-    def __call__(self, x, train=False, rng=None, rate=0.0):
-        h = ad.dropout(ad.relu(self.w1(x)), rate, rng, train)
-        return self.w2(h)
+    def __call__(self, x, rng=None):
+        return self.w2(ad.dropout(ad.relu(self.w1(x)), self.rate, rng))
 
 
 class MultiHeadAttention:
@@ -339,15 +339,15 @@ class LocalLayer:
     def __init__(self, store, name, cfg: ModelConfig):
         self.attn = MultiHeadAttention(store, f"{name}.attn", cfg.d_model, cfg.heads)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.ffn_hidden)
+        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
         self.rate = cfg.dropout
 
-    def __call__(self, x, token_mask, train=False, rng=None):
+    def __call__(self, x, token_mask, rng=None):
         a, _ = self.attn(x, x, x, key_mask=token_mask)
-        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng, train)))
-        f = self.ffn(x, train, rng, self.rate)
-        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng, train)))
+        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
+        f = self.ffn(x, rng)
+        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng)))
 
 
 class QueryLayer:
@@ -369,19 +369,19 @@ class QueryLayer:
         self.wv = Linear(store, f"{name}.attn.wv", cfg.d_model, cfg.d_model)
         self.wo = Linear(store, f"{name}.attn.wo", cfg.d_model, cfg.d_model)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.ffn_hidden)
+        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
         self.rate = cfg.dropout
 
-    def __call__(self, x, query_states, token_mask, train=False, rng=None):
+    def __call__(self, x, query_states, token_mask, rng=None):
         ctx = self.wv(self.pool(query_states))  # (d,)
         n, t, _ = x.shape
         real = np.asarray(token_mask, dtype=bool).any(axis=-1)  # (N,)
         ctx = ad.mul(ad.tensor(real[:, None], dtype=x.dtype), ad.reshape(ctx, (1, -1)))
         a = _broadcast_vector(self.wo(ctx), n, t, x.dtype)  # wo per document, not per token
-        o1 = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng, train)))
-        f = self.ffn(o1, train, rng, self.rate)
-        return self.ln2(ad.add(o1, ad.dropout(f, self.rate, rng, train)))
+        o1 = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
+        f = self.ffn(o1, rng)
+        return self.ln2(ad.add(o1, ad.dropout(f, self.rate, rng)))
 
 
 class GlobalLayer:
@@ -395,11 +395,11 @@ class GlobalLayer:
         self.inter = MultiHeadAttention(store, f"{name}.inter", cfg.d_model, cfg.heads)
         self.fold = Linear(store, f"{name}.fold", 2 * cfg.d_model, cfg.d_model)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.ffn_hidden)
+        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
         self.rate = cfg.dropout
 
-    def __call__(self, x, token_mask, doc_mask, train=False, rng=None):
+    def __call__(self, x, token_mask, doc_mask, rng=None):
         doc_mask = np.asarray(doc_mask, dtype=bool)
         if not doc_mask.any():
             raise ValueError("global layer needs at least one real document")
@@ -409,9 +409,9 @@ class GlobalLayer:
         ctx, _ = self.inter(seq, seq, seq, key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
         folded = self.fold(ad.concat([x, _broadcast_vector(ctx, n, t, x.dtype)], axis=-1))
-        x = self.ln1(ad.add(x, ad.dropout(folded, self.rate, rng, train)))
-        f = self.ffn(x, train, rng, self.rate)
-        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng, train))), doc_vectors
+        x = self.ln1(ad.add(x, ad.dropout(folded, self.rate, rng)))
+        f = self.ffn(x, rng)
+        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng))), doc_vectors
 
 
 class OrderingScores:
@@ -435,7 +435,7 @@ class DecoderLayer:
         self.cross_attn = MultiHeadAttention(store, f"{name}.cross", cfg.d_model, cfg.heads)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.ffn_hidden)
+        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
         self.ln3 = LayerNorm(store, f"{name}.ln3", cfg.d_model)
         self.rate = cfg.dropout
 
@@ -443,7 +443,7 @@ class DecoderLayer:
         """Cross-attention K/V of the encoder memory (..., M, d)."""
         return self.cross_attn.project_kv(memory, memory)
 
-    def __call__(self, x, memory_kv, memory_mask, past_kv=None, train=False, rng=None):
+    def __call__(self, x, memory_kv, memory_mask, past_kv=None, rng=None):
         """Run new positions x (..., S, d): causal self-attention, then
         cross-attention against ``memory_kv`` from ``project_memory``, then
         the FFN.  ``past_kv`` holds the self-attention K/V of the P positions
@@ -453,18 +453,20 @@ class DecoderLayer:
         if past_kv is not None:
             kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
         a, _ = self.self_attn(x, kv=kv, causal=True)
-        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng, train)))
+        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
         c, _ = self.cross_attn(x, kv=memory_kv, key_mask=memory_mask)
-        x = self.ln2(ad.add(x, ad.dropout(c, self.rate, rng, train)))
-        f = self.ffn(x, train, rng, self.rate)
-        return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng, train))), kv
+        x = self.ln2(ad.add(x, ad.dropout(c, self.rate, rng)))
+        f = self.ffn(x, rng)
+        return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng))), kv
 
 
 class SummModel:
     """Complete encoder-decoder; see the module docstring for the layout.
 
     ``dtype=np.float64`` switches the whole model into checking mode where
-    finite differences are meaningful; training uses float32.
+    finite differences are meaningful; training uses float32.  Dropout runs
+    iff an ``rng`` is given to ``encode``, ``decode_logits``, ``loss_sum``
+    or ``loss``; without one they are deterministic.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -518,21 +520,21 @@ class SummModel:
 
     # --- encoder ---------------------------------------------------------
 
-    def encode(self, inp: ModelInput, train: bool = False, rng=None) -> EncodedBatch:
+    def encode(self, inp: ModelInput, rng=None) -> EncodedBatch:
         cfg = self.config
         x = self.embed_inputs(inp)
-        x = ad.dropout(x, cfg.dropout, rng, train)
+        x = ad.dropout(x, cfg.dropout, rng)
         for layer in self.local:
-            x = layer(x, inp.token_mask, train, rng)
+            x = layer(x, inp.token_mask, rng)
         local_states = x
         if cfg.use_query_encoder:
             q = self.embed_query(inp.query_ids)
-            q = ad.dropout(q, cfg.dropout, rng, train)
+            q = ad.dropout(q, cfg.dropout, rng)
             for layer in self.query:
-                x = layer(x, q, inp.token_mask, train, rng)
+                x = layer(x, q, inp.token_mask, rng)
         doc_vectors = None
         for layer in self.globals_:
-            x, doc_vectors = layer(x, inp.token_mask, inp.doc_mask, train, rng)
+            x, doc_vectors = layer(x, inp.token_mask, inp.doc_mask, rng)
         token_states = x
 
         r = None
@@ -578,9 +580,7 @@ class SummModel:
             logits = self.out_proj(x)
         return ad.scale(logits, 1.0 / math.sqrt(cfg.d_model))
 
-    def decode_logits(
-        self, prefix_ids, memory: Tensor, memory_mask, train: bool = False, rng=None
-    ) -> Tensor:
+    def decode_logits(self, prefix_ids, memory: Tensor, memory_mask, rng=None) -> Tensor:
         """Logits (S, vocab) for every position of the decoder prefix, which
         must start with the sequence-start id.
 
@@ -590,9 +590,9 @@ class SummModel:
         prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
         if prefix_ids.size == 0 or prefix_ids[0] != BOS_ID:
             raise ValueError("decoder prefix must start with the sequence-start token")
-        x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng, train)
+        x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng)
         for layer in self.decoder:
-            x, _ = layer(x, layer.project_memory(memory), memory_mask, train=train, rng=rng)
+            x, _ = layer(x, layer.project_memory(memory), memory_mask, rng=rng)
         return self.output_logits(x)
 
     def start_decoding(self, enc: EncodedBatch) -> DecoderState:
@@ -601,19 +601,19 @@ class SummModel:
 
     # --- losses ----------------------------------------------------------
 
-    def loss_sum(self, inp: ModelInput, train: bool = False, rng=None) -> tuple[Tensor, int]:
+    def loss_sum(self, inp: ModelInput, rng=None) -> tuple[Tensor, int]:
         """Summed token cross-entropy against the target plus the token
         count, for exact gradient accumulation across micro-batches."""
         if inp.target_ids is None or inp.target_ids.size == 0:
             raise ValueError("loss needs target ids")
-        enc = self.encode(inp, train, rng)
+        enc = self.encode(inp, rng)
         dec_in = np.concatenate([[BOS_ID], inp.target_ids])
         dec_tgt = np.concatenate([inp.target_ids, [EOS_ID]])
-        logits = self.decode_logits(dec_in, enc.memory, enc.memory_mask, train, rng)
+        logits = self.decode_logits(dec_in, enc.memory, enc.memory_mask, rng)
         return ad.cross_entropy_sum(logits, dec_tgt, ignore_id=PAD_ID)
 
-    def loss(self, inp: ModelInput, train: bool = False, rng=None) -> Tensor:
-        total, count = self.loss_sum(inp, train, rng)
+    def loss(self, inp: ModelInput, rng=None) -> Tensor:
+        total, count = self.loss_sum(inp, rng)
         return ad.scale(total, 1.0 / count)
 
     # --- bookkeeping -------------------------------------------------------

@@ -110,12 +110,21 @@ def save_model_checkpoint(path, model: SummModel, opt: AdamNoam, vocab: Vocabula
     save_arrays(path, {**model.state_arrays(), **opt.state_arrays()}, meta)
 
 
+def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None:
+    """``model.load_state_arrays`` whose missing-name or shape error is a
+    ``ValueError`` naming the checkpoint ``path``."""
+    try:
+        model.load_state_arrays(arrays)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from exc
+
+
 def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
     arrays, meta = load_arrays(path)
     config = ModelConfig(**meta["model_config"])
     vocab = Vocabulary(meta["vocab"])
     model = SummModel(config, seed=0, dtype=dtype)
-    model.load_state_arrays(arrays)
+    _load_weights(model, arrays, path)
     return model, vocab, meta
 
 
@@ -158,10 +167,7 @@ def train(
                 opt.load_state_arrays(arrays, step=meta["step"])
             except KeyError as exc:
                 raise ValueError(f"{path} holds no optimizer state to resume from") from exc
-        try:
-            model.load_state_arrays(arrays)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc.args[0]}") from exc
+        _load_weights(model, arrays, path)
     start_step = opt.step_count
 
     def micro_batches():
@@ -194,7 +200,7 @@ def train(
             micro = step * cfg.accum_steps + a
             for idx in next(stream):
                 rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, 11, micro, idx])
-                loss_sum, count = model.loss_sum(inputs[idx], train=True, rng=rng)
+                loss_sum, count = model.loss_sum(inputs[idx], rng=rng)
                 backward(loss_sum)
                 total_loss += loss_sum.item()
                 total_count += count

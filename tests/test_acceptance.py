@@ -220,9 +220,8 @@ def test_criterion_05_bm25_oracle():
     mismatches = 0
     for q in range(50):
         query = [f"t{int(i)}" for i in rng.integers(0, 38, size=rng.integers(1, 5))]
-        ranked = sorted(
-            range(n_docs), key=lambda cid: (-oracle_score(query, chunks[cid][1]), cid)
-        )
+        positive = [cid for cid in range(n_docs) if oracle_score(query, chunks[cid][1]) > 0.0]
+        ranked = sorted(positive, key=lambda cid: (-oracle_score(query, chunks[cid][1]), cid))
         for k in (1, 4, 10):
             if top_k(index, query, k) != ranked[:k]:
                 mismatches += 1

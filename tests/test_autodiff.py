@@ -54,12 +54,13 @@ class TestForwardValues:
 
     def test_dropout_eval_is_identity(self):
         x = ad.tensor(np.ones((4, 4)))
-        assert ad.dropout(x, 0.5, None, train=False) is x
+        assert ad.dropout(x, 0.5, None) is x
+        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_dropout_inverted_scaling(self):
         rng = np.random.default_rng(2)
         x = ad.tensor(np.ones((2000,)), np.float64)
-        out = ad.dropout(x, 0.25, rng, train=True).values
+        out = ad.dropout(x, 0.25, rng).values
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(out.mean() - 1.0) < 0.05
@@ -169,7 +170,7 @@ class TestBackward:
 
         def dropout_loss():
             return wsum(
-                ad.dropout(dr, 0.3, np.random.default_rng(keep_rng_seed), train=True),
+                ad.dropout(dr, 0.3, np.random.default_rng(keep_rng_seed)),
                 wn,
             )
 
@@ -257,7 +258,7 @@ def _primitive_calls():
         "cos": lambda: [ad.cos(p(3, 4))],
         "softmax": lambda: [ad.softmax(p(3, 5), np.ones((3, 5), bool))],
         "layer_norm": lambda: [ad.layer_norm(p(4, 6), p(6), p(6))],
-        "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0), train=True)],
+        "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0))],
         "embedding_lookup": lambda: [ad.embedding_lookup(p(9, 4), np.array([[1, 2], [2, 8]]))],
         "cross_entropy_sum": lambda: [ad.cross_entropy_sum(p(5, 7), np.array([1, 0, 3, 0, 6]))[0]],
         "tsum": lambda: [ad.tsum(p(3, 4), axis=1)],

@@ -9,13 +9,14 @@ from querysumm.bm25 import build_index, dump_index, idf, score, top_k
 
 def reference_top_k(index, chunk_ids, query, k, exclude_article=None):
     """The sort-every-chunk ranking that ``top_k`` replaced: score every
-    eligible chunk and sort by (-score, chunk_id)."""
+    eligible chunk, drop those scoring zero and sort by (-score, chunk_id)."""
     eligible = [
         cid
         for cid in sorted(chunk_ids)
         if exclude_article is None or index.chunk_meta[cid][0] != exclude_article
     ]
-    return sorted(eligible, key=lambda cid: (-score(index, query, cid), cid))[:k]
+    positive = [cid for cid in eligible if score(index, query, cid) > 0.0]
+    return sorted(positive, key=lambda cid: (-score(index, query, cid), cid))[:k]
 
 
 def formula_score(chunks, query, chunk_id, k1=1.2, b=0.75):
@@ -97,9 +98,9 @@ class TestBuildIndex:
     def test_corpus_without_tokens_rejected(self):
         with pytest.raises(ValueError, match="2 chunks that hold no tokens"):
             build_index([(0, [], "a"), (1, [], "b")])
-        # One token anywhere is enough; empty chunks then rank as zero-score.
+        # One token anywhere is enough; empty chunks then score zero.
         idx = build_index([(0, [], "a"), (1, ["x"], "b"), (2, [], "c")])
-        assert top_k(idx, ["x"], 3) == [1, 0, 2]
+        assert top_k(idx, ["x"], 3) == [1]
         assert score(idx, ["x"], 0) == 0.0
 
     def test_postings_match_brute_force_counts(self):
@@ -237,19 +238,18 @@ class TestTopK:
                     got = top_k(idx, query, k, exclude_article=exclude)
                     assert got == reference_top_k(idx, ids, query, k, exclude), (query, k, exclude)
 
-    def test_empty_and_unknown_queries_pad_in_ascending_id(self):
+    def test_empty_and_unknown_queries_return_nothing(self):
         chunks = [(cid, ["x", "y"], f"a{cid % 2}") for cid in (9, 7, 11, 8)]
         idx = build_index(chunks)
-        assert top_k(idx, [], 3) == [7, 8, 9]
-        assert top_k(idx, ["nope", "never"], 10) == [7, 8, 9, 11]
-        assert top_k(idx, [], 10, exclude_article="a1") == [8]
-        # Positive scores first, then zero-score chunks by id.
+        assert top_k(idx, [], 3) == []
+        assert top_k(idx, ["nope", "never"], 10) == []
+        assert top_k(idx, [], 10, exclude_article="a1") == []
+        # Only positive scores come back, even when k asks for more.
         idx = build_index([(7, ["p"], "a"), (8, ["q"], "b"), (9, ["r", "p"], "c")])
-        assert top_k(idx, ["p"], 3) == [7, 9, 8]
+        assert top_k(idx, ["p"], 3) == [7, 9]
 
     def test_reads_only_chunks_in_query_postings(self):
-        # At least k eligible chunks share a query term, so no chunk outside
-        # the query terms' postings may be looked at.
+        # No chunk outside the query terms' postings may be looked at.
         rng = np.random.default_rng(8)
         chunks = random_corpus(rng, 300, vocab=60, first_id=7, id_gap=2)
         chunks.extend((1000 + i, ["shared", f"u{i}"], f"art{i % 3}") for i in range(6))

@@ -170,6 +170,22 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "weights.ckpt" in err
 
+    def test_misshapen_checkpoint_error_names_the_path(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        assert run("train", "--config", str(train_config(workdir, steps=1))) == 0
+        arrays, meta = load_arrays(workdir / "ckpt" / "best.ckpt")
+        last = [name for name in arrays if not name.startswith("opt/")][-1]
+        arrays[last] = arrays[last].reshape(1, -1)
+        save_arrays(workdir / "misshapen.ckpt", arrays, meta)
+        capsys.readouterr()
+        assert run("decode", "--ckpt", "misshapen.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "misshapen.ckpt" in err and last in err
+        assert run("evaluate", "--ckpt", "misshapen.ckpt",
+                   "--in", "triplets.jsonl") == cli.EXIT_VALIDATION
+        assert "misshapen.ckpt" in capsys.readouterr().err
+
     def test_grad_check_single_module(self, workdir, capsys):
         assert run("grad-check", "--module", "merge") == 0
         assert "merge" in capsys.readouterr().out

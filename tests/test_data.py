@@ -452,3 +452,36 @@ def test_triplet_invariants():
         Triplet("q", ["a"], "s", {"origins": ["x", "y"]})
     with pytest.raises(ValueError):
         IrRecord("q", "a", ["d"], 1)
+
+
+def test_jsonl_golden_lines_and_blank_line_tolerant_reads(tmp_path):
+    art = Article("é1", "Grüße", ["Ünïcode pará", "zwei"], "résumé — fin")
+    rec = IrRecord("naïve query", "the answer ✓", ["doc ä", "doc ø"], 1)
+    trip = Triplet("qüery", ["dóc"], "sümmary", {"ranks": [None], "from": "日本"})
+    golden = {
+        "articles.jsonl": (
+            data.save_articles, data.load_articles, art,
+            '{"id": "é1", "title": "Grüße", "paragraphs": ["Ünïcode pará", "zwei"], '
+            '"summary": "résumé — fin"}\n',
+        ),
+        "records.jsonl": (
+            data.save_ir_records, data.load_ir_records, rec,
+            '{"query": "naïve query", "answer_passage": "the answer ✓", '
+            '"documents": ["doc ä", "doc ø"], "answer_source_index": 1}\n',
+        ),
+        "triplets.jsonl": (
+            save_triplets, load_triplets, trip,
+            '{"query": "qüery", "documents": ["dóc"], "summary": "sümmary", '
+            '"meta": {"ranks": [null], "from": "日本"}}\n',
+        ),
+    }
+    for name, (save, load, item, line) in golden.items():
+        path = tmp_path / name
+        save([item, item], path)
+        assert path.read_bytes() == (line * 2).encode("utf-8")
+        path.write_text("\n" + line + "  \n\n" + line, encoding="utf-8")
+        assert load(path) == [item, item]
+    # A triplet line without ``meta`` reads back with an empty one.
+    path = tmp_path / "bare.jsonl"
+    path.write_text('{"query": "q", "documents": ["d"], "summary": "s"}\n', encoding="utf-8")
+    assert load_triplets(path) == [Triplet("q", ["d"], "s")]

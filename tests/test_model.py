@@ -483,6 +483,18 @@ class TestDecoderAndForward:
         b = model.loss(inp).item()
         assert a == b
 
+    def test_dropout_runs_iff_rng_given(self):
+        model, inp = self.model_and_input(dropout=0.1)
+        plain = model.loss_sum(inp)[0].item()
+        assert model.loss_sum(inp)[0].item() == plain
+        first = model.loss_sum(inp, rng=np.random.default_rng(3))[0].item()
+        second = model.loss_sum(inp, rng=np.random.default_rng(3))[0].item()
+        assert first == second != plain
+
+        model, inp = self.model_and_input(dropout=0.0)
+        plain = model.loss_sum(inp)[0].item()
+        assert model.loss_sum(inp, rng=np.random.default_rng(3))[0].item() == plain
+
     def test_permutation_equivariance_with_ordering(self):
         model, inp = self.model_and_input(
             use_ordering=True, use_hierarchical_merge=True, seed=4
