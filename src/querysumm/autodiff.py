@@ -89,11 +89,17 @@ def _node(values, parents, backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` into ``t.grad``.  The first gradient is copied into a fresh
+    ``np.empty_like(t.values)`` rather than added to zeros: the layout (and
+    so every later BLAS call) is the one ``zeros_like`` gave, adding +0.0
+    turns -0.0 into +0.0 as the zero fill did, and no two tensors ever share
+    a gradient array."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+    else:
+        t.grad += g
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -214,7 +220,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     )
     out_values = x.values @ weight.values
     if bias is not None:
-        out_values = out_values + bias.values
+        out_values += bias.values
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g):
@@ -298,22 +304,32 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis.
 
     ``mask`` is boolean, broadcastable to ``a``; masked positions get
-    probability exactly 0.  Rows with no valid position come out all-zero
-    rather than NaN.
+    probability exactly 0.  Rows with no valid position, or with a NaN, come
+    out all-zero rather than NaN.  Forward and backward each fill one fresh
+    buffer in place.
     """
     x = a.values
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        x = np.where(mask, x, -np.inf)
+        x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
+        _shape_check(x.shape == a.shape, "softmax", a.shape, np.shape(mask))
     x_max = np.max(x, axis=-1, keepdims=True)
-    x_max = np.where(np.isfinite(x_max), x_max, 0.0)
-    e = np.exp(x - x_max)
-    z = e.sum(axis=-1, keepdims=True)
-    p = np.where(z > 0, e / np.where(z > 0, z, 1.0), 0.0)
+    x_max[~np.isfinite(x_max)] = 0.0
+    # The masked copy, when there is one, is the buffer p is computed in.
+    p = np.subtract(x, x_max, out=None if x is a.values else x)
+    np.exp(p, out=p)
+    z = p.sum(axis=-1, keepdims=True)
+    empty = ~(z > 0)  # fully masked (or NaN) rows
+    if empty.any():
+        z[empty] = 1.0
+        p[empty[..., 0]] = 0.0
+    p /= z
 
     def bw(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        d = g * p
+        inner = d.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=d)
+        d *= p
+        _accumulate(a, d)
 
     return _node(p, (a,), bw)
 
@@ -330,10 +346,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         bias.shape,
     )
     x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
 
     def bw(g):
         dxhat = g * gain.values

@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import data as dataforge
-from .data import load_articles, load_ir_records, load_triplets, save_triplets
+from .data import load_articles, load_ir_records, load_triplets, save_triplets, write_jsonl
 from .decoding import DecodeConfig
 from .evaluation import (
     TRANSFER_DECODE_DEFAULTS,
@@ -147,9 +147,8 @@ def cmd_build_qmdsir(args) -> int:
     kept, rejected = dataforge.filter_qmdsir(records)
     save_triplets(kept, args.out)
     if args.reject_log:
-        with open(args.reject_log, "w", encoding="utf-8") as fh:
-            for idx, reason in rejected:
-                fh.write(json.dumps({"record": idx, "reason": reason}) + "\n")
+        rows = ({"record": idx, "reason": reason} for idx, reason in rejected)
+        write_jsonl(rows, args.reject_log)
     print(f"kept {len(kept)} of {len(records)} records ({len(rejected)} rejected)")
     return EXIT_OK
 
@@ -204,10 +203,11 @@ def _decode_config(args) -> DecodeConfig:
 def cmd_decode(args) -> int:
     model, vocab, _ = load_model_checkpoint(args.ckpt)
     triplets = load_triplets(args.input)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row_id, ids in decode_triplets(model, triplets, vocab, _decode_config(args)):
-            summary = " ".join(vocab.decode(ids))
-            fh.write(json.dumps({"id": row_id, "summary": summary}, ensure_ascii=False) + "\n")
+    decoded = decode_triplets(model, triplets, vocab, _decode_config(args))
+    write_jsonl(
+        ({"id": row_id, "summary": " ".join(vocab.decode(ids))} for row_id, ids in decoded),
+        args.out,
+    )
     print(f"decoded {len(triplets)} triplets to {args.out}")
     return EXIT_OK
 

@@ -357,7 +357,8 @@ def _read_jsonl(path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def _write_jsonl(rows, path) -> None:
+def write_jsonl(rows, path) -> None:
+    """One ``json.dumps`` line per row, non-ASCII kept as UTF-8."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
@@ -370,7 +371,7 @@ def load_articles(path) -> list[Article]:
 
 
 def save_articles(articles: list[Article], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         (
             {"id": a.id, "title": a.title, "paragraphs": a.paragraphs, "summary": a.summary}
             for a in articles
@@ -387,7 +388,7 @@ def load_ir_records(path) -> list[IrRecord]:
 
 
 def save_ir_records(records: list[IrRecord], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         (
             {
                 "query": r.query,
@@ -409,7 +410,7 @@ def load_triplets(path) -> list[Triplet]:
 
 
 def save_triplets(triplets: list[Triplet], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         (
             {"query": t.query, "documents": t.documents, "summary": t.summary, "meta": t.meta}
             for t in triplets

@@ -120,8 +120,17 @@ def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None
 
 
 def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
+    """Model, vocabulary and manifest of a checkpoint.  A manifest without
+    ``model_config`` or ``vocab``, or whose ``model_config`` ``ModelConfig``
+    rejects, raises a ``ValueError`` naming ``path``."""
     arrays, meta = load_arrays(path)
-    config = ModelConfig(**meta["model_config"])
+    for field in ("model_config", "vocab"):
+        if field not in meta:
+            raise ValueError(f"{path}: checkpoint manifest has no {field!r}")
+    try:
+        config = ModelConfig(**meta["model_config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model_config: {exc}") from exc
     vocab = Vocabulary(meta["vocab"])
     model = SummModel(config, seed=0, dtype=dtype)
     _load_weights(model, arrays, path)
@@ -204,6 +213,9 @@ def train(
                 backward(loss_sum)
                 total_loss += loss_sum.item()
                 total_count += count
+                # Free this example's graph (activations and every node's
+                # gradient) before the next forward builds its own.
+                del loss_sum
         if not np.isfinite(total_loss):
             raise NumericalAbort(step, f"non-finite loss {total_loss}")
         for p in model.params.values():

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
 from querysumm import autodiff as ad
 from querysumm.autodiff import ShapeError, backward
+from querysumm.model import SummModel, prepare_input
 from querysumm.optim import grad_check
 
 
@@ -322,3 +324,154 @@ def test_only_node_tensor_and_parameter_construct_tensors():
     finder = Constructors()
     finder.visit(ast.parse(Path(ad.__file__).read_text()))
     assert set(finder.callers) == {"_node", "tensor", "parameter"}
+
+
+# --- oracles for the hot-path primitives ------------------------------------
+
+
+def oracle_accumulate(t, g):
+    """``_accumulate`` as first written: zero-fill, then add."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    t.grad += g
+
+
+def oracle_softmax(a, mask=None):
+    """Masked softmax as first written, with fresh arrays at every step."""
+    x = a.values
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        x = np.where(mask, x, -np.inf)
+    x_max = np.max(x, axis=-1, keepdims=True)
+    x_max = np.where(np.isfinite(x_max), x_max, 0.0)
+    e = np.exp(x - x_max)
+    z = e.sum(axis=-1, keepdims=True)
+    p = np.where(z > 0, e / np.where(z > 0, z, 1.0), 0.0)
+
+    def bw(g):
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        ad._accumulate(a, p * (g - inner))
+
+    return ad._node(p, (a,), bw)
+
+
+SOFTMAX_CASES = (
+    "key-mask",
+    "causal-cached-keys",
+    "fully-masked-rows",
+    "nan-row",
+    "swapaxes-parent",
+)
+
+
+def _softmax_case(name, dtype):
+    """(leaf values, mask) for one oracle case; the "swapaxes-parent" leaf
+    is stored transposed and read through a non-contiguous view."""
+    rng = np.random.default_rng(sorted(SOFTMAX_CASES).index(name))
+    x = rng.standard_normal((2, 3, 5, 7)).astype(dtype) * 4
+    mask = None
+    if name == "key-mask":
+        mask = rng.random((2, 1, 1, 7)) > 0.3
+        mask[..., 0] = True
+    elif name == "causal-cached-keys":
+        # 5 new queries over 7 keys, the first 2 cached: query i sees keys <= i + 2.
+        mask = np.tril(np.ones((5, 7), dtype=bool), k=2)
+    elif name == "fully-masked-rows":
+        mask = np.ones((2, 3, 5, 7), dtype=bool)
+        mask[0, 1, 2] = False
+        mask[1, :, 4] = False
+    elif name == "nan-row":
+        x[1, 2, 3, 4] = np.nan
+        mask = np.ones((7,), dtype=bool)
+    elif name == "swapaxes-parent":
+        x = x.swapaxes(-1, -2).copy()  # the view below restores (2, 3, 5, 7)
+        mask = rng.random((2, 1, 1, 7)) > 0.3
+    return x, mask
+
+
+def _run_softmax(softmax, name, dtype):
+    x_values, mask = _softmax_case(name, dtype)
+    x = ad.parameter(x_values, dtype)
+    # A non-leaf parent, so the softmax's own gradient lands on a node.
+    a = ad.swapaxes(x, -1, -2) if name == "swapaxes-parent" else ad.mul(x, ad.tensor(1.0, dtype))
+    out = softmax(a, mask)
+    w = np.random.default_rng(99).standard_normal(out.shape).astype(dtype)
+    backward(ad.tsum(ad.mul(out, ad.tensor(w, dtype))))
+    return out.values, a.grad, x.grad
+
+
+class TestHotPathOracles:
+    """The in-place softmax and the first-gradient store must give the same
+    bytes, with the same layout, as the straightforward forms above."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", SOFTMAX_CASES)
+    def test_softmax_and_accumulate_match_oracle_bytes(self, name, dtype, monkeypatch):
+        got = _run_softmax(ad.softmax, name, dtype)
+        monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
+        want = _run_softmax(oracle_softmax, name, dtype)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.strides == w.strides
+            assert g.tobytes() == w.tobytes()
+        if name == "fully-masked-rows":
+            assert not got[0][0, 1, 2].any() and not got[0][1, :, 4].any()
+        if name == "nan-row":
+            assert not got[0][1, 2, 3].any() and np.isfinite(got[1]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_query_encoder_model_gradients_match_oracle_bytes(
+        self, small_triplets, small_vocab, dtype, monkeypatch
+    ):
+        cfg = tiny_config(
+            len(small_vocab),
+            use_query_encoder=True,
+            query_layers=1,
+            baseline_query_prepend=False,
+            dropout=0.1,
+        )
+        inp = prepare_input(small_triplets[0], small_vocab, cfg)
+
+        def run():
+            model = SummModel(cfg, seed=3, dtype=dtype)
+            # Off their init, so layer norms have gains other than 1.
+            noise = np.random.default_rng(5)
+            for p in model.params.values():
+                p.values += 0.1 * noise.standard_normal(p.shape).astype(dtype)
+            loss, _ = model.loss_sum(inp, rng=np.random.default_rng(4))
+            backward(loss)
+            # Every node's gradient, parameters included, in graph order.
+            return loss.values, [t.grad for t in ad._topo_order(loss)]
+
+        loss, grads = run()
+        monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
+        monkeypatch.setattr(ad, "softmax", oracle_softmax)
+        want_loss, want_grads = run()
+        assert loss.tobytes() == want_loss.tobytes()
+        assert len(grads) == len(want_grads)
+        for g, w in zip(grads, want_grads):
+            assert g.dtype == w.dtype and g.strides == w.strides
+            assert g.tobytes() == w.tobytes()
+
+
+def test_backward_leaves_no_two_gradients_sharing_memory():
+    """Reused subexpressions through every view-passing primitive: each
+    ``.grad`` is its own array, laid out as ``np.zeros_like(values)``."""
+    rng = np.random.default_rng(7)
+    x, y, bias = rand(rng, 3, 4), rand(rng, 3, 4), rand(rng, 4)
+    s = ad.add(x, y)  # both operands get add's upstream gradient
+    t = ad.add(s, s)
+    u = ad.mul(ad.add(t, bias), x)
+    v = ad.swapaxes(ad.reshape(u, (4, 3)), 0, 1)  # non-contiguous values
+    c = ad.concat([v, s, ad.reshape(x, (3, 4))], axis=0)
+    top, rest = ad.split(c, [5, 4], axis=0)
+    loss = ad.add(ad.tsum(ad.mul(top, top)), ad.tsum(ad.relu(rest)))
+    backward(loss)
+    tensors = ad._topo_order(loss)
+    assert not v.values.flags.c_contiguous
+    for i, a in enumerate(tensors):
+        ref = np.zeros_like(a.values)
+        assert a.grad.dtype == ref.dtype and a.grad.strides == ref.strides
+        for b in tensors[i + 1 :]:
+            assert not np.shares_memory(a.grad, b.grad)

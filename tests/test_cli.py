@@ -1,12 +1,21 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from querysumm import autodiff as ad
 from querysumm import cli, training
 from querysumm.checkpoint import load_arrays, save_arrays
-from querysumm.data import load_triplets, save_articles, save_ir_records, save_triplets
+from querysumm.data import (
+    Triplet,
+    load_triplets,
+    save_articles,
+    save_ir_records,
+    save_triplets,
+)
+from querysumm.model import ModelConfig, SummModel
 from querysumm.synthetic import make_articles, make_ir_records
+from querysumm.text import Vocabulary
 from querysumm.training import NumericalAbort
 
 
@@ -75,6 +84,91 @@ class TestDatasetCommands:
 
     def test_missing_file_is_validation_error(self, workdir, capsys):
         assert run("stats", "--in", "nope.jsonl") == cli.EXIT_VALIDATION
+
+
+def untrained_checkpoint(path, **meta_edits):
+    """A d=16 model's weights with the manifest ``save_model_checkpoint``
+    writes, then ``meta_edits`` applied (``None`` deletes a field)."""
+    tokens = ["alpha", "beta", "café", "naïve"]
+    vocab = Vocabulary(tokens)
+    config = ModelConfig(
+        vocab_size=len(vocab), d_model=16, ffn_hidden=32, heads=2, local_layers=1,
+        query_layers=0, global_layers=1, max_doc_tokens=20, max_docs=2, max_summary_tokens=10,
+    )
+    meta = {"model_config": asdict(config), "vocab": tokens, "step": 0}
+    for field, value in meta_edits.items():
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+    save_arrays(path, SummModel(config, seed=0).state_arrays(), meta)
+    return vocab
+
+
+def one_triplet_file(path):
+    save_triplets([Triplet("alpha query", ["alpha beta"], "beta", {"source_id": "q1"})], path)
+
+
+class TestJsonlOutputs:
+    def test_decode_golden_lines(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        vocab = untrained_checkpoint("model.ckpt")
+        one_triplet_file("triplets.jsonl")
+        ids = vocab.encode(["café", "naïve", "alpha"])
+        monkeypatch.setattr(cli, "decode_triplets", lambda *a: iter([("q1", ids), (3, [])]))
+        assert run("decode", "--ckpt", "model.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == 0
+        with open("decodes.jsonl", encoding="utf-8") as fh:
+            assert fh.read() == (
+                '{"id": "q1", "summary": "café naïve alpha"}\n{"id": 3, "summary": ""}\n'
+            )
+
+    def test_reject_log_golden_lines(self, workdir, monkeypatch):
+        rejected = [(1, "sentence_coverage_below_threshold"), (4, "réponse_absente")]
+        monkeypatch.setattr(cli.dataforge, "filter_qmdsir", lambda records: ([], rejected))
+        assert run("build-qmdsir", "--records", "records.jsonl",
+                   "--out", "ir.jsonl", "--reject-log", "rej.jsonl") == 0
+        with open("rej.jsonl", encoding="utf-8") as fh:
+            assert fh.read() == (
+                '{"record": 1, "reason": "sentence_coverage_below_threshold"}\n'
+                '{"record": 4, "reason": "réponse_absente"}\n'
+            )
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize(
+        "edits, named",
+        [
+            ({"model_config": None}, "'model_config'"),
+            ({"vocab": None}, "'vocab'"),
+        ],
+        ids=["no-model-config", "no-vocab"],
+    )
+    def test_missing_field_names_path_and_field(self, tmp_path, monkeypatch, capsys, edits, named):
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("bad.ckpt", **edits)
+        one_triplet_file("triplets.jsonl")
+        for command in (["decode", "--out", "decodes.jsonl"], ["evaluate"]):
+            argv = [command[0], "--ckpt", "bad.ckpt", "--in", "triplets.jsonl", *command[1:]]
+            assert run(*argv) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "bad.ckpt" in err and named in err
+
+    def test_unknown_model_config_field_names_path_and_field(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        vocab = untrained_checkpoint("ok.ckpt")
+        arrays, meta = load_arrays("ok.ckpt")
+        meta["model_config"]["future_field"] = 1
+        save_arrays("future.ckpt", arrays, meta)
+        one_triplet_file("triplets.jsonl")
+        for command in (["decode", "--out", "decodes.jsonl"], ["evaluate"]):
+            argv = [command[0], "--ckpt", "future.ckpt", "--in", "triplets.jsonl", *command[1:]]
+            assert run(*argv) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "future.ckpt" in err and "future_field" in err
+        # The checkpoint it was edited from loads.
+        model, loaded, _ = training.load_model_checkpoint("ok.ckpt")
+        assert loaded.id_to_token == vocab.id_to_token
 
 
 class TestModelCommands:

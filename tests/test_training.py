@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ class TestTrainLoop:
             assert arrays[f"opt/m.{name}"].shape == p.values.shape
             assert arrays[f"opt/v.{name}"].shape == p.values.shape
         assert result.val_scores and result.val_scores[-1][0] == 4
+
+    def test_each_example_graph_is_freed_before_the_next_forward(self, tmp_path, monkeypatch):
+        # A live graph holds every activation and node gradient of its
+        # example; the next forward must not run on top of it.
+        trips, vocab, model = setup_uniform(dropout=0.1)
+        live, real_loss_sum = [], SummModel.loss_sum
+
+        def loss_sum(self, inp, rng=None):
+            assert all(ref() is None for ref in live), "previous example's graph is alive"
+            loss, count = real_loss_sum(self, inp, rng=rng)
+            live.append(weakref.ref(loss.values))
+            return loss, count
+
+        monkeypatch.setattr(SummModel, "loss_sum", loss_sum)
+        cfg = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path), batch_tokens=128, accum_steps=2,
+            val_interval=2, seed=0, base_lr=1.0, warmup=50,
+        )
+        train(model, cfg, trips, [], vocab)
+        assert len(live) > cfg.steps * cfg.accum_steps  # several examples per micro-batch
 
     def test_accumulation_matches_single_large_batch(self, tmp_path):
         # 64-bit, dropout off: 4 accumulated micro-batches of 2 examples must
