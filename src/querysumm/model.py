@@ -107,24 +107,36 @@ def joint_flags(dataset: str) -> dict:
     raise ValueError(f"unknown dataset family {dataset!r}")
 
 
+def real_documents(token_mask) -> np.ndarray:
+    """(N,) bool: a document is real iff it holds a real token."""
+    return np.asarray(token_mask, dtype=bool).any(axis=-1)
+
+
 @dataclass
 class ModelInput:
-    doc_ids: np.ndarray  # (N, T) padded with PAD_ID
-    token_mask: np.ndarray  # (N, T) bool
-    doc_mask: np.ndarray  # (N,) bool
+    """Encoder input as ids only.  A token is real iff its id is not
+    ``PAD_ID``; every encoder mask derives from that rule, so padding is
+    stated once, in ``doc_ids``."""
+
+    doc_ids: np.ndarray  # (N, T), each document padded with PAD_ID
     query_ids: np.ndarray  # (Tq,), read by the query encoder only
     target_ids: np.ndarray | None = None  # summary ids, no specials
+
+    @property
+    def token_mask(self) -> np.ndarray:
+        """(N, T) bool, True at the real tokens of ``doc_ids``."""
+        return self.doc_ids != PAD_ID
 
 
 @dataclass
 class EncodedBatch:
+    """Encoder output: the decoder reads ``memory`` under ``memory_mask``,
+    True at the real tokens of the flattened (N*T) document grid."""
+
     token_states: Tensor  # final global-layer output (N, T, d)
     local_states: Tensor  # final local-layer output (N, T, d)
-    doc_vectors: Tensor  # pooled per-document vectors from the last global layer
     memory: Tensor  # flattened decoder memory (N*T, d)
-    token_mask: np.ndarray
-    doc_mask: np.ndarray
-    memory_mask: np.ndarray
+    memory_mask: np.ndarray  # (N*T,) bool
     ordering: Tensor | None = None  # importance scores r (N,), only with ordering on
 
 
@@ -150,16 +162,11 @@ def prepare_input(triplet, vocab: Vocabulary, config: ModelConfig) -> ModelInput
             dtype=np.int64,
         )
     width = max(1, max((len(ids) for ids in doc_ids), default=1))
-    n = len(doc_ids)
-    ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    mask = np.zeros((n, width), dtype=bool)
+    ids = np.full((len(doc_ids), width), PAD_ID, dtype=np.int64)
     for i, row in enumerate(doc_ids):
         ids[i, : len(row)] = row
-        mask[i, : len(row)] = True
     return ModelInput(
         doc_ids=ids,
-        token_mask=mask,
-        doc_mask=np.ones(n, dtype=bool),
         query_ids=np.asarray(query_ids, dtype=np.int64),
         target_ids=target,
     )
@@ -298,7 +305,8 @@ class MultiHeadPooling:
     """Reduce token states (..., T, d) to one vector (..., d): per head, a
     learned scalar score per token is softmax-normalized (masked) and used
     to average per-head value projections; heads are concatenated and
-    projected back to d_model."""
+    projected back to d_model.  A fully masked row averages nothing and
+    pools to ``out(0)``, the output bias."""
 
     def __init__(self, store, name, d_model, heads):
         self.heads = heads
@@ -308,14 +316,12 @@ class MultiHeadPooling:
         self.value = Linear(store, f"{name}.value", d_model, d_model)
         self.out = Linear(store, f"{name}.out", d_model, d_model)
 
-    def __call__(self, x: Tensor, mask=None, allow_empty=False):
+    def __call__(self, x: Tensor, mask=None):
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if not allow_empty and not mask.any(axis=-1).all():
-                raise ValueError("multi-head pooling over fully masked tokens")
+            mask = np.asarray(mask, dtype=bool)[..., None, :]
         *lead, t, d = x.shape
         scores = ad.swapaxes(self.score(x), -1, -2)  # (..., H, T)
-        attn = ad.softmax(scores, None if mask is None else mask[..., None, :])
+        attn = ad.softmax(scores, mask)
         v = ad.swapaxes(
             ad.reshape(self.value(x), (*lead, t, self.heads, self.dk)), -2, -3
         )  # (..., H, T, dk)
@@ -376,7 +382,7 @@ class QueryLayer:
     def __call__(self, x, query_states, token_mask, rng=None):
         ctx = self.wv(self.pool(query_states))  # (d,)
         n, t, _ = x.shape
-        real = np.asarray(token_mask, dtype=bool).any(axis=-1)  # (N,)
+        real = real_documents(token_mask)
         ctx = ad.mul(ad.tensor(real[:, None], dtype=x.dtype), ad.reshape(ctx, (1, -1)))
         a = _broadcast_vector(self.wo(ctx), n, t, x.dtype)  # wo per document, not per token
         o1 = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
@@ -388,7 +394,8 @@ class GlobalLayer:
     """Cross-document layer: pool each document to a vector, run
     inter-document attention over the vectors, then fold each document's
     context back into its token states via a concat + projection, residual
-    and FFN."""
+    and FFN.  Inter-document attention sees only real documents, those with
+    a real token in ``token_mask``."""
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.pool = MultiHeadPooling(store, f"{name}.pool", cfg.d_model, cfg.heads)
@@ -399,12 +406,12 @@ class GlobalLayer:
         self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
         self.rate = cfg.dropout
 
-    def __call__(self, x, token_mask, doc_mask, rng=None):
-        doc_mask = np.asarray(doc_mask, dtype=bool)
+    def __call__(self, x, token_mask, rng=None):
+        doc_mask = real_documents(token_mask)
         if not doc_mask.any():
             raise ValueError("global layer needs at least one real document")
         n, t, d = x.shape
-        doc_vectors = self.pool(x, token_mask, allow_empty=True)  # (N, d)
+        doc_vectors = self.pool(x, token_mask)  # (N, d)
         seq = ad.reshape(doc_vectors, (1, n, d))
         ctx, _ = self.inter(seq, seq, seq, key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
@@ -522,25 +529,25 @@ class SummModel:
 
     def encode(self, inp: ModelInput, rng=None) -> EncodedBatch:
         cfg = self.config
+        token_mask = inp.token_mask
         x = self.embed_inputs(inp)
         x = ad.dropout(x, cfg.dropout, rng)
         for layer in self.local:
-            x = layer(x, inp.token_mask, rng)
+            x = layer(x, token_mask, rng)
         local_states = x
         if cfg.use_query_encoder:
             q = self.embed_query(inp.query_ids)
             q = ad.dropout(q, cfg.dropout, rng)
             for layer in self.query:
-                x = layer(x, q, inp.token_mask, rng)
-        doc_vectors = None
+                x = layer(x, q, token_mask, rng)
         for layer in self.globals_:
-            x, doc_vectors = layer(x, inp.token_mask, inp.doc_mask, rng)
+            x, doc_vectors = layer(x, token_mask, rng)
         token_states = x
 
         r = None
         branch = token_states
         if cfg.use_ordering:
-            r = self.ordering(doc_vectors, inp.doc_mask)
+            r = self.ordering(doc_vectors, real_documents(token_mask))
             n, t, d = token_states.shape
             pe = ordering_encoding(r, d)
             pe_b = _broadcast_vector(pe, n, t, self.dtype)
@@ -553,11 +560,8 @@ class SummModel:
         return EncodedBatch(
             token_states=token_states,
             local_states=local_states,
-            doc_vectors=doc_vectors,
             memory=memory,
-            token_mask=inp.token_mask,
-            doc_mask=inp.doc_mask,
-            memory_mask=inp.token_mask.reshape(-1),
+            memory_mask=token_mask.reshape(-1),
             ordering=r,
         )
 

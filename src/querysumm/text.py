@@ -70,22 +70,6 @@ class Vocabulary:
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
-    def save(self, path) -> None:
-        """Write one token per line; the first five lines are the reserved
-        markers, so a content token with id ``i`` sits ``i - 5`` lines after
-        them."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for token in self.id_to_token:
-                fh.write(token + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        if lines[:5] != RESERVED:
-            raise ValueError(f"vocabulary file {path} lacks the reserved header")
-        return cls(lines[5:])
-
 
 def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
     """Build a vocabulary from tokenized sequences.

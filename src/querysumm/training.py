@@ -121,8 +121,9 @@ def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None
 
 def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
     """Model, vocabulary and manifest of a checkpoint.  A manifest without
-    ``model_config`` or ``vocab``, or whose ``model_config`` ``ModelConfig``
-    rejects, raises a ``ValueError`` naming ``path``."""
+    ``model_config`` or ``vocab``, whose ``model_config`` ``ModelConfig``
+    rejects, or whose ``vocab`` does not fill ``vocab_size`` raises a
+    ``ValueError`` naming ``path``."""
     arrays, meta = load_arrays(path)
     for field in ("model_config", "vocab"):
         if field not in meta:
@@ -132,6 +133,11 @@ def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model_config: {exc}") from exc
     vocab = Vocabulary(meta["vocab"])
+    if len(vocab) != config.vocab_size:
+        raise ValueError(
+            f"{path}: vocab holds {len(vocab)} ids but model_config.vocab_size"
+            f" is {config.vocab_size}"
+        )
     model = SummModel(config, seed=0, dtype=dtype)
     _load_weights(model, arrays, path)
     return model, vocab, meta

@@ -31,6 +31,7 @@ from .model import (
     sinusoid_table,
 )
 from .optim import grad_check
+from .text import PAD_ID
 
 TOLERANCE = 1e-4
 
@@ -41,7 +42,6 @@ def _toy_config(**flags) -> ModelConfig:
         ffn_hidden=16,
         heads=2,
         local_layers=1,
-        query_layers=1 if flags.get("use_query_encoder") else 0,
         global_layers=1,
         decoder_layers=1,
         dropout=0.0,
@@ -57,7 +57,7 @@ def _states(rng, shape):
     return ad.tensor(rng.standard_normal(shape), np.float64)
 
 
-def _token_mask(rng, n, t):
+def _token_mask(n, t):
     mask = np.ones((n, t), dtype=bool)
     mask[-1, -1] = False  # keep one padded position in play
     return mask
@@ -69,7 +69,7 @@ def check_local(seed=0) -> float:
     store = ParamStore(seed, np.float64)
     layer = LocalLayer(store, "local", cfg)
     x = _states(rng, (2, 4, cfg.d_model))
-    mask = _token_mask(rng, 2, 4)
+    mask = _token_mask(2, 4)
     w = rng.standard_normal((2, 4, cfg.d_model))
     loss = lambda: ad.tsum(ad.mul(layer(x, mask), ad.tensor(w, np.float64)))
     return grad_check(loss, store.params)
@@ -81,7 +81,7 @@ def check_pooling(seed=0) -> float:
     store = ParamStore(seed, np.float64)
     pool = MultiHeadPooling(store, "pool", cfg.d_model, cfg.heads)
     x = _states(rng, (2, 4, cfg.d_model))
-    mask = _token_mask(rng, 2, 4)
+    mask = _token_mask(2, 4)
     w = rng.standard_normal((2, cfg.d_model))
     loss = lambda: ad.tsum(ad.mul(pool(x, mask), ad.tensor(w, np.float64)))
     return grad_check(loss, store.params)
@@ -97,7 +97,7 @@ def check_query(seed=0) -> float:
     ids = np.array([5, 7, 6])
     pos = sinusoid_table(ids.size, cfg.d_model, np.float64)
     x = _states(rng, (2, 4, cfg.d_model))
-    mask = _token_mask(rng, 2, 4)
+    mask = _token_mask(2, 4)
     w = rng.standard_normal((2, 4, cfg.d_model))
 
     def loss():
@@ -118,11 +118,8 @@ def check_global(seed=0) -> float:
     mask = np.ones((5, 4), dtype=bool)
     mask[4, :] = False  # a fully padded document
     mask[1, 3] = False  # and one padded token
-    doc_mask = np.array([True, True, True, True, False])
     w = rng.standard_normal((5, 4, cfg.d_model))
-    loss = lambda: ad.tsum(
-        ad.mul(layer(x, mask, doc_mask)[0], ad.tensor(w, np.float64))
-    )
+    loss = lambda: ad.tsum(ad.mul(layer(x, mask)[0], ad.tensor(w, np.float64)))
     return grad_check(loss, store.params)
 
 
@@ -177,13 +174,9 @@ def check_decoder(seed=0) -> float:
 def _toy_input(rng, cfg) -> ModelInput:
     n, t = 2, 4
     ids = rng.integers(5, cfg.vocab_size, size=(n, t))
-    mask = np.ones((n, t), dtype=bool)
-    mask[1, 3] = False
-    ids[1, 3] = 0
+    ids[1, 3] = PAD_ID
     return ModelInput(
         doc_ids=ids.astype(np.int64),
-        token_mask=mask,
-        doc_mask=np.ones(n, dtype=bool),
         query_ids=np.array([6, 9], dtype=np.int64),
         target_ids=rng.integers(5, cfg.vocab_size, size=4).astype(np.int64),
     )

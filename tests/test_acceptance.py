@@ -108,8 +108,6 @@ def test_criterion_03_permutation_equivariance():
     rng = np.random.default_rng(0)
     inp = ModelInput(
         doc_ids=rng.integers(5, 80, size=(4, 6)).astype(np.int64),
-        token_mask=np.ones((4, 6), dtype=bool),
-        doc_mask=np.ones(4, dtype=bool),
         query_ids=np.array([7], dtype=np.int64),
         target_ids=rng.integers(5, 80, size=5).astype(np.int64),
     )
@@ -119,9 +117,7 @@ def test_criterion_03_permutation_equivariance():
     for _ in range(100):
         perm = rng.permutation(4)
         pinp = ModelInput(
-            doc_ids=inp.doc_ids[perm], token_mask=inp.token_mask[perm],
-            doc_mask=inp.doc_mask[perm], query_ids=inp.query_ids,
-            target_ids=inp.target_ids,
+            doc_ids=inp.doc_ids[perm], query_ids=inp.query_ids, target_ids=inp.target_ids,
         )
         loss = model.loss(pinp).item()
         r = model.encode(pinp).ordering.values
@@ -347,8 +343,6 @@ def test_criterion_10_decode_contracts():
         model = SummModel(cfg, seed=trial % 5)
         inp = ModelInput(
             doc_ids=rng.integers(5, vocab_size, size=(2, 6)).astype(np.int64),
-            token_mask=np.ones((2, 6), dtype=bool),
-            doc_mask=np.ones(2, dtype=bool),
             query_ids=np.array([6], dtype=np.int64),
         )
         enc = model.encode(inp)

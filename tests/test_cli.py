@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict
 
 import pytest
@@ -169,6 +170,18 @@ class TestMalformedManifest:
         # The checkpoint it was edited from loads.
         model, loaded, _ = training.load_model_checkpoint("ok.ckpt")
         assert loaded.id_to_token == vocab.id_to_token
+
+    def test_vocab_shorter_than_model_is_refused_before_decoding(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("short.ckpt", vocab=["alpha", "beta", "café"])
+        one_triplet_file("triplets.jsonl")
+        assert run("decode", "--ckpt", "short.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "short.ckpt" in err and "vocab_size" in err
+        assert not os.path.exists("decodes.jsonl")
 
 
 class TestModelCommands:

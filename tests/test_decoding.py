@@ -50,10 +50,7 @@ def dummy_enc():
     return EncodedBatch(
         token_states=None,
         local_states=None,
-        doc_vectors=None,
         memory=None,
-        token_mask=np.ones((1, 1), bool),
-        doc_mask=np.ones(1, bool),
         memory_mask=np.ones(1, bool),
     )
 
@@ -259,8 +256,6 @@ def real_model_and_encoding(seed, vocab_size=12, **kw):
     rng = np.random.default_rng(seed)
     inp = ModelInput(
         doc_ids=rng.integers(5, vocab_size, size=(2, 6)).astype(np.int64),
-        token_mask=np.ones((2, 6), dtype=bool),
-        doc_mask=np.ones(2, dtype=bool),
         query_ids=np.array([6], dtype=np.int64),
     )
     return model, model.encode(inp)

@@ -23,6 +23,7 @@ from querysumm.model import (
     joint_flags,
     ordering_encoding,
     prepare_input,
+    real_documents,
     sinusoid_table,
 )
 from querysumm.optim import AdamNoam
@@ -146,8 +147,6 @@ class TestEmbedInputs:
         ids = np.asarray(ids, dtype=np.int64)
         return ModelInput(
             doc_ids=ids,
-            token_mask=np.ones(ids.shape, dtype=bool),
-            doc_mask=np.ones(ids.shape[0], dtype=bool),
             query_ids=np.array([], dtype=np.int64),
         )
 
@@ -224,10 +223,13 @@ class TestLayers:
         ).values
         np.testing.assert_allclose(out, manual, atol=1e-12)
 
-    def test_pooling_all_masked_errors(self):
+    def test_pooling_all_masked_row_pools_to_output_bias(self):
         pool = MultiHeadPooling(self.store, "pool3", 8, 2)
-        with pytest.raises(ValueError):
-            pool(self.states(1, 3, 8), np.zeros((1, 3), dtype=bool))
+        pool.out.b.values[:] = self.rng.standard_normal(8)
+        mask = np.ones((2, 3), dtype=bool)
+        mask[1] = False
+        out = pool(self.states(2, 3, 8), mask).values
+        np.testing.assert_array_equal(out[1], pool.out.b.values)
 
     def test_query_layer_zeroed_value_projection_reduces_to_layer_norm(self):
         cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
@@ -268,17 +270,17 @@ class TestLayers:
         mask = np.ones((3, 4), dtype=bool)
         mask[2] = False
         doc_mask = np.array([True, True, False])
-        docvecs = layer.pool(x, mask, allow_empty=True)
+        docvecs = layer.pool(x, mask)
         seq = ad.reshape(docvecs, (1, 3, 8))
         _, attn = layer.inter(seq, seq, seq, key_mask=doc_mask[None, :])
         np.testing.assert_array_equal(attn.values[0, :, :, 2], 0.0)
-        out, vecs = layer(x, mask, doc_mask)
+        out, vecs = layer(x, mask)
         assert out.shape == x.shape and vecs.shape == (3, 8)
 
     def test_global_no_real_documents_errors(self):
         layer = GlobalLayer(self.store, "g3", self.cfg)
         with pytest.raises(ValueError):
-            layer(self.states(2, 3, 8), np.zeros((2, 3), bool), np.array([False, False]))
+            layer(self.states(2, 3, 8), np.zeros((2, 3), bool))
 
     def test_ordering_identical_vectors_split_evenly(self):
         scorer = OrderingScores(self.store, "o", 8)
@@ -373,8 +375,6 @@ class TestMergeAndMemory:
         rng = np.random.default_rng(5)
         return ModelInput(
             doc_ids=rng.integers(5, 40, size=(n, t)).astype(np.int64),
-            token_mask=np.ones((n, t), dtype=bool),
-            doc_mask=np.ones(n, dtype=bool),
             query_ids=np.array([6], dtype=np.int64),
             target_ids=np.array([7, 8, 9], dtype=np.int64),
         )
@@ -416,6 +416,37 @@ class TestMergeAndMemory:
         assert without.encode(inp).ordering is None
 
 
+class TestPaddedDocument:
+    def test_all_pad_document_is_no_document(self):
+        """An all-PAD row gets no inter-document attention, no ordering
+        score and no unmasked decoder memory."""
+        model = SummModel(
+            tiny_config(40, d_model=8, heads=2, global_layers=2, use_ordering=True,
+                        use_hierarchical_merge=True, baseline_query_prepend=False),
+            seed=2,
+            dtype=np.float64,
+        )
+        doc_ids = np.random.default_rng(3).integers(5, 40, size=(3, 5))
+        doc_ids[1] = PAD_ID
+        doc_ids[2, 3:] = PAD_ID
+        inter_attn = []
+        for layer in model.globals_:
+            def record(*args, inter=layer.inter, **kw):
+                out, attn = inter(*args, **kw)
+                inter_attn.append(attn.values)
+                return out, attn
+            layer.inter = record
+        enc = model.encode(ModelInput(doc_ids=doc_ids, query_ids=np.array([6])))
+        assert len(inter_attn) == 2
+        for attn in inter_attn:
+            assert np.all(attn[..., 1] == 0.0)
+            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+        r = enc.ordering.values
+        assert r[1] == 0.0 and r.sum() == pytest.approx(1.0)
+        np.testing.assert_array_equal(enc.memory_mask.reshape(3, 5), doc_ids != PAD_ID)
+        assert not enc.memory_mask.reshape(3, 5)[1].any()
+
+
 class TestDecoderAndForward:
     def model_and_input(self, seed=0, **kw):
         model = SummModel(
@@ -426,8 +457,6 @@ class TestDecoderAndForward:
         rng = np.random.default_rng(seed + 10)
         inp = ModelInput(
             doc_ids=rng.integers(5, 60, size=(2, 5)).astype(np.int64),
-            token_mask=np.ones((2, 5), dtype=bool),
-            doc_mask=np.ones(2, dtype=bool),
             query_ids=np.array([7, 8], dtype=np.int64),
             target_ids=rng.integers(5, 60, size=4).astype(np.int64),
         )
@@ -469,8 +498,6 @@ class TestDecoderAndForward:
             )
             inp = ModelInput(
                 doc_ids=rng.integers(5, vocab_size, size=(2, 6)).astype(np.int64),
-                token_mask=np.ones((2, 6), dtype=bool),
-                doc_mask=np.ones(2, dtype=bool),
                 query_ids=np.array([5], dtype=np.int64),
                 target_ids=rng.integers(5, vocab_size, size=5).astype(np.int64),
             )
@@ -506,8 +533,6 @@ class TestDecoderAndForward:
             perm = rng.permutation(2)
             pinp = ModelInput(
                 doc_ids=inp.doc_ids[perm],
-                token_mask=inp.token_mask[perm],
-                doc_mask=inp.doc_mask[perm],
                 query_ids=inp.query_ids,
                 target_ids=inp.target_ids,
             )
@@ -521,8 +546,6 @@ class TestDecoderAndForward:
         # distinct documents, swapped
         swapped = ModelInput(
             doc_ids=inp.doc_ids[::-1].copy(),
-            token_mask=inp.token_mask[::-1].copy(),
-            doc_mask=inp.doc_mask,
             query_ids=inp.query_ids,
             target_ids=inp.target_ids,
         )
@@ -551,14 +574,9 @@ class TestDecoderState:
         )
         model = SummModel(cfg, seed=seed, dtype=dtype)
         rng = np.random.default_rng(seed + 20)
-        mask = np.ones((3, 6), dtype=bool)
-        mask[2, 4:] = False  # padded memory rows must stay masked
-        inp = ModelInput(
-            doc_ids=rng.integers(5, 60, size=(3, 6)).astype(np.int64),
-            token_mask=mask,
-            doc_mask=np.ones(3, dtype=bool),
-            query_ids=np.array([7, 8], dtype=np.int64),
-        )
+        doc_ids = rng.integers(5, 60, size=(3, 6)).astype(np.int64)
+        doc_ids[2, 4:] = PAD_ID  # padded memory rows must stay masked
+        inp = ModelInput(doc_ids=doc_ids, query_ids=np.array([7, 8], dtype=np.int64))
         return model, model.encode(inp)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -603,8 +621,6 @@ class TestGraphFreeEncode:
         rng = np.random.default_rng(0)
         inp = ModelInput(
             doc_ids=rng.integers(5, 50, size=(8, 64)).astype(np.int64),
-            token_mask=np.ones((8, 64), dtype=bool),
-            doc_mask=np.ones(8, dtype=bool),
             query_ids=np.array([7, 8], dtype=np.int64),
         )
 
@@ -679,6 +695,41 @@ class TestPrepareInput:
         assert inp.doc_ids[inp.token_mask].min() >= 0
         assert np.all(inp.doc_ids[~inp.token_mask] == PAD_ID)
 
+    # Characters that both ``str.strip`` (Triplet's check) and ``tokenize``
+    # treat as whitespace.
+    SPACES = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "\x85"]
+    PUNCTUATION = ["?", "!!", "...", "«»", "—", "¿", "()"]
+    WORDS = PUNCTUATION + ["t5", "t17", "t39", "unseen", "é", "t6t7"]
+
+    def test_every_document_is_real_and_its_tokens_are_never_pad(self):
+        rng = np.random.default_rng(11)
+
+        def text(pool):
+            k = int(rng.integers(1, 30))
+            spaces = rng.choice(self.SPACES, size=k + 1)
+            return "".join(s + w for s, w in zip(spaces, rng.choice(pool, size=k))) + spaces[-1]
+
+        for _ in range(300):
+            n_docs = int(rng.integers(1, 6))
+            docs = [text(self.PUNCTUATION if rng.random() < 0.5 else self.WORDS)
+                    for _ in range(n_docs)]
+            query = text(self.WORDS) if rng.random() < 0.7 else ""
+            prepend = bool(rng.random() < 0.5)
+            limit, max_docs = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+            cfg = tiny_config(40, d_model=8, heads=2, max_doc_tokens=limit, max_docs=max_docs,
+                              baseline_query_prepend=prepend)
+            inp = prepare_input(Triplet(query, docs, "t5"), self.VOCAB, cfg)
+            lengths = [len(tokenize(d)) for d in docs[:max_docs]]
+            if prepend and tokenize(query):
+                lengths[0] += min(len(tokenize(query)), limit) + 1  # query and separator
+            lengths = np.minimum(lengths, limit)
+            assert inp.doc_ids.shape[0] == min(n_docs, max_docs)
+            assert real_documents(inp.token_mask).all()
+            for row, length in zip(inp.doc_ids, lengths):
+                assert length >= 1
+                assert np.all(row[:length] != PAD_ID)
+                assert np.all(row[length:] == PAD_ID)
+
     def test_empty_query_rejected_under_query_encoder(self):
         t = handmade_triplet()
         vocab = build_vocab([tokenize(d) for d in t.documents], 64)
@@ -694,8 +745,6 @@ class TestPrepareInput:
         model = SummModel(tiny_config(40, d_model=8, heads=2), seed=0)
         inp = ModelInput(
             doc_ids=np.array([[5, 6]], dtype=np.int64),
-            token_mask=np.ones((1, 2), bool),
-            doc_mask=np.ones(1, bool),
             query_ids=np.array([5], dtype=np.int64),
         )
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 from querysumm.text import (
     RESERVED,
     UNK_ID,
-    Vocabulary,
     build_vocab,
     split_sentences,
     tokenize,
@@ -96,13 +95,3 @@ class TestVocabulary:
             build_vocab([], 10)
         with pytest.raises(ValueError):
             build_vocab([["a"]], 5)
-
-    def test_file_roundtrip(self, tmp_path):
-        v = build_vocab([["cat", "dog", "cat", "emu"]], 9)
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[:5] == RESERVED
-        assert lines[5] == v.id_to_token[5]
-        v2 = Vocabulary.load(path)
-        assert v2.id_to_token == v.id_to_token
