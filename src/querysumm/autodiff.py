@@ -3,7 +3,8 @@
 A ``Tensor`` wraps an ndarray plus an optional gradient and a closure that
 pushes incoming gradients to its parents.  Graphs are built eagerly by the
 primitive functions below and differentiated by ``backward``, which walks
-the (acyclic) parent graph in reverse topological order.
+the (acyclic) parent graph in reverse topological order and releases each
+node as soon as its gradient has been passed on.
 
 Every primitive builds its result through ``_node``, the one place that
 decides whether it joins the graph; inside ``with no_grad():`` none does, so
@@ -119,20 +120,43 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _release(node: Tensor) -> None:
+    """Cut a differentiated node out of its graph: its gradient, backward
+    closure and parent links go, and it no longer requires a gradient, so
+    it is a constant from now on."""
+    node.grad = None
+    node.backward_fn = None
+    node.parents = ()
+    node.requires_grad = False
+
+
 def backward(root: Tensor, grad=None) -> None:
     """Accumulate d(root)/d(leaf) into every reachable ``requires_grad``
-    leaf.  ``grad`` seeds the root cotangent (defaults to ones).  A root
-    without a graph (e.g. built under ``no_grad``) raises ``ValueError``."""
+    leaf.  ``grad`` seeds the root cotangent (defaults to ones).
+
+    ``backward`` consumes the graph: each non-leaf node is released once its
+    backward closure has run (reverse topological order means every
+    consumer has already read its gradient and values), so a graph's memory
+    falls as it is differentiated.  A root without a graph, whether built
+    under ``no_grad`` or already consumed, raises ``ValueError``."""
     if not root.requires_grad:
-        raise ValueError("backward: root has no graph (built under no_grad or from constants)")
+        raise ValueError(
+            "backward: root has no graph (built under no_grad, from constants, "
+            "or already consumed by backward)"
+        )
     if grad is None:
         grad = np.ones_like(root.values)
     root.grad = np.asarray(grad, dtype=root.values.dtype) + (
         0 if root.grad is None else root.grad
     )
-    for node in reversed(_topo_order(root)):
-        if node.backward_fn is not None and node.grad is not None:
+    order = _topo_order(root)
+    while order:
+        node = order.pop()
+        if node.backward_fn is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node.backward_fn(node.grad)
+        _release(node)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -300,6 +324,40 @@ def cos(a: Tensor) -> Tensor:
     return _node(np.cos(a.values), (a,), lambda g: _accumulate(a, g * -np.sin(a.values)))
 
 
+def _softmax_values(x: np.ndarray, mask, op: str, owned: bool = False) -> np.ndarray:
+    """Masked softmax of ``x`` over the last axis, computed in one buffer:
+    the masked copy when there is a mask, else ``x`` itself if the caller
+    ``owned`` it, else a fresh array.  Masked positions get probability
+    exactly 0; rows with no valid position, or with a NaN, come out
+    all-zero rather than NaN."""
+    if mask is not None:
+        shape = x.shape
+        x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
+        _shape_check(x.shape == shape, op, shape, np.shape(mask))
+        owned = True
+    x_max = np.max(x, axis=-1, keepdims=True)
+    x_max[~np.isfinite(x_max)] = 0.0
+    p = np.subtract(x, x_max, out=x if owned else None)
+    np.exp(p, out=p)
+    z = p.sum(axis=-1, keepdims=True)
+    empty = ~(z > 0)  # fully masked (or NaN) rows
+    if empty.any():
+        z[empty] = 1.0
+        p[empty[..., 0]] = 0.0
+    p /= z
+    return p
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient through ``p = softmax(x)``: ``p * (g - sum(g * p))`` in one
+    fresh buffer."""
+    d = g * p
+    inner = d.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=d)
+    d *= p
+    return d
+
+
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis.
 
@@ -308,30 +366,48 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     out all-zero rather than NaN.  Forward and backward each fill one fresh
     buffer in place.
     """
-    x = a.values
-    if mask is not None:
-        x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
-        _shape_check(x.shape == a.shape, "softmax", a.shape, np.shape(mask))
-    x_max = np.max(x, axis=-1, keepdims=True)
-    x_max[~np.isfinite(x_max)] = 0.0
-    # The masked copy, when there is one, is the buffer p is computed in.
-    p = np.subtract(x, x_max, out=None if x is a.values else x)
-    np.exp(p, out=p)
-    z = p.sum(axis=-1, keepdims=True)
-    empty = ~(z > 0)  # fully masked (or NaN) rows
-    if empty.any():
-        z[empty] = 1.0
-        p[empty[..., 0]] = 0.0
-    p /= z
+    p = _softmax_values(a.values, mask, "softmax")
+    return _node(p, (a,), lambda g: _accumulate(a, _softmax_grad(g, p)))
+
+
+def attention_weights(
+    q: Tensor, k: Tensor, scale: float, mask: np.ndarray | None = None
+) -> Tensor:
+    """``softmax(scale * q @ kᵀ, mask)`` as one node that keeps only the
+    probabilities, not the raw or scaled scores.
+
+    ``q`` is (..., Tq, dk) and ``k`` (..., Tk, dk) with the same number of
+    axes; each leading dim of ``k`` equals ``q``'s or is 1, in which case it
+    is shared across that axis.  ``mask`` is as for ``softmax``.  Values and
+    gradients are bit-identical to ``softmax(scale(matmul(q, swapaxes(k,
+    -1, -2)), scale), mask)``.
+    """
+    qv, kv = q.values, k.values
+    _shape_check(
+        qv.ndim == kv.ndim >= 2
+        and qv.shape[-1] == kv.shape[-1]
+        and all(nk in (1, nq) for nq, nk in zip(qv.shape[:-2], kv.shape[:-2])),
+        "attention_weights",
+        qv.shape,
+        kv.shape,
+    )
+    kt = kv.swapaxes(-1, -2)
+    scores = qv @ kt
+    scores *= scale
+    p = _softmax_values(scores, mask, "attention_weights", owned=True)
 
     def bw(g):
-        d = g * p
-        inner = d.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=d)
-        d *= p
-        _accumulate(a, d)
+        # The matmul -> scale -> softmax chain's backward, operation for
+        # operation: each +0.0 is the first-gradient store of the scale and
+        # the matmul node (it turns -0.0 into +0.0 before the products).
+        d = _softmax_grad(g, p)
+        d += 0.0
+        d *= scale
+        d += 0.0
+        _accumulate(q, d @ kv)
+        _accumulate(k, _unbroadcast(qv.swapaxes(-1, -2) @ d, kt.shape).swapaxes(-1, -2))
 
-    return _node(p, (a,), bw)
+    return _node(p, (q, k), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

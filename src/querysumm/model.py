@@ -286,15 +286,14 @@ class MultiHeadAttention:
     def __call__(self, query, key=None, value=None, key_mask=None, causal=False, kv=None):
         q = self._split(self.wq(query))
         k, v = self.project_kv(key, value) if kv is None else kv
-        scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(self.dk))
-        tq, tk = scores.shape[-2], scores.shape[-1]
+        tq, tk = q.shape[-2], k.shape[-2]
         mask = None
         if key_mask is not None:
             mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
         if causal:
             tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
-        attn = ad.softmax(scores, mask)
+        attn = ad.attention_weights(q, k, 1.0 / math.sqrt(self.dk), mask)
         ctx = ad.swapaxes(ad.matmul(attn, v), -2, -3)
         *lead, t, h, dk = ctx.shape
         out = self.wo(ad.reshape(ctx, (*lead, t, h * dk)))

@@ -219,9 +219,6 @@ def train(
                 backward(loss_sum)
                 total_loss += loss_sum.item()
                 total_count += count
-                # Free this example's graph (activations and every node's
-                # gradient) before the next forward builds its own.
-                del loss_sum
         if not np.isfinite(total_loss):
             raise NumericalAbort(step, f"non-finite loss {total_loss}")
         for p in model.params.values():

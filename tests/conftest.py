@@ -1,5 +1,6 @@
 import pytest
 
+from querysumm import autodiff as ad
 from querysumm.data import Triplet, build_qmdscnn
 from querysumm.model import ModelConfig, SummModel, prepare_input
 from querysumm.synthetic import make_articles
@@ -24,6 +25,21 @@ def small_triplets():
 @pytest.fixture(scope="session")
 def small_vocab(small_triplets):
     return build_vocab(corpus_tokens(small_triplets), 300)
+
+
+@pytest.fixture
+def released_grads(monkeypatch):
+    """Gradient each node held when ``backward`` released it, keyed by the
+    node; leaves keep theirs on ``.grad``."""
+    grads = {}
+    release = ad._release
+
+    def keep(node):
+        grads[node] = node.grad
+        release(node)
+
+    monkeypatch.setattr(ad, "_release", keep)
+    return grads
 
 
 def tiny_config(vocab_size, **kw):

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,15 @@ class TestBackward:
             lambda: wsum(ad.softmax(sm, mask), wsm), {"x": sm}
         )
 
+        # A size-1 key batch axis shared by both query rows, one key masked.
+        aq, ak = rand(rng, 2, 3, 4), rand(rng, 1, 5, 4)
+        amask = np.ones((2, 1, 5), bool)
+        amask[1, 0, 3] = False
+        wa = rng.standard_normal((2, 3, 5))
+        checks["attention_weights"] = grad_check(
+            lambda: wsum(ad.attention_weights(aq, ak, 0.5, amask), wa), {"q": aq, "k": ak}
+        )
+
         ln_x = rand(rng, 4, 6)
         ln_g = ad.parameter(np.ones(6), np.float64)
         ln_b = ad.parameter(np.zeros(6), np.float64)
@@ -223,6 +233,17 @@ class TestBackward:
         backward(y)
         np.testing.assert_allclose(x.grad, [2 * 3.0 + 2.0])
 
+    def test_second_backward_over_consumed_graph_raises(self):
+        x = ad.parameter(np.array([2.0, -1.0]), np.float64)
+        y = ad.mul(x, x)
+        loss = ad.tsum(y)
+        backward(loss)
+        g = x.grad.copy()
+        assert y.grad is None and y.parents == () and y.backward_fn is None
+        with pytest.raises(ValueError, match="consumed"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, g)
+
     def test_deterministic_forward(self):
         rng = np.random.default_rng(5)
         x = rand(rng, 4, 4)
@@ -259,6 +280,7 @@ def _primitive_calls():
         "sin": lambda: [ad.sin(p(3, 4))],
         "cos": lambda: [ad.cos(p(3, 4))],
         "softmax": lambda: [ad.softmax(p(3, 5), np.ones((3, 5), bool))],
+        "attention_weights": lambda: [ad.attention_weights(p(2, 3, 4), p(2, 5, 4), 0.5)],
         "layer_norm": lambda: [ad.layer_norm(p(4, 6), p(6), p(6))],
         "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0))],
         "embedding_lookup": lambda: [ad.embedding_lookup(p(9, 4), np.array([[1, 2], [2, 8]]))],
@@ -391,7 +413,7 @@ def _softmax_case(name, dtype):
     return x, mask
 
 
-def _run_softmax(softmax, name, dtype):
+def _run_softmax(softmax, name, dtype, released_grads):
     x_values, mask = _softmax_case(name, dtype)
     x = ad.parameter(x_values, dtype)
     # A non-leaf parent, so the softmax's own gradient lands on a node.
@@ -399,19 +421,58 @@ def _run_softmax(softmax, name, dtype):
     out = softmax(a, mask)
     w = np.random.default_rng(99).standard_normal(out.shape).astype(dtype)
     backward(ad.tsum(ad.mul(out, ad.tensor(w, dtype))))
-    return out.values, a.grad, x.grad
+    return out.values, released_grads[a], x.grad
+
+
+def oracle_attention_weights(q, k, scale, mask=None):
+    """Attention weights as the chain the fused primitive replaced."""
+    return oracle_softmax(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale), mask)
+
+
+ATTENTION_CASES = SOFTMAX_CASES + ("shared-key",)
+
+
+def _run_attention(attention, name, dtype, released_grads):
+    """One attention case, 5 queries over 7 keys with the softmax case's
+    mask: the output, the output built under ``no_grad``, the q and k node
+    gradients and the leaf gradients.  The "swapaxes-parent" keys are read
+    through a non-contiguous view; the "shared-key" keys have a size-1 batch
+    axis, as decoder memory does."""
+    _, mask = _softmax_case("key-mask" if name == "shared-key" else name, dtype)
+    rng = np.random.default_rng(ATTENTION_CASES.index(name))
+    qx = ad.parameter(rng.standard_normal((2, 3, 5, 4)), dtype)
+    if name == "nan-row":
+        qx.values[1, 2, 3, 0] = np.nan
+    one = ad.tensor(1.0, dtype)
+    if name == "swapaxes-parent":
+        kx = ad.parameter(rng.standard_normal((2, 3, 4, 7)), dtype)
+        k = ad.swapaxes(kx, -1, -2)
+    else:
+        kx = ad.parameter(rng.standard_normal((1 if name == "shared-key" else 2, 3, 7, 4)), dtype)
+        k = ad.mul(kx, one)
+    q = ad.mul(qx, one)
+    out = attention(q, k, 0.5, mask)
+    with ad.no_grad():
+        const = attention(q, k, 0.5, mask)
+    assert not const.requires_grad and const.parents == ()
+    w = np.random.default_rng(99).standard_normal(out.shape).astype(dtype)
+    backward(ad.tsum(ad.mul(out, ad.tensor(w, dtype))))
+    return out.values, const.values, released_grads[q], released_grads[k], qx.grad, kx.grad
 
 
 class TestHotPathOracles:
-    """The in-place softmax and the first-gradient store must give the same
-    bytes, with the same layout, as the straightforward forms above."""
+    """The in-place softmax, the fused attention weights and the
+    first-gradient store must give the same bytes, with the same layout, as
+    the straightforward forms above."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", SOFTMAX_CASES)
-    def test_softmax_and_accumulate_match_oracle_bytes(self, name, dtype, monkeypatch):
-        got = _run_softmax(ad.softmax, name, dtype)
+    def test_softmax_and_accumulate_match_oracle_bytes(
+        self, name, dtype, monkeypatch, released_grads
+    ):
+        got = _run_softmax(ad.softmax, name, dtype, released_grads)
         monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
-        want = _run_softmax(oracle_softmax, name, dtype)
+        want = _run_softmax(oracle_softmax, name, dtype, released_grads)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.strides == w.strides
             assert g.tobytes() == w.tobytes()
@@ -419,6 +480,21 @@ class TestHotPathOracles:
             assert not got[0][0, 1, 2].any() and not got[0][1, :, 4].any()
         if name == "nan-row":
             assert not got[0][1, 2, 3].any() and np.isfinite(got[1]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ATTENTION_CASES)
+    def test_attention_weights_match_chain_oracle_bytes(
+        self, name, dtype, monkeypatch, released_grads
+    ):
+        got = _run_attention(ad.attention_weights, name, dtype, released_grads)
+        monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
+        want = _run_attention(oracle_attention_weights, name, dtype, released_grads)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.strides == w.strides
+            assert g.tobytes() == w.tobytes()
+        assert got[1].tobytes() == got[0].tobytes()
+        if name == "nan-row":
+            assert not got[0][1, 2, 3].any() and np.isfinite(got[4]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_query_encoder_model_gradients_match_oracle_bytes(
@@ -441,23 +517,28 @@ class TestHotPathOracles:
                 p.values += 0.1 * noise.standard_normal(p.shape).astype(dtype)
             loss, _ = model.loss_sum(inp, rng=np.random.default_rng(4))
             backward(loss)
-            # Every node's gradient, parameters included, in graph order.
-            return loss.values, [t.grad for t in ad._topo_order(loss)]
+            return loss.values, {name: p.grad for name, p in model.params.items()}
 
         loss, grads = run()
+        # The reference graph: the plain softmax and first-gradient store,
+        # and attention as its matmul -> scale -> softmax chain.  The two
+        # graphs differ in node count, so what is compared is the loss and
+        # every parameter gradient.
         monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
         monkeypatch.setattr(ad, "softmax", oracle_softmax)
+        monkeypatch.setattr(ad, "attention_weights", oracle_attention_weights)
         want_loss, want_grads = run()
         assert loss.tobytes() == want_loss.tobytes()
-        assert len(grads) == len(want_grads)
-        for g, w in zip(grads, want_grads):
-            assert g.dtype == w.dtype and g.strides == w.strides
-            assert g.tobytes() == w.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            w = want_grads[name]
+            assert g.dtype == w.dtype and g.strides == w.strides, name
+            assert g.tobytes() == w.tobytes(), name
 
 
-def test_backward_leaves_no_two_gradients_sharing_memory():
+def test_backward_leaves_no_two_gradients_sharing_memory(released_grads):
     """Reused subexpressions through every view-passing primitive: each
-    ``.grad`` is its own array, laid out as ``np.zeros_like(values)``."""
+    node's gradient is its own array, laid out as ``np.zeros_like(values)``."""
     rng = np.random.default_rng(7)
     x, y, bias = rand(rng, 3, 4), rand(rng, 3, 4), rand(rng, 4)
     s = ad.add(x, y)  # both operands get add's upstream gradient
@@ -467,11 +548,46 @@ def test_backward_leaves_no_two_gradients_sharing_memory():
     c = ad.concat([v, s, ad.reshape(x, (3, 4))], axis=0)
     top, rest = ad.split(c, [5, 4], axis=0)
     loss = ad.add(ad.tsum(ad.mul(top, top)), ad.tsum(ad.relu(rest)))
-    backward(loss)
     tensors = ad._topo_order(loss)
+    backward(loss)
+    grads = [released_grads.get(a, a.grad) for a in tensors]
     assert not v.values.flags.c_contiguous
-    for i, a in enumerate(tensors):
+    for i, (a, ga) in enumerate(zip(tensors, grads)):
         ref = np.zeros_like(a.values)
-        assert a.grad.dtype == ref.dtype and a.grad.strides == ref.strides
-        for b in tensors[i + 1 :]:
-            assert not np.shares_memory(a.grad, b.grad)
+        assert ga.dtype == ref.dtype and ga.strides == ref.strides
+        for gb in grads[i + 1 :]:
+            assert not np.shares_memory(ga, gb)
+
+
+def test_backward_release_and_fused_attention_lower_peak_memory(
+    small_triplets, small_vocab, monkeypatch
+):
+    """One training example's forward plus backward, traced by tracemalloc:
+    releasing the graph during backward and keeping only attention's
+    probabilities must lower the peak to at most 0.6 of a run that keeps
+    the whole graph and the matmul -> scale -> softmax chain (measured
+    0.475 with numpy 2.4), with byte-identical parameter gradients."""
+    cfg = tiny_config(len(small_vocab), dropout=0.1)
+    inp = prepare_input(small_triplets[0], small_vocab, cfg)
+
+    def run():
+        model = SummModel(cfg, seed=3)
+        tracemalloc.start()
+        try:
+            loss, _ = model.loss_sum(inp, rng=np.random.default_rng(4))
+            backward(loss)
+            del loss
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, {name: p.grad for name, p in model.params.items()}
+
+    peak, grads = run()
+    monkeypatch.setattr(ad, "_release", lambda node: None)
+    monkeypatch.setattr(ad, "attention_weights", oracle_attention_weights)
+    kept_peak, kept_grads = run()
+    assert peak <= 0.6 * kept_peak, (peak, kept_peak)
+    for name, g in grads.items():
+        w = kept_grads[name]
+        assert g.dtype == w.dtype and g.strides == w.strides, name
+        assert g.tobytes() == w.tobytes(), name

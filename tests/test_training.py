@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from querysumm import autodiff as ad
 from querysumm import training
 from querysumm.checkpoint import load_arrays, save_arrays
 from querysumm.model import SummModel, prepare_input
@@ -99,14 +100,15 @@ class TestTrainLoop:
 
     def test_each_example_graph_is_freed_before_the_next_forward(self, tmp_path, monkeypatch):
         # A live graph holds every activation and node gradient of its
-        # example; the next forward must not run on top of it.
+        # example; the next forward must not run on top of it.  The loss
+        # itself may outlive its graph.
         trips, vocab, model = setup_uniform(dropout=0.1)
         live, real_loss_sum = [], SummModel.loss_sum
 
         def loss_sum(self, inp, rng=None):
             assert all(ref() is None for ref in live), "previous example's graph is alive"
             loss, count = real_loss_sum(self, inp, rng=rng)
-            live.append(weakref.ref(loss.values))
+            live.extend(weakref.ref(t.values) for t in ad._topo_order(loss)[:-1] if t.parents)
             return loss, count
 
         monkeypatch.setattr(SummModel, "loss_sum", loss_sum)
