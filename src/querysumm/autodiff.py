@@ -21,6 +21,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
+
 
 class ShapeError(ValueError):
     """Raised when primitive operands have incompatible shapes."""
@@ -410,7 +412,7 @@ def attention_weights(
     return _node(p, (q, k), bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply a
     learned elementwise gain and bias."""
     dim = a.shape[-1]
@@ -423,7 +425,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     )
     x = a.values
     xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
 
     def bw(g):

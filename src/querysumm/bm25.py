@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+# BM25 term-frequency saturation and length normalisation.
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
 
@@ -32,15 +33,9 @@ class RetrievalIndex:
     avg_len: float
     n_docs: int
     chunk_meta: dict[int, tuple[object, int]]  # chunk_id -> (article_id, ordinal)
-    k1: float = K1_DEFAULT
-    b: float = B_DEFAULT
 
 
-def build_index(
-    chunks: list[tuple[int, list[str], object]],
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
-) -> RetrievalIndex:
+def build_index(chunks: list[tuple[int, list[str], object]]) -> RetrievalIndex:
     """Index chunks for BM25 scoring.
 
     ``chunks`` holds ``(chunk_id, tokens, source_article_id)`` entries with
@@ -73,14 +68,13 @@ def build_index(
     if total_len == 0:
         raise ValueError(f"cannot index {n_docs} chunks that hold no tokens")
     avg_len = total_len / n_docs
+    k1, b = K1_DEFAULT, B_DEFAULT
     return RetrievalIndex(
         postings=postings,
         norm={cid: k1 * (1.0 - b + b * n / avg_len) for cid, n in doc_len.items()},
         avg_len=avg_len,
         n_docs=n_docs,
         chunk_meta=chunk_meta,
-        k1=k1,
-        b=b,
     )
 
 
@@ -108,7 +102,7 @@ def score(index: RetrievalIndex, query: list[str], chunk_id: int) -> float:
         if i == len(plist) or plist[i][0] != chunk_id:
             continue
         tf = plist[i][1]
-        total += idf(index, term) * tf * (index.k1 + 1.0) / (tf + norm)
+        total += idf(index, term) * tf * (K1_DEFAULT + 1.0) / (tf + norm)
     return total
 
 
@@ -131,7 +125,7 @@ def top_k(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     meta, norms = index.chunk_meta, index.norm
-    k1_plus_1 = index.k1 + 1.0
+    k1_plus_1 = K1_DEFAULT + 1.0
     scores: dict[int, float] = {}
     for term in query:
         plist = index.postings.get(term)
@@ -152,11 +146,3 @@ def top_k(
         (cid for cid, s in scores.items() if s >= floor and s > 0.0),
         key=lambda cid: (-scores[cid], cid),
     )[:k]
-
-
-def dump_index(index: RetrievalIndex, path) -> None:
-    """Debug dump: one line per term, ``term<TAB>chunk:tf,chunk:tf,...``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for term in sorted(index.postings):
-            entries = ",".join(f"{cid}:{tf}" for cid, tf in index.postings[term])
-            fh.write(f"{term}\t{entries}\n")

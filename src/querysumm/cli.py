@@ -3,7 +3,7 @@
 Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
 ``query-variant``, ``align-hist``.  Model commands: ``train``, ``decode``,
 ``evaluate``, ``transfer``, ``grad-check``.  Exit codes: 0 success,
-1 validation error, 2 numerical abort.
+1 validation error (a usage error included), 2 numerical abort.
 
 ``train`` and ``transfer`` read a JSON config file::
 
@@ -44,8 +44,31 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which is EXIT_NUMERICAL here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _add_decode_flags(p: argparse.ArgumentParser) -> None:
+    """The ``DecodeConfig`` search flags, defaulting to its own defaults."""
+    d = DecodeConfig()
+    p.add_argument("--beam", type=int, default=d.beam)
+    p.add_argument("--alpha", type=float, default=d.alpha)
+    p.add_argument("--min-len", type=int, default=d.min_len)
+    p.add_argument("--max-len", type=int, default=d.max_len)
+    p.add_argument("--block-trigrams", action="store_true", default=d.block_trigrams)
+
+
+def _decode_config(args) -> DecodeConfig:
+    return DecodeConfig(
+        beam=args.beam, alpha=args.alpha, min_len=args.min_len, max_len=args.max_len,
+        block_trigrams=args.block_trigrams,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="querysumm",
         description="Query-focused multi-document summarization toolkit",
     )
@@ -72,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["original", "distractor", "dull", "dissimilar"],
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("align-hist", help="summary-to-document span histogram")
@@ -86,21 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=100)
-    p.add_argument("--block-trigrams", action="store_true")
+    _add_decode_flags(p)
 
     p = sub.add_parser("evaluate", help="ROUGE report for a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--mode", choices=["f1", "recall250"], default="f1")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=100)
-    p.add_argument("--block-trigrams", action="store_true")
+    _add_decode_flags(p)
 
     p = sub.add_parser("transfer", help="train on a source tag, then evaluate")
     p.add_argument("--config", required=True)
@@ -163,9 +177,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_query_variant(args) -> int:
-    triplets = dataforge.make_query_variant(
-        load_triplets(args.input), args.variant, seed=args.seed
-    )
+    triplets = dataforge.make_query_variant(load_triplets(args.input), args.variant)
     save_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} {args.variant}-query triplets to {args.out}")
     return EXIT_OK
@@ -188,16 +200,6 @@ def cmd_train(args) -> int:
     print(f"best checkpoint {result.best_path} (val ROUGE-L {result.best_score:.4f})")
     print(f"latest checkpoint {result.latest_path} after {result.steps_run} steps")
     return EXIT_OK
-
-
-def _decode_config(args) -> DecodeConfig:
-    return DecodeConfig(
-        beam=args.beam,
-        alpha=args.alpha,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        block_trigrams=args.block_trigrams,
-    )
 
 
 def cmd_decode(args) -> int:

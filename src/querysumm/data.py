@@ -61,8 +61,8 @@ class Triplet:
     def __post_init__(self):
         if not self.documents:
             raise ValueError("triplet needs at least one document")
-        if any(not d.strip() for d in self.documents):
-            raise ValueError("triplet documents must contain non-whitespace text")
+        if any(not isinstance(d, str) or not d.strip() for d in self.documents):
+            raise ValueError("triplet documents must be strings holding non-whitespace text")
         origins = self.meta.get("origins")
         if origins is not None and len(origins) != len(self.documents):
             raise ValueError("origin tags must cover all documents")
@@ -351,10 +351,25 @@ def triplet_stats(triplets: list[Triplet]) -> TripletStats:
 # --- JSON-lines IO ---------------------------------------------------------
 
 
-def _read_jsonl(path) -> list[dict]:
-    """One object per non-blank line."""
+def _read_jsonl(path, build) -> list:
+    """``build(obj)`` for the JSON object on each non-blank line.  A line
+    that is not a JSON object, lacks a field or holds a malformed one
+    raises ``ValueError`` naming ``path:line``."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                records.append(build(obj))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return records
 
 
 def write_jsonl(rows, path) -> None:
@@ -365,9 +380,9 @@ def write_jsonl(rows, path) -> None:
 
 
 def load_articles(path) -> list[Article]:
-    return [
-        Article(o["id"], o["title"], o["paragraphs"], o["summary"]) for o in _read_jsonl(path)
-    ]
+    return _read_jsonl(
+        path, lambda o: Article(o["id"], o["title"], o["paragraphs"], o["summary"])
+    )
 
 
 def save_articles(articles: list[Article], path) -> None:
@@ -381,10 +396,8 @@ def save_articles(articles: list[Article], path) -> None:
 
 
 def load_ir_records(path) -> list[IrRecord]:
-    return [
-        IrRecord(o["query"], o["answer_passage"], o["documents"], o["answer_source_index"])
-        for o in _read_jsonl(path)
-    ]
+    fields = ("query", "answer_passage", "documents", "answer_source_index")
+    return _read_jsonl(path, lambda o: IrRecord(*(o[f] for f in fields)))
 
 
 def save_ir_records(records: list[IrRecord], path) -> None:
@@ -403,10 +416,9 @@ def save_ir_records(records: list[IrRecord], path) -> None:
 
 
 def load_triplets(path) -> list[Triplet]:
-    return [
-        Triplet(o["query"], o["documents"], o["summary"], o.get("meta", {}))
-        for o in _read_jsonl(path)
-    ]
+    return _read_jsonl(
+        path, lambda o: Triplet(o["query"], o["documents"], o["summary"], o.get("meta", {}))
+    )
 
 
 def save_triplets(triplets: list[Triplet], path) -> None:

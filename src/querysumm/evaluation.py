@@ -136,10 +136,10 @@ def evaluate(
     return EvalReport(mode=mode, rows=rows, averages=averages)
 
 
-def interleave(a: list, b: list, seed: int, epoch: int = 0) -> list:
+def interleave(a: list, b: list, seed: int) -> list:
     """1:1 example-level interleaving of two shuffled datasets; whichever
     runs longer contributes its leftovers at the end."""
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 13, epoch])
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, 13, 0])
     a = [a[int(i)] for i in rng.permutation(len(a))]
     b = [b[int(i)] for i in rng.permutation(len(b))]
     merged = []
@@ -167,7 +167,6 @@ def transfer_pipeline(
     eval_triplets: list[Triplet],
     vocab: Vocabulary,
     finetune_triplets: list[Triplet] | None = None,
-    model: SummModel | None = None,
 ) -> tuple[EvalReport, TrainResult]:
     """Train on the source dataset, optionally fine-tune, then evaluate in
     recall-truncated mode.  Returns the report and the (last) train result.
@@ -177,8 +176,7 @@ def transfer_pipeline(
     ``spec.model_config`` holds.  Evaluation decode settings, including its
     own document limits, come from ``spec.decode_config``, for which
     ``TRANSFER_DECODE_DEFAULTS`` holds the full-scale protocol."""
-    if model is None:
-        model = SummModel(spec.model_config, seed=spec.train_config.seed)
+    model = SummModel(spec.model_config, seed=spec.train_config.seed)
     result = train(model, spec.train_config, train_triplets, val_triplets, vocab)
     if finetune_triplets:
         if spec.finetune_config is None:

@@ -253,16 +253,21 @@ class FeedForward:
         return self.w2(ad.dropout(ad.relu(self.w1(x)), self.rate, rng))
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(..., T, d) -> (..., heads, T, d // heads)."""
+    *lead, t, d = x.shape
+    return ad.swapaxes(ad.reshape(x, (*lead, t, heads, d // heads)), -2, -3)
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention, heads split from d_model.
 
-    Inputs are (..., T, d_model); ``key_mask`` is (..., Tk) boolean and
-    ``causal`` lets query i see keys up to ``Tk - Tq + i``: the keys end with
-    the queries' own positions, possibly after cached earlier ones.  ``kv``
-    replaces ``key``/``value`` by keys and values already projected with
-    ``project_kv``; a size-1 leading axis there is shared by the whole
-    query batch.  Returns the projected context and the attention
-    distribution (..., heads, Tq, Tk).
+    ``project_kv`` turns a source (..., Tk, d_model) into the keys and
+    values that ``__call__`` attends over with queries (..., Tq, d_model);
+    a size-1 leading axis there is shared by the whole query batch.
+    ``key_mask`` is (..., Tk) boolean and ``causal`` lets query i see keys
+    up to ``Tk - Tq + i``: the keys end with the queries' own positions,
+    possibly after cached earlier ones.  Returns the projected context.
     """
 
     def __init__(self, store, name, d_model, heads):
@@ -275,17 +280,14 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.wv", d_model, d_model)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model)
 
-    def _split(self, x: Tensor) -> Tensor:
-        *lead, t, d = x.shape
-        return ad.swapaxes(ad.reshape(x, (*lead, t, self.heads, self.dk)), -2, -3)
+    def project_kv(self, source: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of ``source`` split into heads, each
+        (..., heads, Tk, dk)."""
+        return _split_heads(self.wk(source), self.heads), _split_heads(self.wv(source), self.heads)
 
-    def project_kv(self, key, value) -> tuple[Tensor, Tensor]:
-        """Keys and values split into heads, each (..., heads, Tk, dk)."""
-        return self._split(self.wk(key)), self._split(self.wv(value))
-
-    def __call__(self, query, key=None, value=None, key_mask=None, causal=False, kv=None):
-        q = self._split(self.wq(query))
-        k, v = self.project_kv(key, value) if kv is None else kv
+    def __call__(self, query, kv, key_mask=None, causal=False) -> Tensor:
+        q = _split_heads(self.wq(query), self.heads)
+        k, v = kv
         tq, tk = q.shape[-2], k.shape[-2]
         mask = None
         if key_mask is not None:
@@ -296,8 +298,7 @@ class MultiHeadAttention:
         attn = ad.attention_weights(q, k, 1.0 / math.sqrt(self.dk), mask)
         ctx = ad.swapaxes(ad.matmul(attn, v), -2, -3)
         *lead, t, h, dk = ctx.shape
-        out = self.wo(ad.reshape(ctx, (*lead, t, h * dk)))
-        return out, attn
+        return self.wo(ad.reshape(ctx, (*lead, t, h * dk)))
 
 
 class MultiHeadPooling:
@@ -309,7 +310,6 @@ class MultiHeadPooling:
 
     def __init__(self, store, name, d_model, heads):
         self.heads = heads
-        self.dk = d_model // heads
         # A score bias shifts a whole softmax row, so it is inert; skip it.
         self.score = Linear(store, f"{name}.score", d_model, heads, bias=False)
         self.value = Linear(store, f"{name}.value", d_model, d_model)
@@ -321,11 +321,9 @@ class MultiHeadPooling:
         *lead, t, d = x.shape
         scores = ad.swapaxes(self.score(x), -1, -2)  # (..., H, T)
         attn = ad.softmax(scores, mask)
-        v = ad.swapaxes(
-            ad.reshape(self.value(x), (*lead, t, self.heads, self.dk)), -2, -3
-        )  # (..., H, T, dk)
+        v = _split_heads(self.value(x), self.heads)  # (..., H, T, dk)
         pooled = ad.matmul(ad.reshape(attn, (*lead, self.heads, 1, t)), v)
-        return self.out(ad.reshape(pooled, (*lead, self.heads * self.dk)))
+        return self.out(ad.reshape(pooled, (*lead, d)))
 
 
 def _broadcast_vector(vec: Tensor, n: int, t: int, dtype) -> Tensor:
@@ -349,7 +347,7 @@ class LocalLayer:
         self.rate = cfg.dropout
 
     def __call__(self, x, token_mask, rng=None):
-        a, _ = self.attn(x, x, x, key_mask=token_mask)
+        a = self.attn(x, self.attn.project_kv(x), key_mask=token_mask)
         x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
         f = self.ffn(x, rng)
         return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng)))
@@ -412,7 +410,7 @@ class GlobalLayer:
         n, t, d = x.shape
         doc_vectors = self.pool(x, token_mask)  # (N, d)
         seq = ad.reshape(doc_vectors, (1, n, d))
-        ctx, _ = self.inter(seq, seq, seq, key_mask=doc_mask[None, :])
+        ctx = self.inter(seq, self.inter.project_kv(seq), key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
         folded = self.fold(ad.concat([x, _broadcast_vector(ctx, n, t, x.dtype)], axis=-1))
         x = self.ln1(ad.add(x, ad.dropout(folded, self.rate, rng)))
@@ -447,7 +445,7 @@ class DecoderLayer:
 
     def project_memory(self, memory: Tensor) -> tuple[Tensor, Tensor]:
         """Cross-attention K/V of the encoder memory (..., M, d)."""
-        return self.cross_attn.project_kv(memory, memory)
+        return self.cross_attn.project_kv(memory)
 
     def __call__(self, x, memory_kv, memory_mask, past_kv=None, rng=None):
         """Run new positions x (..., S, d): causal self-attention, then
@@ -455,12 +453,12 @@ class DecoderLayer:
         the FFN.  ``past_kv`` holds the self-attention K/V of the P positions
         before x, (..., heads, P, dk).  Returns the output and the
         self-attention K/V of all P + S positions."""
-        kv = self.self_attn.project_kv(x, x)
+        kv = self.self_attn.project_kv(x)
         if past_kv is not None:
             kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
-        a, _ = self.self_attn(x, kv=kv, causal=True)
+        a = self.self_attn(x, kv, causal=True)
         x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
-        c, _ = self.cross_attn(x, kv=memory_kv, key_mask=memory_mask)
+        c = self.cross_attn(x, memory_kv, key_mask=memory_mask)
         x = self.ln2(ad.add(x, ad.dropout(c, self.rate, rng)))
         f = self.ffn(x, rng)
         return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng))), kv

@@ -7,6 +7,10 @@ import numpy as np
 
 from .autodiff import Tensor, backward
 
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.998  # moment decay rates
+ADAM_EPS = 1e-9  # added to the update's denominator
+FD_EPS = 1e-5  # step of grad_check's central differences
+
 
 def kaiming_uniform(shape, fan_in: int, rng) -> np.ndarray:
     """I.i.d. uniform on [-sqrt(6/fan_in), +sqrt(6/fan_in)].
@@ -36,32 +40,17 @@ class AdamNoam:
     between optimization steps.  Raises on non-finite gradients.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        d_model: int,
-        base_lr: float = 1.0,
-        warmup: int = 8000,
-        beta1: float = 0.9,
-        beta2: float = 0.998,
-        eps: float = 1e-9,
-    ):
+    def __init__(self, params: dict[str, Tensor], d_model: int, base_lr=1.0, warmup=8000):
         self.params = params
         self.d_model = d_model
         self.base_lr = base_lr
         self.warmup = warmup
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.exp_avg = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.exp_avg_sq = {k: np.zeros_like(p.values) for k, p in params.items()}
 
-    def lr(self, step: int | None = None) -> float:
-        return warmup_lr(
-            self.step_count if step is None else step,
-            self.d_model,
-            self.base_lr,
-            self.warmup,
-        )
+    def lr(self) -> float:
+        return warmup_lr(self.step_count, self.d_model, self.base_lr, self.warmup)
 
     def step(self) -> float:
         """Apply one update; returns the learning rate used.  All or
@@ -71,19 +60,19 @@ class AdamNoam:
                 raise FloatingPointError(f"non-finite gradient for {name}")
         self.step_count += 1
         lr = self.lr()
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.values)
             m = self.exp_avg[name]
             v = self.exp_avg_sq[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.values -= (lr * update).astype(p.values.dtype)
         return lr
 
@@ -109,13 +98,7 @@ class AdamNoam:
         self.exp_avg, self.exp_avg_sq, self.step_count = exp_avg, exp_avg_sq, step
 
 
-def grad_check(
-    loss_fn,
-    params: dict[str, Tensor],
-    eps: float = 1e-5,
-    max_coords: int = 1000,
-    seed: int = 0,
-) -> float:
+def grad_check(loss_fn, params: dict[str, Tensor], max_coords: int = 1000, seed: int = 0) -> float:
     """Compare analytic gradients of ``loss_fn()`` (a closure over ``params``
     returning a scalar ``Tensor``) against central finite differences.
 
@@ -145,14 +128,14 @@ def grad_check(
     for key, flat_idx in coords:
         values = params[key].values.reshape(-1)
         orig = values[flat_idx]
-        values[flat_idx] = orig + eps
+        values[flat_idx] = orig + FD_EPS
         f_plus = loss_fn().item()
-        values[flat_idx] = orig - eps
+        values[flat_idx] = orig - FD_EPS
         f_minus = loss_fn().item()
         values[flat_idx] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise FloatingPointError("non-finite loss during finite differencing")
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        numeric = (f_plus - f_minus) / (2.0 * FD_EPS)
         a = float(analytic[key].reshape(-1)[flat_idx])
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         max_err = max(max_err, err)

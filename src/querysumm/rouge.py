@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+SU4_MAX_GAP = 4  # a skip-bigram pairs a token with the next 4 at most
+
 
 @dataclass(frozen=True)
 class RougeScore:
@@ -79,10 +81,10 @@ def rouge_l(candidate: list[str], reference: list[str]) -> RougeScore:
     return _score(lcs_length(candidate, reference), len(candidate), len(reference))
 
 
-def _su4_units(tokens: list[str], max_gap: int = 4) -> Counter:
+def _su4_units(tokens: list[str]) -> Counter:
     units = Counter(tokens)
     for i in range(len(tokens)):
-        for j in range(i + 1, min(i + max_gap, len(tokens) - 1) + 1):
+        for j in range(i + 1, min(i + SU4_MAX_GAP, len(tokens) - 1) + 1):
             units[(tokens[i], tokens[j])] += 1
     return units
 

@@ -119,19 +119,26 @@ def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None
         raise ValueError(f"{path}: {exc.args[0]}") from exc
 
 
+def _saved_config(path, meta: dict) -> ModelConfig:
+    """The ``ModelConfig`` a checkpoint manifest holds; a missing one, or
+    one ``ModelConfig`` rejects, raises a ``ValueError`` naming ``path``."""
+    if "model_config" not in meta:
+        raise ValueError(f"{path}: checkpoint manifest has no 'model_config'")
+    try:
+        return ModelConfig(**meta["model_config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model_config: {exc}") from exc
+
+
 def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
     """Model, vocabulary and manifest of a checkpoint.  A manifest without
     ``model_config`` or ``vocab``, whose ``model_config`` ``ModelConfig``
     rejects, or whose ``vocab`` does not fill ``vocab_size`` raises a
     ``ValueError`` naming ``path``."""
     arrays, meta = load_arrays(path)
-    for field in ("model_config", "vocab"):
-        if field not in meta:
-            raise ValueError(f"{path}: checkpoint manifest has no {field!r}")
-    try:
-        config = ModelConfig(**meta["model_config"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad model_config: {exc}") from exc
+    config = _saved_config(path, meta)
+    if "vocab" not in meta:
+        raise ValueError(f"{path}: checkpoint manifest has no 'vocab'")
     vocab = Vocabulary(meta["vocab"])
     if len(vocab) != config.vocab_size:
         raise ValueError(
@@ -171,13 +178,20 @@ def train(
         model.params, d_model=model.config.d_model, base_lr=cfg.base_lr, warmup=cfg.warmup
     )
     if resume_from or cfg.fine_tune_from:
-        # A checkpoint of another vocabulary, or one without moments to
-        # resume from, is refused before anything is loaded.
+        # Refused before anything loads: a checkpoint of another vocabulary
+        # and, to resume from, one of another model config or without moments.
         path = resume_from or cfg.fine_tune_from
         arrays, meta = load_arrays(path)
         if meta.get("vocab") != vocab.id_to_token[5:]:
             raise ValueError(f"{path} was saved with a different vocabulary than this run's")
         if resume_from:
+            saved, run = asdict(_saved_config(path, meta)), asdict(model.config)
+            changed = [f"{k} {saved[k]!r} -> {run[k]!r}" for k in run if saved[k] != run[k]]
+            if changed:
+                raise ValueError(
+                    f"{path} was saved with another model config than this run's"
+                    f" (checkpoint -> run): {', '.join(changed)}"
+                )
             try:
                 opt.load_state_arrays(arrays, step=meta["step"])
             except KeyError as exc:

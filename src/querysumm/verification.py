@@ -34,6 +34,7 @@ from .optim import grad_check
 from .text import PAD_ID
 
 TOLERANCE = 1e-4
+FULL_CHECK_COORDS = 250  # sampled from all parameters by each full-model check
 
 def _toy_config(**flags) -> ModelConfig:
     return ModelConfig(
@@ -182,14 +183,14 @@ def _toy_input(rng, cfg) -> ModelInput:
     )
 
 
-def check_full(seed=0, max_coords=400, **flags) -> float:
+def check_full(seed=0, **flags) -> float:
     """End-to-end encoder -> decoder -> cross-entropy check."""
     rng = np.random.default_rng(seed)
     cfg = _toy_config(**flags)
     model = SummModel(cfg, seed=seed, dtype=np.float64)
     inp = _toy_input(rng, cfg)
     loss = lambda: model.loss(inp)
-    return grad_check(loss, model.params, max_coords=max_coords, seed=seed)
+    return grad_check(loss, model.params, max_coords=FULL_CHECK_COORDS, seed=seed)
 
 
 LAYER_CHECKS = {
@@ -213,9 +214,7 @@ FULL_CHECKS = {
 }
 
 
-def run_gradient_suite(
-    names: list[str] | None = None, seed: int = 0, max_full_coords: int = 250
-) -> dict[str, float]:
+def run_gradient_suite(names: list[str] | None = None, seed: int = 0) -> dict[str, float]:
     """Run the named checks (default: all) and return max relative errors."""
     available = list(LAYER_CHECKS) + list(FULL_CHECKS)
     names = names or available
@@ -224,7 +223,7 @@ def run_gradient_suite(
         if name in LAYER_CHECKS:
             results[name] = LAYER_CHECKS[name](seed=seed)
         elif name in FULL_CHECKS:
-            results[name] = check_full(seed=seed, max_coords=max_full_coords, **FULL_CHECKS[name])
+            results[name] = check_full(seed=seed, **FULL_CHECKS[name])
         else:
             raise ValueError(f"unknown check {name!r}; available: {available}")
     return results

@@ -15,7 +15,7 @@ import numpy as np
 from querysumm import autodiff as ad
 from querysumm import cli
 from querysumm.autodiff import backward
-from querysumm.bm25 import build_index, score, top_k
+from querysumm.bm25 import B_DEFAULT, K1_DEFAULT, build_index, score, top_k
 from querysumm.data import (
     build_qmdscnn,
     chunk_article,
@@ -196,7 +196,7 @@ def test_criterion_05_bm25_oracle():
             tokens = [f"t{int(i)}" for i in rng.integers(0, 35, size=rng.integers(3, 18))]
         chunks.append((cid, tokens, f"art{cid % 13}"))
     index = build_index(chunks)
-    k1, b = index.k1, index.b
+    k1, b = K1_DEFAULT, B_DEFAULT
     n_docs = len(chunks)
     avg_len = sum(len(t) for _, t, _ in chunks) / n_docs
     df = Counter()

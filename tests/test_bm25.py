@@ -4,7 +4,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from querysumm.bm25 import build_index, dump_index, idf, score, top_k
+from querysumm.bm25 import build_index, idf, score, top_k
 
 
 def reference_top_k(index, chunk_ids, query, k, exclude_article=None):
@@ -70,10 +70,8 @@ class RecordingMapping(Mapping):
         return len(self.data)
 
 
-def two_doc_index(k1=1.2, b=0.75):
-    return build_index(
-        [(0, ["a", "a", "b"], "art0"), (1, ["b", "c"], "art1")], k1=k1, b=b
-    )
+def two_doc_index():
+    return build_index([(0, ["a", "a", "b"], "art0"), (1, ["b", "c"], "art1")])
 
 
 class TestBuildIndex:
@@ -265,13 +263,3 @@ class TestTopK:
             assert mapping.keys_read <= in_postings
         assert len(in_postings) < len(chunks) // 2
 
-
-def test_dump_index(tmp_path):
-    idx = two_doc_index()
-    path = tmp_path / "index.txt"
-    dump_index(idx, path)
-    lines = dict(
-        line.split("\t") for line in path.read_text().splitlines()
-    )
-    assert lines["a"] == "0:2"
-    assert lines["b"] == "0:1,1:1"

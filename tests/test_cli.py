@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -9,11 +11,13 @@ from querysumm import cli, training
 from querysumm.checkpoint import load_arrays, save_arrays
 from querysumm.data import (
     Triplet,
+    load_articles,
     load_triplets,
     save_articles,
     save_ir_records,
     save_triplets,
 )
+from querysumm.decoding import DecodeConfig
 from querysumm.model import ModelConfig, SummModel
 from querysumm.synthetic import make_articles, make_ir_records
 from querysumm.text import Vocabulary
@@ -87,6 +91,81 @@ class TestDatasetCommands:
         assert run("stats", "--in", "nope.jsonl") == cli.EXIT_VALIDATION
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--in", "t.jsonl", "--out", "d.jsonl"],
+            ["stats", "--in", "t.jsonl", "--bogus"],
+            ["decode", "--ckpt", "m.ckpt", "--in", "t.jsonl", "--out", "d.jsonl",
+             "--beam", "notanint"],
+        ],
+        ids=["missing-ckpt", "unknown-flag", "beam-not-an-int"],
+    )
+    def test_usage_error_exits_validation_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: querysumm") and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["decode", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == cli.EXIT_OK
+            assert "usage: querysumm" in capsys.readouterr().out
+
+    def test_process_exit_status(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "querysumm.cli", "decode", "--in", "t.jsonl"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == cli.EXIT_VALIDATION
+        assert "the following arguments are required: --ckpt, --out" in proc.stderr
+
+
+VALID_ARTICLE = {"id": 1, "title": "t", "paragraphs": ["p"], "summary": "s"}
+VALID_RECORD = {"query": "q", "answer_passage": "a", "documents": ["d"], "answer_source_index": 0}
+VALID_TRIPLET = {"query": "q", "documents": ["d"], "summary": "s"}
+
+
+class TestMalformedDatasetLine:
+    @pytest.mark.parametrize(
+        "command, valid, line2, named",
+        [
+            ("stats", VALID_TRIPLET, '{"documents": ["d"], "summary": "s"}', "'query'"),
+            ("stats", VALID_TRIPLET, '{"query": "q", ', "Expecting"),
+            ("stats", VALID_TRIPLET, '{"query": "q", "documents": [5], "summary": "s"}',
+             "documents"),
+            ("stats", VALID_TRIPLET, '["q", ["d"], "s"]', "JSON object"),
+            ("build-qmdscnn", VALID_ARTICLE, '{"id": 2, "paragraphs": ["p"], "summary": "s"}',
+             "'title'"),
+            ("build-qmdsir", VALID_RECORD, '{"query": "q", "answer_passage": "a", "documents": []}',
+             "'answer_source_index'"),
+        ],
+        ids=["missing-field", "broken-json", "non-string-document", "non-object",
+             "article-missing-field", "record-missing-field"],
+    )
+    def test_error_names_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                       command, valid, line2, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text(json.dumps(valid) + "\n" + line2 + "\n")
+        flag = {"stats": "--in", "build-qmdscnn": "--corpus", "build-qmdsir": "--records"}
+        out = [] if command == "stats" else ["--out", "out.jsonl"]
+        assert run(command, flag[command], "bad.jsonl", *out) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.jsonl:2: ") and named in err
+        assert not os.path.exists("out.jsonl")
+
+    def test_blank_lines_still_count(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text("\n" + json.dumps(VALID_ARTICLE) + "\n\n{}\n")
+        with pytest.raises(ValueError, match=r"a\.jsonl:4: missing field 'id'"):
+            load_articles(path)
+
+
 def untrained_checkpoint(path, **meta_edits):
     """A d=16 model's weights with the manifest ``save_model_checkpoint``
     writes, then ``meta_edits`` applied (``None`` deletes a field)."""
@@ -134,6 +213,32 @@ class TestJsonlOutputs:
                 '{"record": 1, "reason": "sentence_coverage_below_threshold"}\n'
                 '{"record": 4, "reason": "réponse_absente"}\n'
             )
+
+
+def test_decode_and_evaluate_default_to_decode_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    untrained_checkpoint("model.ckpt")
+    one_triplet_file("triplets.jsonl")
+    seen = []
+
+    def fake_decode(model, triplets, vocab, decode_cfg):
+        seen.append(decode_cfg)
+        return iter([])
+
+    class Report:
+        def format(self):
+            return ""
+
+    def fake_evaluate(model, triplets, vocab, decode_cfg, mode):
+        seen.append(decode_cfg)
+        return Report()
+
+    monkeypatch.setattr(cli, "decode_triplets", fake_decode)
+    monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+    assert run("decode", "--ckpt", "model.ckpt", "--in", "triplets.jsonl",
+               "--out", "decodes.jsonl") == 0
+    assert run("evaluate", "--ckpt", "model.ckpt", "--in", "triplets.jsonl") == 0
+    assert seen == [DecodeConfig(), DecodeConfig()]
 
 
 class TestMalformedManifest:
@@ -276,6 +381,19 @@ class TestModelCommands:
                    "--resume", "weights.ckpt") == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and "weights.ckpt" in err
+
+    def test_resume_under_another_model_config_is_validation_error(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        assert run("train", "--config", str(train_config(workdir, steps=2))) == 0
+        path = train_config(workdir, steps=4)
+        cfg = json.loads(path.read_text())
+        cfg["model"]["dropout"] = 0.3
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        latest = str(workdir / "ckpt" / "latest.ckpt")
+        assert run("train", "--config", str(path), "--resume", latest) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and latest in err and "dropout 0.0 -> 0.3" in err
 
     def test_misshapen_checkpoint_error_names_the_path(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")

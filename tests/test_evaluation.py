@@ -153,8 +153,18 @@ class TestInterleave:
 
     def test_deterministic_per_seed(self):
         a, b = list("pqrs"), list("wxyz")
-        assert interleave(a, b, 7, epoch=0) == interleave(a, b, 7, epoch=0)
-        assert interleave(a, b, 7, epoch=1) == interleave(a, b, 7, epoch=1)
+        assert interleave(a, b, 7) == interleave(a, b, 7)
+
+    def test_golden_order(self):
+        """The combined-source order for fixed inputs and seeds; seeds equal
+        modulo 2**32 give the same order."""
+        a, b = list(range(5)), list("vwx")
+        assert interleave(a, b, 0) == [4, "v", 2, "x", 3, "w", 0, 1]
+        assert interleave(a, b, 7) == [3, "v", 0, "x", 2, "w", 4, 1]
+        assert interleave(a, b, 2**32 + 7) == interleave(a, b, 7)
+        assert interleave(list("pqrs"), list(range(10, 16)), 3) == [
+            "q", 15, "r", 12, "s", 14, "p", 10, 11, 13
+        ]
 
 
 def test_transfer_pipeline_smoke(tmp_path):

@@ -33,6 +33,22 @@ from querysumm.training import load_model_checkpoint, save_model_checkpoint
 from conftest import handmade_triplet, tiny_config
 
 
+@pytest.fixture()
+def attention_probs(monkeypatch):
+    """The attention distribution of every ``ad.attention_weights`` call the
+    test makes, in call order, as arrays (..., heads, Tq, Tk)."""
+    probs = []
+    weights = ad.attention_weights
+
+    def record(*args, **kwargs):
+        p = weights(*args, **kwargs)
+        probs.append(p.values.copy())
+        return p
+
+    monkeypatch.setattr(ad, "attention_weights", record)
+    return probs
+
+
 def reference_sinusoid(positions, dim):
     """Independent recomputation of the position encoding."""
     out = np.zeros((len(positions), dim))
@@ -194,16 +210,17 @@ class TestLayers:
     def states(self, *shape):
         return ad.tensor(self.rng.standard_normal(shape), np.float64)
 
-    def test_local_attention_is_proper(self):
+    def test_local_attention_is_proper(self, attention_probs):
         layer = LocalLayer(self.store, "local", self.cfg)
         x = self.states(2, 5, 8)
         mask = np.ones((2, 5), dtype=bool)
         mask[1, 4] = False
-        out, attn = layer.attn(x, x, x, key_mask=mask)
+        layer.attn(x, layer.attn.project_kv(x), key_mask=mask)
+        (attn,) = attention_probs
         # every real query position: head distribution sums to 1
-        np.testing.assert_allclose(attn.values.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
         # the padded token receives exactly zero attention from everyone
-        np.testing.assert_array_equal(attn.values[1, :, :, 4], 0.0)
+        np.testing.assert_array_equal(attn[1, :, :, 4], 0.0)
         assert layer(x, mask).shape == (2, 5, 8)
 
     def test_pooling_single_token_equals_projected_value(self):
@@ -253,18 +270,15 @@ class TestLayers:
         out = layer(x, self.states(2, 8), np.ones((3, 5), dtype=bool))
         assert out.shape == x.shape
 
-    def test_global_single_document_self_attention(self):
+    def test_global_single_document_self_attention(self, attention_probs):
         layer = GlobalLayer(self.store, "g", self.cfg)
         x = self.states(1, 4, 8)
-        _, attn = layer.inter(
-            ad.reshape(layer.pool(x, np.ones((1, 4), bool)), (1, 1, 8)),
-            ad.reshape(layer.pool(x, np.ones((1, 4), bool)), (1, 1, 8)),
-            ad.reshape(layer.pool(x, np.ones((1, 4), bool)), (1, 1, 8)),
-            key_mask=np.ones((1, 1), bool),
-        )
-        np.testing.assert_allclose(attn.values, 1.0)
+        seq = ad.reshape(layer.pool(x, np.ones((1, 4), bool)), (1, 1, 8))
+        layer.inter(seq, layer.inter.project_kv(seq), key_mask=np.ones((1, 1), bool))
+        (attn,) = attention_probs
+        np.testing.assert_allclose(attn, 1.0)
 
-    def test_global_padded_document_gets_zero_attention(self):
+    def test_global_padded_document_gets_zero_attention(self, attention_probs):
         layer = GlobalLayer(self.store, "g2", self.cfg)
         x = self.states(3, 4, 8)
         mask = np.ones((3, 4), dtype=bool)
@@ -272,8 +286,9 @@ class TestLayers:
         doc_mask = np.array([True, True, False])
         docvecs = layer.pool(x, mask)
         seq = ad.reshape(docvecs, (1, 3, 8))
-        _, attn = layer.inter(seq, seq, seq, key_mask=doc_mask[None, :])
-        np.testing.assert_array_equal(attn.values[0, :, :, 2], 0.0)
+        layer.inter(seq, layer.inter.project_kv(seq), key_mask=doc_mask[None, :])
+        (attn,) = attention_probs
+        np.testing.assert_array_equal(attn[0, :, :, 2], 0.0)
         out, vecs = layer(x, mask)
         assert out.shape == x.shape and vecs.shape == (3, 8)
 
@@ -332,7 +347,9 @@ class TestQueryLayerClosedForm:
             attn = MultiHeadAttention(ParamStore(seed, np.float64), "attn", 8, 2)
             attn.wq.b.values[:] = rng.standard_normal(8)
             attn.wv, attn.wo = layer.wv, layer.wo
-            a, _ = attn(x, x, value, key_mask=mask)
+            k, _ = attn.project_kv(x)
+            _, v = attn.project_kv(value)
+            a = attn(x, (k, v), key_mask=mask)
             o1 = layer.ln1(ad.add(x, a))
             expected = layer.ln2(ad.add(o1, layer.ffn(o1)))
             np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-12)
@@ -417,7 +434,7 @@ class TestMergeAndMemory:
 
 
 class TestPaddedDocument:
-    def test_all_pad_document_is_no_document(self):
+    def test_all_pad_document_is_no_document(self, attention_probs):
         """An all-PAD row gets no inter-document attention, no ordering
         score and no unmasked decoder memory."""
         model = SummModel(
@@ -429,15 +446,11 @@ class TestPaddedDocument:
         doc_ids = np.random.default_rng(3).integers(5, 40, size=(3, 5))
         doc_ids[1] = PAD_ID
         doc_ids[2, 3:] = PAD_ID
-        inter_attn = []
-        for layer in model.globals_:
-            def record(*args, inter=layer.inter, **kw):
-                out, attn = inter(*args, **kw)
-                inter_attn.append(attn.values)
-                return out, attn
-            layer.inter = record
         enc = model.encode(ModelInput(doc_ids=doc_ids, query_ids=np.array([6])))
-        assert len(inter_attn) == 2
+        # Local attention runs per document, leading axis 3; inter-document
+        # attention over the one sequence of document vectors, axis 1.
+        inter_attn = [attn for attn in attention_probs if attn.shape[0] == 1]
+        assert len(inter_attn) == 2 and len(attention_probs) == 2 + len(model.local)
         for attn in inter_attn:
             assert np.all(attn[..., 1] == 0.0)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -473,13 +486,13 @@ class TestDecoderAndForward:
         np.testing.assert_array_equal(logits[:3], logits2[:3])
         assert np.abs(logits[3] - logits2[3]).max() > 0
 
-    def test_cross_attention_sums_to_one(self):
+    def test_cross_attention_sums_to_one(self, attention_probs):
         model, inp = self.model_and_input()
         enc = model.encode(inp)
         x = ad.tensor(np.random.default_rng(0).standard_normal((3, 8)), np.float64)
         layer = model.decoder[0]
-        _, attn = layer.cross_attn(x, enc.memory, enc.memory, key_mask=enc.memory_mask)
-        np.testing.assert_allclose(attn.values.sum(axis=-1), 1.0, atol=1e-9)
+        layer.cross_attn(x, layer.project_memory(enc.memory), key_mask=enc.memory_mask)
+        np.testing.assert_allclose(attention_probs[-1].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_empty_prefix_rejected(self):
         model, inp = self.model_and_input()

@@ -1,5 +1,6 @@
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,42 @@ class TestTrainLoop:
         assert weights_only in str(exc.value)
         for name, p in fresh.params.items():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
+
+    @pytest.mark.parametrize(
+        "edit", [dict(dropout=0.3), dict(baseline_query_prepend=False), dict(heads=4)],
+        ids=["dropout", "query-prepend", "heads"],
+    )
+    def test_resume_refuses_another_model_config(self, tmp_path, edit):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        fresh = SummModel(replace(model.config, **edit), seed=9)
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1
+        )
+        with pytest.raises(ValueError, match="another model config") as exc:
+            train(fresh, more, trips, trips[:1], vocab, resume_from=result.latest_path)
+        (field, value), = edit.items()
+        assert result.latest_path in str(exc.value)
+        assert f"{field} {getattr(model.config, field)!r} -> {value!r}" in str(exc.value)
+        for name, p in fresh.params.items():
+            np.testing.assert_array_equal(p.values, before[name], err_msg=name)
+
+    def test_fine_tune_from_accepts_another_model_config(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        tuned = SummModel(replace(model.config, dropout=0.3, max_doc_tokens=4), seed=9)
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1,
+            fine_tune_from=result.latest_path,
+        )
+        assert train(tuned, more, trips, trips[:1], vocab).steps_run == 2
 
     @pytest.mark.parametrize("load", ["resume", "fine_tune"])
     def test_checkpoint_of_another_vocabulary_is_refused(self, tmp_path, load):
