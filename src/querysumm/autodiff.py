@@ -504,16 +504,6 @@ def cross_entropy_sum(
     return _node(np.asarray(nll.sum(), dtype=logits.dtype), (logits,), bw), count
 
 
-def cross_entropy(
-    logits: Tensor, targets: np.ndarray, ignore_id: int | None = None
-) -> Tensor:
-    """Mean token cross-entropy, ignoring ``ignore_id`` targets."""
-    total, count = cross_entropy_sum(logits, targets, ignore_id)
-    if count == 0:
-        raise ValueError("cross_entropy: no unignored targets")
-    return scale(total, 1.0 / count)
-
-
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or everything to a scalar."""
 

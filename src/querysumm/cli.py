@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import data as dataforge
-from .data import load_articles, load_ir_records, load_triplets, save_triplets, write_jsonl
+from .data import Article, IrRecord, Triplet, load_records, save_records, write_jsonl
 from .decoding import DecodeConfig
 from .evaluation import (
     TRANSFER_DECODE_DEFAULTS,
@@ -149,17 +149,17 @@ def _vocab_and_model(cfg: dict, train_triplets):
 
 
 def cmd_build_qmdscnn(args) -> int:
-    corpus = load_articles(args.corpus)
+    corpus = load_records(args.corpus, Article)
     triplets = dataforge.build_qmdscnn(corpus, seed=args.seed, k_retrieved=args.k)
-    save_triplets(triplets, args.out)
+    save_records(triplets, args.out)
     print(f"wrote {len(triplets)} triplets to {args.out}")
     return EXIT_OK
 
 
 def cmd_build_qmdsir(args) -> int:
-    records = load_ir_records(args.records)
+    records = load_records(args.records, IrRecord)
     kept, rejected = dataforge.filter_qmdsir(records)
-    save_triplets(kept, args.out)
+    save_records(kept, args.out)
     if args.reject_log:
         rows = ({"record": idx, "reason": reason} for idx, reason in rejected)
         write_jsonl(rows, args.reject_log)
@@ -168,7 +168,7 @@ def cmd_build_qmdsir(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = dataforge.triplet_stats(load_triplets(args.input))
+    stats = dataforge.triplet_stats(load_records(args.input, Triplet))
     print(f"samples {stats.samples}")
     print(f"avg_documents {stats.avg_documents:.4f}")
     print(f"avg_document_tokens {stats.avg_document_tokens:.4f}")
@@ -177,14 +177,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_query_variant(args) -> int:
-    triplets = dataforge.make_query_variant(load_triplets(args.input), args.variant)
-    save_triplets(triplets, args.out)
+    triplets = dataforge.make_query_variant(load_records(args.input, Triplet), args.variant)
+    save_records(triplets, args.out)
     print(f"wrote {len(triplets)} {args.variant}-query triplets to {args.out}")
     return EXIT_OK
 
 
 def cmd_align_hist(args) -> int:
-    hist = dataforge.alignment_histogram(load_triplets(args.input))
+    hist = dataforge.alignment_histogram(load_records(args.input, Triplet))
     for spans in sorted(hist):
         print(f"{spans} {hist[spans]}")
     return EXIT_OK
@@ -192,8 +192,8 @@ def cmd_align_hist(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    train_triplets = load_triplets(cfg["train"]["train_path"])
-    val_triplets = load_triplets(cfg["train"]["val_path"])
+    train_triplets = load_records(cfg["train"]["train_path"], Triplet)
+    val_triplets = load_records(cfg["train"]["val_path"], Triplet)
     vocab, model_cfg, train_cfg = _vocab_and_model(cfg, train_triplets)
     model = SummModel(model_cfg, seed=train_cfg.seed)
     result = train(model, train_cfg, train_triplets, val_triplets, vocab, resume_from=args.resume)
@@ -204,7 +204,7 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     model, vocab, _ = load_model_checkpoint(args.ckpt)
-    triplets = load_triplets(args.input)
+    triplets = load_records(args.input, Triplet)
     decoded = decode_triplets(model, triplets, vocab, _decode_config(args))
     write_jsonl(
         ({"id": row_id, "summary": " ".join(vocab.decode(ids))} for row_id, ids in decoded),
@@ -216,7 +216,7 @@ def cmd_decode(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, vocab, _ = load_model_checkpoint(args.ckpt)
-    triplets = load_triplets(args.input)
+    triplets = load_records(args.input, Triplet)
     report = evaluate(model, triplets, vocab, _decode_config(args), mode=args.mode)
     print(report.format())
     return EXIT_OK
@@ -230,24 +230,24 @@ def cmd_transfer(args) -> int:
             raise ValueError("combined mode needs exactly two sources in the config")
         (tag_a, a), (tag_b, b) = sources.items()
         seed = cfg["train"].get("seed", 0)
-        train_triplets = interleave(
-            load_triplets(a["train"]), load_triplets(b["train"]), seed
+        train_triplets, val_triplets = (
+            interleave(load_records(a[part], Triplet), load_records(b[part], Triplet), seed)
+            for part in ("train", "val")
         )
-        val_triplets = interleave(load_triplets(a["val"]), load_triplets(b["val"]), seed)
     elif args.source in sources:
         src = sources[args.source]
-        train_triplets = load_triplets(src["train"])
-        val_triplets = load_triplets(src["val"])
+        train_triplets = load_records(src["train"], Triplet)
+        val_triplets = load_records(src["val"], Triplet)
     else:
         raise ValueError(f"unknown source {args.source!r}; config has {list(sources)}")
 
-    eval_triplets = load_triplets(args.eval_path)
+    eval_triplets = load_records(args.eval_path, Triplet)
     vocab, model_cfg, train_cfg = _vocab_and_model(cfg, train_triplets)
     decode_cfg = (
         DecodeConfig(**cfg["decode"]) if "decode" in cfg else TRANSFER_DECODE_DEFAULTS
     )
     finetune_cfg = TrainConfig(**cfg["finetune"]) if "finetune" in cfg else None
-    finetune_triplets = load_triplets(args.finetune) if args.finetune else None
+    finetune_triplets = load_records(args.finetune, Triplet) if args.finetune else None
     spec = TransferSpec(model_cfg, train_cfg, decode_cfg, finetune_cfg)
     report, _ = transfer_pipeline(
         spec, train_triplets, val_triplets, eval_triplets, vocab, finetune_triplets

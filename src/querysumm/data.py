@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,12 @@ DISSIMILAR_MAX_F1 = 0.2
 COVERAGE_THRESHOLD = 0.8
 
 
+def _require_list(value, what: str) -> None:
+    # A JSON string would otherwise pass as a sequence of one-character items.
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {type(value).__name__}")
+
+
 @dataclass
 class Article:
     id: object
@@ -42,6 +48,7 @@ class Article:
     summary: str
 
     def __post_init__(self):
+        _require_list(self.paragraphs, f"article {self.id} paragraphs")
         if not self.paragraphs:
             raise ValueError(f"article {self.id} has no paragraphs")
         if not self.title.strip():
@@ -59,6 +66,7 @@ class Triplet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_list(self.documents, "triplet documents")
         if not self.documents:
             raise ValueError("triplet needs at least one document")
         if any(not isinstance(d, str) or not d.strip() for d in self.documents):
@@ -72,11 +80,12 @@ class Triplet:
 class IrRecord:
     query: str
     answer_passage: str
-    ranked_documents: list[str]
+    documents: list[str]
     answer_source_index: int
 
     def __post_init__(self):
-        if not 0 <= self.answer_source_index < len(self.ranked_documents):
+        _require_list(self.documents, "IR record documents")
+        if not 0 <= self.answer_source_index < len(self.documents):
             raise ValueError(
                 f"answer_source_index {self.answer_source_index} out of range"
             )
@@ -295,7 +304,7 @@ def filter_qmdsir(
             continue
         remaining = [
             (rank, doc)
-            for rank, doc in enumerate(rec.ranked_documents)
+            for rank, doc in enumerate(rec.documents)
             if rank != rec.answer_source_index
         ]
         if len(remaining) < 3:
@@ -351,10 +360,15 @@ def triplet_stats(triplets: list[Triplet]) -> TripletStats:
 # --- JSON-lines IO ---------------------------------------------------------
 
 
-def _read_jsonl(path, build) -> list:
-    """``build(obj)`` for the JSON object on each non-blank line.  A line
-    that is not a JSON object, lacks a field or holds a malformed one
-    raises ``ValueError`` naming ``path:line``."""
+def load_records(path, cls) -> list:
+    """The ``cls`` records (``Article``, ``IrRecord`` or ``Triplet``) on the
+    non-blank lines of a JSONL file.  A record's keys are its dataclass
+    fields: other keys are ignored and only a field with a default may be
+    left out.  A line that is not a JSON object, lacks a field or holds a
+    malformed one raises ``ValueError`` naming ``path:line``."""
+    required = {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -364,7 +378,12 @@ def _read_jsonl(path, build) -> list:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                records.append(build(obj))
+                kwargs = {
+                    f.name: obj[f.name]
+                    for f in fields(cls)
+                    if f.name in obj or f.name in required
+                }
+                records.append(cls(**kwargs))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
             except (AttributeError, TypeError, ValueError) as exc:
@@ -379,53 +398,6 @@ def write_jsonl(rows, path) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def load_articles(path) -> list[Article]:
-    return _read_jsonl(
-        path, lambda o: Article(o["id"], o["title"], o["paragraphs"], o["summary"])
-    )
-
-
-def save_articles(articles: list[Article], path) -> None:
-    write_jsonl(
-        (
-            {"id": a.id, "title": a.title, "paragraphs": a.paragraphs, "summary": a.summary}
-            for a in articles
-        ),
-        path,
-    )
-
-
-def load_ir_records(path) -> list[IrRecord]:
-    fields = ("query", "answer_passage", "documents", "answer_source_index")
-    return _read_jsonl(path, lambda o: IrRecord(*(o[f] for f in fields)))
-
-
-def save_ir_records(records: list[IrRecord], path) -> None:
-    write_jsonl(
-        (
-            {
-                "query": r.query,
-                "answer_passage": r.answer_passage,
-                "documents": r.ranked_documents,
-                "answer_source_index": r.answer_source_index,
-            }
-            for r in records
-        ),
-        path,
-    )
-
-
-def load_triplets(path) -> list[Triplet]:
-    return _read_jsonl(
-        path, lambda o: Triplet(o["query"], o["documents"], o["summary"], o.get("meta", {}))
-    )
-
-
-def save_triplets(triplets: list[Triplet], path) -> None:
-    write_jsonl(
-        (
-            {"query": t.query, "documents": t.documents, "summary": t.summary, "meta": t.meta}
-            for t in triplets
-        ),
-        path,
-    )
+def save_records(records, path) -> None:
+    """One line per record, its dataclass fields as keys in field order."""
+    write_jsonl((asdict(r) for r in records), path)

@@ -23,9 +23,8 @@ embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,13 +78,6 @@ class ModelConfig:
         for name in ("max_doc_tokens", "max_docs", "max_summary_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
 
 
 def joint_flags(dataset: str) -> dict:

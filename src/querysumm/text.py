@@ -61,9 +61,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 

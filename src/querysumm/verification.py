@@ -64,54 +64,47 @@ def _token_mask(n, t):
     return mask
 
 
-def check_local(seed=0) -> float:
+def _fragment(seed, build, **flags):
+    """The weighted-sum loss of one layer fragment and the parameters it
+    reads.  ``build(rng, cfg, store)`` makes the fragment, draws its inputs
+    from ``rng`` and returns its forward closure; the loss weights are drawn
+    from the same ``rng`` afterwards, shaped like the fragment's output."""
     rng = np.random.default_rng(seed)
-    cfg = _toy_config()
+    cfg = _toy_config(**flags)
     store = ParamStore(seed, np.float64)
+    forward = build(rng, cfg, store)
+    with ad.no_grad():
+        shape = forward().shape
+    w = ad.tensor(rng.standard_normal(shape), np.float64)
+    return (lambda: ad.tsum(ad.mul(forward(), w))), store.params
+
+
+def _local(rng, cfg, store):
     layer = LocalLayer(store, "local", cfg)
     x = _states(rng, (2, 4, cfg.d_model))
     mask = _token_mask(2, 4)
-    w = rng.standard_normal((2, 4, cfg.d_model))
-    loss = lambda: ad.tsum(ad.mul(layer(x, mask), ad.tensor(w, np.float64)))
-    return grad_check(loss, store.params)
+    return lambda: layer(x, mask)
 
 
-def check_pooling(seed=0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config()
-    store = ParamStore(seed, np.float64)
+def _pooling(rng, cfg, store):
     pool = MultiHeadPooling(store, "pool", cfg.d_model, cfg.heads)
     x = _states(rng, (2, 4, cfg.d_model))
     mask = _token_mask(2, 4)
-    w = rng.standard_normal((2, cfg.d_model))
-    loss = lambda: ad.tsum(ad.mul(pool(x, mask), ad.tensor(w, np.float64)))
-    return grad_check(loss, store.params)
+    return lambda: pool(x, mask)
 
 
-def check_query(seed=0) -> float:
+def _query(rng, cfg, store):
     """Query layer including gradients into the query embedding table."""
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config(use_query_encoder=True)
-    store = ParamStore(seed, np.float64)
     layer = QueryLayer(store, "query", cfg)
     table = store.kaiming("query_embed", (cfg.vocab_size, cfg.d_model), fan_in=cfg.d_model)
     ids = np.array([5, 7, 6])
-    pos = sinusoid_table(ids.size, cfg.d_model, np.float64)
+    pos = ad.tensor(sinusoid_table(ids.size, cfg.d_model, np.float64), np.float64)
     x = _states(rng, (2, 4, cfg.d_model))
     mask = _token_mask(2, 4)
-    w = rng.standard_normal((2, 4, cfg.d_model))
-
-    def loss():
-        q = ad.add(ad.embedding_lookup(table, ids), ad.tensor(pos, np.float64))
-        return ad.tsum(ad.mul(layer(x, q, mask), ad.tensor(w, np.float64)))
-
-    return grad_check(loss, store.params)
+    return lambda: layer(x, ad.add(ad.embedding_lookup(table, ids), pos), mask)
 
 
-def check_global(seed=0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config()
-    store = ParamStore(seed, np.float64)
+def _global(rng, cfg, store):
     layer = GlobalLayer(store, "global", cfg)
     # Four real documents plus one padded keep the inter-document attention
     # well conditioned for finite differencing.
@@ -119,57 +112,30 @@ def check_global(seed=0) -> float:
     mask = np.ones((5, 4), dtype=bool)
     mask[4, :] = False  # a fully padded document
     mask[1, 3] = False  # and one padded token
-    w = rng.standard_normal((5, 4, cfg.d_model))
-    loss = lambda: ad.tsum(ad.mul(layer(x, mask)[0], ad.tensor(w, np.float64)))
-    return grad_check(loss, store.params)
+    return lambda: layer(x, mask)[0]
 
 
-def check_ordering(seed=0) -> float:
+def _ordering(rng, cfg, store):
     """Importance scores through the sinusoid re-encoding."""
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config()
-    store = ParamStore(seed, np.float64)
     scores = OrderingScores(store, "ordering", cfg.d_model)
     vecs = _states(rng, (3, cfg.d_model))
     doc_mask = np.array([True, True, True])
-    w = rng.standard_normal((3, cfg.d_model))
-
-    def loss():
-        r = scores(vecs, doc_mask)
-        return ad.tsum(ad.mul(ordering_encoding(r, cfg.d_model), ad.tensor(w, np.float64)))
-
-    return grad_check(loss, store.params)
+    return lambda: ordering_encoding(scores(vecs, doc_mask), cfg.d_model)
 
 
-def check_merge(seed=0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config()
-    store = ParamStore(seed, np.float64)
+def _merge(rng, cfg, store):
     merge = Linear(store, "merge", 2 * cfg.d_model, cfg.d_model)
     local = _states(rng, (2, 4, cfg.d_model))
     global_ = _states(rng, (2, 4, cfg.d_model))
-    w = rng.standard_normal((2, 4, cfg.d_model))
-    loss = lambda: ad.tsum(
-        ad.mul(merge(ad.concat([local, global_], axis=-1)), ad.tensor(w, np.float64))
-    )
-    return grad_check(loss, store.params)
+    return lambda: merge(ad.concat([local, global_], axis=-1))
 
 
-def check_decoder(seed=0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = _toy_config()
-    store = ParamStore(seed, np.float64)
+def _decoder(rng, cfg, store):
     layer = DecoderLayer(store, "decoder", cfg)
     x = _states(rng, (3, cfg.d_model))
     memory = _states(rng, (6, cfg.d_model))
     memory_mask = np.array([True] * 5 + [False])
-    w = rng.standard_normal((3, cfg.d_model))
-    loss = lambda: ad.tsum(
-        ad.mul(
-            layer(x, layer.project_memory(memory), memory_mask)[0], ad.tensor(w, np.float64)
-        )
-    )
-    return grad_check(loss, store.params)
+    return lambda: layer(x, layer.project_memory(memory), memory_mask)[0]
 
 
 def _toy_input(rng, cfg) -> ModelInput:
@@ -193,14 +159,15 @@ def check_full(seed=0, **flags) -> float:
     return grad_check(loss, model.params, max_coords=FULL_CHECK_COORDS, seed=seed)
 
 
+# name -> (fragment builder, ``_toy_config`` flags)
 LAYER_CHECKS = {
-    "local": check_local,
-    "pooling": check_pooling,
-    "query": check_query,
-    "global": check_global,
-    "ordering": check_ordering,
-    "merge": check_merge,
-    "decoder": check_decoder,
+    "local": (_local, {}),
+    "pooling": (_pooling, {}),
+    "query": (_query, dict(use_query_encoder=True)),
+    "global": (_global, {}),
+    "ordering": (_ordering, {}),
+    "merge": (_merge, {}),
+    "decoder": (_decoder, {}),
 }
 
 FULL_CHECKS = {
@@ -221,7 +188,8 @@ def run_gradient_suite(names: list[str] | None = None, seed: int = 0) -> dict[st
     results = {}
     for name in names:
         if name in LAYER_CHECKS:
-            results[name] = LAYER_CHECKS[name](seed=seed)
+            build, flags = LAYER_CHECKS[name]
+            results[name] = grad_check(*_fragment(seed, build, **flags))
         elif name in FULL_CHECKS:
             results[name] = check_full(seed=seed, **FULL_CHECKS[name])
         else:

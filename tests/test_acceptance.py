@@ -17,13 +17,13 @@ from querysumm import cli
 from querysumm.autodiff import backward
 from querysumm.bm25 import B_DEFAULT, K1_DEFAULT, build_index, score, top_k
 from querysumm.data import (
+    Triplet,
     build_qmdscnn,
     chunk_article,
     filter_qmdsir,
-    load_triplets,
+    load_records,
     make_query_variant,
-    save_articles,
-    save_triplets,
+    save_records,
 )
 from querysumm.decoding import DecodeConfig, beam_search, greedy_decode, length_penalty
 from querysumm.model import (
@@ -251,7 +251,7 @@ def test_criterion_06_dataset_builders():
         failures.append("rejection reasons do not partition")
     for t in kept:
         rec = records[t.meta["source_id"]]
-        source_doc = rec.ranked_documents[rec.answer_source_index]
+        source_doc = rec.documents[rec.answer_source_index]
         if source_doc in t.documents:
             failures.append(f"record {t.meta['source_id']}: source document kept")
         if len(split_sentences(t.summary)) < 2:
@@ -367,13 +367,13 @@ def test_criterion_10_decode_contracts():
 def test_criterion_11_end_to_end_smoke(tmp_path):
     t0 = time.time()
     os.chdir(tmp_path)
-    save_articles(make_articles(30, seed=11, min_paragraphs=2, max_paragraphs=4), "articles.jsonl")
+    save_records(make_articles(30, seed=11, min_paragraphs=2, max_paragraphs=4), "articles.jsonl")
     rc = cli.main(["build-qmdscnn", "--corpus", "articles.jsonl", "--seed", "11",
                    "--k", "1", "--out", "triplets.jsonl"])
     assert rc == 0
-    triplets = load_triplets("triplets.jsonl")
-    save_triplets(triplets[:24], "train.jsonl")
-    save_triplets(triplets[24:], "val.jsonl")
+    triplets = load_records("triplets.jsonl", Triplet)
+    save_records(triplets[:24], "train.jsonl")
+    save_records(triplets[24:], "val.jsonl")
     config = {
         "vocab_max_size": 400,
         "model": {

@@ -9,14 +9,7 @@ import pytest
 from querysumm import autodiff as ad
 from querysumm import cli, training
 from querysumm.checkpoint import load_arrays, save_arrays
-from querysumm.data import (
-    Triplet,
-    load_articles,
-    load_triplets,
-    save_articles,
-    save_ir_records,
-    save_triplets,
-)
+from querysumm.data import Article, Triplet, load_records, save_records
 from querysumm.decoding import DecodeConfig
 from querysumm.model import ModelConfig, SummModel
 from querysumm.synthetic import make_articles, make_ir_records
@@ -27,8 +20,8 @@ from querysumm.training import NumericalAbort
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_articles(make_articles(8, seed=5, min_paragraphs=2, max_paragraphs=3), "articles.jsonl")
-    save_ir_records(make_ir_records(10, seed=5), "records.jsonl")
+    save_records(make_articles(8, seed=5, min_paragraphs=2, max_paragraphs=3), "articles.jsonl")
+    save_records(make_ir_records(10, seed=5), "records.jsonl")
     return tmp_path
 
 
@@ -60,13 +53,13 @@ class TestDatasetCommands:
     def test_build_qmdscnn(self, workdir, capsys):
         assert run("build-qmdscnn", "--corpus", "articles.jsonl", "--seed", "5",
                    "--k", "2", "--out", "triplets.jsonl") == 0
-        assert len(load_triplets("triplets.jsonl")) == 8
+        assert len(load_records("triplets.jsonl", Triplet)) == 8
         assert "wrote 8 triplets" in capsys.readouterr().out
 
     def test_build_qmdsir_with_reject_log(self, workdir, capsys):
         assert run("build-qmdsir", "--records", "records.jsonl",
                    "--out", "ir.jsonl", "--reject-log", "rej.jsonl") == 0
-        kept = load_triplets("ir.jsonl")
+        kept = load_records("ir.jsonl", Triplet)
         rejected = [json.loads(l) for l in open("rej.jsonl")]
         assert len(kept) + len(rejected) == 10
         for entry in rejected:
@@ -85,7 +78,7 @@ class TestDatasetCommands:
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--out", "triplets.jsonl")
         assert run("query-variant", "--in", "triplets.jsonl",
                    "--variant", "dull", "--out", "dull.jsonl") == 0
-        assert all(t.query == "what is it ?" for t in load_triplets("dull.jsonl"))
+        assert all(t.query == "what is it ?" for t in load_records("dull.jsonl", Triplet))
 
     def test_missing_file_is_validation_error(self, workdir, capsys):
         assert run("stats", "--in", "nope.jsonl") == cli.EXIT_VALIDATION
@@ -140,12 +133,14 @@ class TestMalformedDatasetLine:
             ("stats", VALID_TRIPLET, '{"query": "q", "documents": [5], "summary": "s"}',
              "documents"),
             ("stats", VALID_TRIPLET, '["q", ["d"], "s"]', "JSON object"),
+            ("stats", VALID_TRIPLET, '{"query": "q", "documents": "abc", "summary": "s"}',
+             "must be a list"),
             ("build-qmdscnn", VALID_ARTICLE, '{"id": 2, "paragraphs": ["p"], "summary": "s"}',
              "'title'"),
             ("build-qmdsir", VALID_RECORD, '{"query": "q", "answer_passage": "a", "documents": []}',
              "'answer_source_index'"),
         ],
-        ids=["missing-field", "broken-json", "non-string-document", "non-object",
+        ids=["missing-field", "broken-json", "non-string-document", "non-object", "string-documents",
              "article-missing-field", "record-missing-field"],
     )
     def test_error_names_file_and_line(self, tmp_path, monkeypatch, capsys,
@@ -163,7 +158,7 @@ class TestMalformedDatasetLine:
         path = tmp_path / "a.jsonl"
         path.write_text("\n" + json.dumps(VALID_ARTICLE) + "\n\n{}\n")
         with pytest.raises(ValueError, match=r"a\.jsonl:4: missing field 'id'"):
-            load_articles(path)
+            load_records(path, Article)
 
 
 def untrained_checkpoint(path, **meta_edits):
@@ -186,7 +181,7 @@ def untrained_checkpoint(path, **meta_edits):
 
 
 def one_triplet_file(path):
-    save_triplets([Triplet("alpha query", ["alpha beta"], "beta", {"source_id": "q1"})], path)
+    save_records([Triplet("alpha query", ["alpha beta"], "beta", {"source_id": "q1"})], path)
 
 
 class TestJsonlOutputs:
@@ -316,11 +311,11 @@ class TestModelCommands:
 
     def test_transfer(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
-        trips = load_triplets("triplets.jsonl")
-        save_triplets(trips[:4], "src_a.jsonl")
-        save_triplets(trips[4:6], "src_a_val.jsonl")
-        save_triplets(trips[6:], "src_b.jsonl")
-        save_triplets(trips[:2], "eval.jsonl")
+        trips = load_records("triplets.jsonl", Triplet)
+        save_records(trips[:4], "src_a.jsonl")
+        save_records(trips[4:6], "src_a_val.jsonl")
+        save_records(trips[6:], "src_b.jsonl")
+        save_records(trips[:2], "eval.jsonl")
         cfg = {
             "vocab_max_size": 300,
             "model": {

@@ -16,9 +16,9 @@ from querysumm.data import (
     build_qmdscnn,
     chunk_article,
     filter_qmdsir,
-    load_triplets,
+    load_records,
     make_query_variant,
-    save_triplets,
+    save_records,
     triplet_stats,
 )
 from querysumm.rouge import rouge_n
@@ -344,7 +344,7 @@ class TestFilterQmdsir:
     def test_source_document_omitted(self):
         rec = record(source=2)
         kept, _ = filter_qmdsir([rec])
-        assert rec.ranked_documents[2] not in kept[0].documents
+        assert rec.documents[2] not in kept[0].documents
         assert kept[0].meta["ranks"] == [1, 2, 4]
 
     def test_single_sentence_rejected(self):
@@ -431,8 +431,8 @@ class TestTripletStats:
 def test_triplet_jsonl_roundtrip(tmp_path):
     trips = build_qmdscnn(make_articles(4, seed=7), seed=7)
     path = tmp_path / "trips.jsonl"
-    save_triplets(trips, path)
-    again = load_triplets(path)
+    save_records(trips, path)
+    again = load_records(path, Triplet)
     assert [t.query for t in again] == [t.query for t in trips]
     assert [t.documents for t in again] == [t.documents for t in trips]
     assert [t.meta for t in again] == [json.loads(json.dumps(t.meta)) for t in trips]
@@ -460,28 +460,46 @@ def test_jsonl_golden_lines_and_blank_line_tolerant_reads(tmp_path):
     trip = Triplet("qüery", ["dóc"], "sümmary", {"ranks": [None], "from": "日本"})
     golden = {
         "articles.jsonl": (
-            data.save_articles, data.load_articles, art,
+            art,
             '{"id": "é1", "title": "Grüße", "paragraphs": ["Ünïcode pará", "zwei"], '
             '"summary": "résumé — fin"}\n',
         ),
         "records.jsonl": (
-            data.save_ir_records, data.load_ir_records, rec,
+            rec,
             '{"query": "naïve query", "answer_passage": "the answer ✓", '
             '"documents": ["doc ä", "doc ø"], "answer_source_index": 1}\n',
         ),
         "triplets.jsonl": (
-            save_triplets, load_triplets, trip,
+            trip,
             '{"query": "qüery", "documents": ["dóc"], "summary": "sümmary", '
             '"meta": {"ranks": [null], "from": "日本"}}\n',
         ),
     }
-    for name, (save, load, item, line) in golden.items():
+    for name, (item, line) in golden.items():
         path = tmp_path / name
-        save([item, item], path)
+        save_records([item, item], path)
         assert path.read_bytes() == (line * 2).encode("utf-8")
         path.write_text("\n" + line + "  \n\n" + line, encoding="utf-8")
-        assert load(path) == [item, item]
+        assert load_records(path, type(item)) == [item, item]
     # A triplet line without ``meta`` reads back with an empty one.
     path = tmp_path / "bare.jsonl"
     path.write_text('{"query": "q", "documents": ["d"], "summary": "s"}\n', encoding="utf-8")
-    assert load_triplets(path) == [Triplet("q", ["d"], "s")]
+    assert load_records(path, Triplet) == [Triplet("q", ["d"], "s")]
+
+
+@pytest.mark.parametrize(
+    "cls, obj",
+    [
+        (Article, {"id": 1, "title": "t", "paragraphs": "pq", "summary": "s"}),
+        (IrRecord, {"query": "q", "answer_passage": "a", "documents": "xyz",
+                    "answer_source_index": 0}),
+        (Triplet, {"query": "q", "documents": "abc", "summary": "s"}),
+    ],
+    ids=["article-paragraphs", "record-documents", "triplet-documents"],
+)
+def test_a_string_where_a_list_belongs_is_refused(tmp_path, cls, obj):
+    """A string would otherwise load as one item per character."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: .* must be a list, got str"):
+        load_records(path, cls)

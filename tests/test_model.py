@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -90,12 +89,6 @@ class TestModelConfig:
             with pytest.raises(ValueError, match=field):
                 ModelConfig(vocab_size=100, **{field: value})
         assert getattr(ModelConfig(vocab_size=100, **{field: good}), field) == good
-
-    def test_json_roundtrip_mirrors_field_names(self):
-        cfg = tiny_config(50, use_hierarchical_merge=True)
-        blob = json.loads(cfg.to_json())
-        assert blob["d_model"] == 16 and blob["use_hierarchical_merge"] is True
-        assert ModelConfig.from_json(cfg.to_json()) == cfg
 
     def test_joint_flags_per_dataset_family(self):
         for family in ("qmdscnn", "qmdsir"):

@@ -1,11 +1,16 @@
 """Static checks over the package source."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import querysumm
 
 SOURCE = Path(querysumm.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+# Code that may call the package; the tests are not callers.
+CALLER_DIRS = ("src", "bench", "demos")
 
 # (file, function, parameter) kept although the body never reads it.
 UNREAD_ALLOWED = {
@@ -37,3 +42,28 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert sorted(unread_parameters()) == sorted(UNREAD_ALLOWED)
+
+
+def uncalled_definitions():
+    """(file, name) of every function, class and method in the package,
+    dunders aside, whose name appears in no caller file except at its own
+    definition: code that only the tests would keep alive."""
+    defs = [
+        (path.name, node.name)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    words = Counter(
+        word
+        for d in CALLER_DIRS
+        for path in (ROOT / d).rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    )
+    defined = Counter(name for _, name in defs)
+    return sorted((f, name) for f, name in defs if words[name] <= defined[name])
+
+
+def test_every_definition_has_a_caller():
+    assert uncalled_definitions() == []

@@ -79,11 +79,11 @@ class TestVocabulary:
         # while a and b have frequency 2).  Hand frequency count.
         v = build_vocab([["a", "a", "b"], ["b", "c"]], 7)
         assert v.id_to_token[5:] == ["a", "b"]
-        assert v.lookup("c") == UNK_ID
+        assert v.encode(["c"]) == [UNK_ID]
 
     def test_unseen_maps_to_unknown(self):
         v = build_vocab([["a"]], 6)
-        assert v.lookup("zebra") == UNK_ID
+        assert v.encode(["zebra"]) == [UNK_ID]
 
     def test_roundtrip(self):
         v = build_vocab([["cat", "dog", "cat"]], 10)
