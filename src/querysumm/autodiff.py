@@ -372,44 +372,101 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _node(p, (a,), lambda g: _accumulate(a, _softmax_grad(g, p)))
 
 
-def attention_weights(
-    q: Tensor, k: Tensor, scale: float, mask: np.ndarray | None = None
-) -> Tensor:
-    """``softmax(scale * q @ kᵀ, mask)`` as one node that keeps only the
-    probabilities, not the raw or scaled scores.
+def _block(a: np.ndarray | None, i: int, ndim: int):
+    """Slice ``i`` of ``a``'s first axis as ``a`` broadcasts against
+    ``ndim``-axis operands: a size-1 first axis is shared by every slice,
+    and an array with fewer axes is whole in each."""
+    if a is None or a.ndim < ndim:
+        return a
+    return a[i if a.shape[0] > 1 else 0]
 
-    ``q`` is (..., Tq, dk) and ``k`` (..., Tk, dk) with the same number of
-    axes; each leading dim of ``k`` equals ``q``'s or is 1, in which case it
-    is shared across that axis.  ``mask`` is as for ``softmax``.  Values and
-    gradients are bit-identical to ``softmax(scale(matmul(q, swapaxes(k,
-    -1, -2)), scale), mask)``.
+
+def _attention_probs(q, kt, scale: float, blocked, out: np.ndarray) -> np.ndarray:
+    """``softmax(scale * q @ kt)`` with ``blocked`` positions at probability
+    0, computed in ``out``."""
+    scores = np.matmul(q, kt, out=out)
+    scores *= scale
+    if blocked is not None and blocked.any():
+        np.copyto(scores, -np.inf, where=blocked)
+    return _softmax_values(scores, None, "attention", owned=True)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None
+) -> Tensor:
+    """Scaled dot-product attention, ``softmax(scale * q @ kᵀ, mask) @ v``,
+    one slice of the first axis at a time.
+
+    ``q`` is (B, ..., Tq, dk), ``k`` (B, ..., Tk, dk) and ``v``
+    (B, ..., Tk, dv); each leading dim of ``k`` and ``v`` equals ``q``'s or
+    is 1, in which case it is shared across that axis.  ``mask`` is boolean
+    and broadcasts to the scores (B, ..., Tq, Tk); masked keys get
+    probability exactly 0 and a row with none left attends to nothing.
+
+    Each slice's scores are computed into one reused buffer, so no
+    probability tensor outlives its slice.  The node keeps only ``q``, ``k``
+    and ``v``; backward recomputes each slice's probabilities.  Values and
+    gradients are bit-identical to ``matmul(softmax(scale(matmul(q,
+    swapaxes(k, -1, -2)), scale), mask), v)``.
     """
-    qv, kv = q.values, k.values
+    qv, kv, vv = q.values, k.values, v.values
+    lead = qv.shape[:-2]
     _shape_check(
-        qv.ndim == kv.ndim >= 2
+        qv.ndim == kv.ndim == vv.ndim >= 3
         and qv.shape[-1] == kv.shape[-1]
-        and all(nk in (1, nq) for nq, nk in zip(qv.shape[:-2], kv.shape[:-2])),
-        "attention_weights",
+        and kv.shape[-2] == vv.shape[-2]
+        and all(
+            nk in (1, nq) and nv in (1, nq)
+            for nq, nk, nv in zip(lead, kv.shape[:-2], vv.shape[:-2])
+        ),
+        "attention",
         qv.shape,
         kv.shape,
+        vv.shape,
     )
+    scores_shape = (*lead, qv.shape[-2], kv.shape[-2])
+    blocked = None
+    if mask is not None:
+        blocked = ~np.asarray(mask, dtype=bool)
+        try:
+            fits = np.broadcast_shapes(blocked.shape, scores_shape) == scores_shape
+        except ValueError:
+            fits = False
+        _shape_check(fits, "attention", scores_shape, blocked.shape)
+    ndim = qv.ndim
     kt = kv.swapaxes(-1, -2)
-    scores = qv @ kt
-    scores *= scale
-    p = _softmax_values(scores, mask, "attention_weights", owned=True)
+    buf = np.empty(scores_shape[1:], np.result_type(qv, kv))
+    out = np.empty((*lead, qv.shape[-2], vv.shape[-1]), np.result_type(qv, kv, vv))
+    for i in range(lead[0]):
+        p = _attention_probs(qv[i], _block(kt, i, ndim), scale, _block(blocked, i, ndim), buf)
+        np.matmul(p, _block(vv, i, ndim), out=out[i])
 
     def bw(g):
-        # The matmul -> scale -> softmax chain's backward, operation for
-        # operation: each +0.0 is the first-gradient store of the scale and
-        # the matmul node (it turns -0.0 into +0.0 before the products).
-        d = _softmax_grad(g, p)
-        d += 0.0
-        d *= scale
-        d += 0.0
-        _accumulate(q, d @ kv)
-        _accumulate(k, _unbroadcast(qv.swapaxes(-1, -2) @ d, kt.shape).swapaxes(-1, -2))
+        # Per slice, the matmul -> scale -> softmax -> matmul chain's
+        # backward, operation for operation: each +0.0 is the first-gradient
+        # store of an intermediate node (it turns -0.0 into +0.0 before the
+        # products).  Gradients of shared K/V sum over the whole batch at
+        # the end, as the chain's did.
+        gq = np.empty(qv.shape, out.dtype)
+        gkt = np.empty((*lead, *kt.shape[-2:]), out.dtype)
+        gv = np.empty((*lead, *vv.shape[-2:]), out.dtype)
+        for i in range(lead[0]):
+            k_i, v_i = _block(kv, i, ndim), _block(vv, i, ndim)
+            p = _attention_probs(qv[i], k_i.swapaxes(-1, -2), scale, _block(blocked, i, ndim), buf)
+            np.matmul(p.swapaxes(-1, -2), g[i], out=gv[i])
+            d = g[i] @ v_i.swapaxes(-1, -2)
+            d += 0.0
+            d = _softmax_grad(d, p)
+            d += 0.0
+            d *= scale
+            d += 0.0
+            np.matmul(d, k_i, out=gq[i])
+            np.matmul(qv[i].swapaxes(-1, -2), d, out=gkt[i])
+        _accumulate(v, _unbroadcast(gv, vv.shape))
+        _accumulate(q, gq)
+        _accumulate(k, _unbroadcast(gkt, kt.shape).swapaxes(-1, -2))
 
-    return _node(p, (q, k), bw)
+    return _node(out, (q, k, v), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -40,6 +40,11 @@ def _require_list(value, what: str) -> None:
         raise TypeError(f"{what} must be a list, got {type(value).__name__}")
 
 
+def _require_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {type(value).__name__}")
+
+
 @dataclass
 class Article:
     id: object
@@ -48,12 +53,15 @@ class Article:
     summary: str
 
     def __post_init__(self):
+        _require_str(self.title, f"article {self.id} title")
+        _require_str(self.summary, f"article {self.id} summary")
         _require_list(self.paragraphs, f"article {self.id} paragraphs")
         if not self.paragraphs:
             raise ValueError(f"article {self.id} has no paragraphs")
         if not self.title.strip():
             raise ValueError(f"article {self.id} has a blank title")
         for i, paragraph in enumerate(self.paragraphs):
+            _require_str(paragraph, f"article {self.id} paragraph {i}")
             if not paragraph.strip():
                 raise ValueError(f"article {self.id} has a blank paragraph {i}")
 
@@ -66,6 +74,8 @@ class Triplet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_str(self.query, "triplet query")
+        _require_str(self.summary, "triplet summary")
         _require_list(self.documents, "triplet documents")
         if not self.documents:
             raise ValueError("triplet needs at least one document")
@@ -84,11 +94,19 @@ class IrRecord:
     answer_source_index: int
 
     def __post_init__(self):
+        _require_str(self.query, "IR record query")
+        _require_str(self.answer_passage, "IR record answer_passage")
         _require_list(self.documents, "IR record documents")
-        if not 0 <= self.answer_source_index < len(self.documents):
-            raise ValueError(
-                f"answer_source_index {self.answer_source_index} out of range"
+        for i, document in enumerate(self.documents):
+            _require_str(document, f"IR record document {i}")
+        # bool is an int subclass; a float would never equal a rank.
+        index = self.answer_source_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise TypeError(
+                f"answer_source_index must be an integer, got {type(index).__name__}"
             )
+        if not 0 <= index < len(self.documents):
+            raise ValueError(f"answer_source_index {index} out of range")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,18 @@ def _masked_logprobs(logits: np.ndarray, tokens: list[int], config) -> np.ndarra
     return logp
 
 
+def _best_ids(logp: np.ndarray, beam: int) -> np.ndarray:
+    """Ids of the ``beam`` highest finite entries of ``logp``, best first,
+    ties to the lowest id.  Only the entries at or above the ``beam``-th
+    best score are sorted, so ties at the cut still go to the lowest ids."""
+    ids = np.flatnonzero(np.isfinite(logp))
+    if ids.size > beam:
+        scores = logp[ids]
+        cut = np.partition(scores, ids.size - beam)[ids.size - beam]
+        ids = ids[scores >= cut]
+    return ids[np.lexsort((ids, -logp[ids]))][:beam]
+
+
 def greedy_decode(model: SummModel, enc: EncodedBatch, config: DecodeConfig) -> list[int]:
     """Pick the argmax token every step; ties go to the lowest id.  This is
     beam search with a beam of one."""
@@ -91,14 +103,12 @@ def beam_search_nbest(
         expansions: list[tuple[list[int], float, int]] = []  # + row of the parent
         for row, (tokens, score) in enumerate(active):
             logp = _masked_logprobs(logits[row], tokens, config)
-            if not np.isfinite(logp).any():
+            best = _best_ids(logp, config.beam)
+            if not best.size:
                 finished.append((tokens, score))
                 continue
-            order = np.lexsort((np.arange(logp.size), -logp))
-            for v in order[: config.beam]:
+            for v in best:
                 lp_v = logp[v]
-                if not np.isfinite(lp_v):
-                    break
                 if v == EOS_ID:
                     finished.append((tokens, score + float(lp_v)))
                 else:

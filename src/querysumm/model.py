@@ -164,10 +164,12 @@ def prepare_input(triplet, vocab: Vocabulary, config: ModelConfig) -> ModelInput
     )
 
 
-def sinusoid_table(n_positions: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Standard sin/cos position table: even column 2j is
-    sin(pos / 10000^(2j/dim)), odd column 2j+1 the matching cosine."""
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
+def sinusoid_table(n_positions: int, dim: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """Standard sin/cos position table of positions ``start`` ..
+    ``start + n_positions - 1``: even column 2j is sin(pos / 10000^(2j/dim)),
+    odd column 2j+1 the matching cosine.  Each row depends only on its
+    position."""
+    pos = np.arange(start, start + n_positions, dtype=np.float64)[:, None]
     j2 = np.arange(0, dim, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, j2 / dim)
     table = np.zeros((n_positions, dim), dtype=np.float64)
@@ -287,8 +289,7 @@ class MultiHeadAttention:
         if causal:
             tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
-        attn = ad.attention_weights(q, k, 1.0 / math.sqrt(self.dk), mask)
-        ctx = ad.swapaxes(ad.matmul(attn, v), -2, -3)
+        ctx = ad.swapaxes(ad.attention(q, k, v, 1.0 / math.sqrt(self.dk), mask), -2, -3)
         *lead, t, h, dk = ctx.shape
         return self.wo(ad.reshape(ctx, (*lead, t, h * dk)))
 
@@ -561,7 +562,7 @@ class SummModel:
         sinusoids of positions ``start`` .. ``start + S - 1``."""
         cfg = self.config
         emb = ad.scale(ad.embedding_lookup(self.embed, ids), math.sqrt(cfg.d_model))
-        pos = sinusoid_table(start + ids.shape[-1], cfg.d_model, self.dtype)[start:]
+        pos = sinusoid_table(ids.shape[-1], cfg.d_model, self.dtype, start)
         return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
 
     def output_logits(self, x: Tensor) -> Tensor:

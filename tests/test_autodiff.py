@@ -91,6 +91,11 @@ class TestForwardValues:
             ad.add(a, b)
         with pytest.raises(ShapeError, match="linear"):
             ad.linear(a, b)
+        q, k = ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match="attention"):  # v has 6 keys, k 5
+            ad.attention(q, k, ad.tensor(np.zeros((2, 6, 4))), 1.0)
+        with pytest.raises(ShapeError, match="attention"):  # a mask would enlarge the scores
+            ad.attention(q, k, k, 1.0, np.ones((3, 2, 3, 5), bool))
 
 
 class TestBackward:
@@ -140,13 +145,13 @@ class TestBackward:
             lambda: wsum(ad.softmax(sm, mask), wsm), {"x": sm}
         )
 
-        # A size-1 key batch axis shared by both query rows, one key masked.
-        aq, ak = rand(rng, 2, 3, 4), rand(rng, 1, 5, 4)
+        # A size-1 K/V batch axis shared by both query rows, one key masked.
+        aq, ak, av = rand(rng, 2, 3, 4), rand(rng, 1, 5, 4), rand(rng, 1, 5, 3)
         amask = np.ones((2, 1, 5), bool)
         amask[1, 0, 3] = False
-        wa = rng.standard_normal((2, 3, 5))
-        checks["attention_weights"] = grad_check(
-            lambda: wsum(ad.attention_weights(aq, ak, 0.5, amask), wa), {"q": aq, "k": ak}
+        wa = rng.standard_normal((2, 3, 3))
+        checks["attention"] = grad_check(
+            lambda: wsum(ad.attention(aq, ak, av, 0.5, amask), wa), {"q": aq, "k": ak, "v": av}
         )
 
         ln_x = rand(rng, 4, 6)
@@ -168,7 +173,7 @@ class TestBackward:
         table = rand(rng, 9, 4)
         ids = np.array([[1, 2], [2, 8]])
         we = rng.standard_normal((2, 2, 4))
-        checks["embedding"] = grad_check(
+        checks["embedding_lookup"] = grad_check(
             lambda: wsum(ad.embedding_lookup(table, ids), we), {"t": table}
         )
 
@@ -179,7 +184,7 @@ class TestBackward:
             total, count = ad.cross_entropy_sum(logits, targets, ignore_id=0)
             return ad.scale(total, 1.0 / count)
 
-        checks["cross_entropy"] = grad_check(mean_cross_entropy, {"l": logits})
+        checks["cross_entropy_sum"] = grad_check(mean_cross_entropy, {"l": logits})
 
         dr = rand(rng, 3, 4)
         keep_rng_seed = 17
@@ -201,6 +206,9 @@ class TestBackward:
         checks["swapaxes"] = grad_check(
             lambda: wsum(ad.swapaxes(rs, 0, 1), wt), {"x": rs}
         )
+        checks["scale"] = grad_check(lambda: wsum(ad.scale(rs, -1.5), wr.reshape(2, 6)), {"x": rs})
+        wts = rng.standard_normal(2)
+        checks["tsum"] = grad_check(lambda: wsum(ad.tsum(rs, axis=1), wts), {"x": rs})
 
         # b's size-1 batch axis is shared by every a row: its gradient sums.
         mb1 = rand(rng, 3, 2, 1, 4)
@@ -284,7 +292,7 @@ def _primitive_calls():
         "sin": lambda: [ad.sin(p(3, 4))],
         "cos": lambda: [ad.cos(p(3, 4))],
         "softmax": lambda: [ad.softmax(p(3, 5), np.ones((3, 5), bool))],
-        "attention_weights": lambda: [ad.attention_weights(p(2, 3, 4), p(2, 5, 4), 0.5)],
+        "attention": lambda: [ad.attention(p(2, 3, 4), p(2, 5, 4), p(2, 5, 3), 0.5)],
         "layer_norm": lambda: [ad.layer_norm(p(4, 6), p(6), p(6))],
         "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0))],
         "embedding_lookup": lambda: [ad.embedding_lookup(p(9, 4), np.array([[1, 2], [2, 8]]))],
@@ -428,21 +436,31 @@ def _run_softmax(softmax, name, dtype, released_grads):
     return out.values, released_grads[a], x.grad
 
 
-def oracle_attention_weights(q, k, scale, mask=None):
-    """Attention weights as the chain the fused primitive replaced."""
-    return oracle_softmax(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale), mask)
+def oracle_attention(q, k, v, scale, mask=None):
+    """Attention as the chain the fused primitive replaced."""
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale)
+    return ad.matmul(oracle_softmax(scores, mask), v)
 
 
-ATTENTION_CASES = SOFTMAX_CASES + ("shared-key",)
+ATTENTION_CASES = SOFTMAX_CASES + ("shared-kv", "causal-and-key-mask")
+
+
+def _attention_mask(name, dtype):
+    if name == "shared-kv":
+        return _softmax_case("key-mask", dtype)[1]
+    if name == "causal-and-key-mask":
+        key_mask = _softmax_case("key-mask", dtype)[1]
+        return key_mask & _softmax_case("causal-cached-keys", dtype)[1]
+    return _softmax_case(name, dtype)[1]
 
 
 def _run_attention(attention, name, dtype, released_grads):
     """One attention case, 5 queries over 7 keys with the softmax case's
-    mask: the output, the output built under ``no_grad``, the q and k node
-    gradients and the leaf gradients.  The "swapaxes-parent" keys are read
-    through a non-contiguous view; the "shared-key" keys have a size-1 batch
-    axis, as decoder memory does."""
-    _, mask = _softmax_case("key-mask" if name == "shared-key" else name, dtype)
+    mask: the output, the output built under ``no_grad``, the q, k and v
+    node gradients and the leaf gradients.  The "swapaxes-parent" keys and
+    values are read through non-contiguous views; the "shared-kv" keys and
+    values have a size-1 batch axis, as decoder memory does."""
+    mask = _attention_mask(name, dtype)
     rng = np.random.default_rng(ATTENTION_CASES.index(name))
     qx = ad.parameter(rng.standard_normal((2, 3, 5, 4)), dtype)
     if name == "nan-row":
@@ -450,18 +468,30 @@ def _run_attention(attention, name, dtype, released_grads):
     one = ad.tensor(1.0, dtype)
     if name == "swapaxes-parent":
         kx = ad.parameter(rng.standard_normal((2, 3, 4, 7)), dtype)
-        k = ad.swapaxes(kx, -1, -2)
+        vx = ad.parameter(rng.standard_normal((2, 3, 6, 7)), dtype)
+        k, v = ad.swapaxes(kx, -1, -2), ad.swapaxes(vx, -1, -2)
     else:
-        kx = ad.parameter(rng.standard_normal((1 if name == "shared-key" else 2, 3, 7, 4)), dtype)
-        k = ad.mul(kx, one)
+        batch = 1 if name == "shared-kv" else 2
+        kx = ad.parameter(rng.standard_normal((batch, 3, 7, 4)), dtype)
+        vx = ad.parameter(rng.standard_normal((batch, 3, 7, 6)), dtype)
+        k, v = ad.mul(kx, one), ad.mul(vx, one)
     q = ad.mul(qx, one)
-    out = attention(q, k, 0.5, mask)
+    out = attention(q, k, v, 0.5, mask)
     with ad.no_grad():
-        const = attention(q, k, 0.5, mask)
+        const = attention(q, k, v, 0.5, mask)
     assert not const.requires_grad and const.parents == ()
     w = np.random.default_rng(99).standard_normal(out.shape).astype(dtype)
     backward(ad.tsum(ad.mul(out, ad.tensor(w, dtype))))
-    return out.values, const.values, released_grads[q], released_grads[k], qx.grad, kx.grad
+    return (
+        out.values,
+        const.values,
+        released_grads[q],
+        released_grads[k],
+        released_grads[v],
+        qx.grad,
+        kx.grad,
+        vx.grad,
+    )
 
 
 class TestHotPathOracles:
@@ -487,18 +517,20 @@ class TestHotPathOracles:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", ATTENTION_CASES)
-    def test_attention_weights_match_chain_oracle_bytes(
+    def test_attention_matches_chain_oracle_bytes(
         self, name, dtype, monkeypatch, released_grads
     ):
-        got = _run_attention(ad.attention_weights, name, dtype, released_grads)
+        got = _run_attention(ad.attention, name, dtype, released_grads)
         monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
-        want = _run_attention(oracle_attention_weights, name, dtype, released_grads)
+        want = _run_attention(oracle_attention, name, dtype, released_grads)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.strides == w.strides
             assert g.tobytes() == w.tobytes()
         assert got[1].tobytes() == got[0].tobytes()
+        if name == "fully-masked-rows":
+            assert not got[0][0, 1, 2].any() and not got[0][1, :, 4].any()
         if name == "nan-row":
-            assert not got[0][1, 2, 3].any() and np.isfinite(got[4]).all()
+            assert not got[0][1, 2, 3].any() and np.isfinite(got[5]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_query_encoder_model_gradients_match_oracle_bytes(
@@ -525,12 +557,12 @@ class TestHotPathOracles:
 
         loss, grads = run()
         # The reference graph: the plain softmax and first-gradient store,
-        # and attention as its matmul -> scale -> softmax chain.  The two
-        # graphs differ in node count, so what is compared is the loss and
-        # every parameter gradient.
+        # and attention as its matmul -> scale -> softmax -> matmul chain.
+        # The two graphs differ in node count, so what is compared is the
+        # loss and every parameter gradient.
         monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
         monkeypatch.setattr(ad, "softmax", oracle_softmax)
-        monkeypatch.setattr(ad, "attention_weights", oracle_attention_weights)
+        monkeypatch.setattr(ad, "attention", oracle_attention)
         want_loss, want_grads = run()
         assert loss.tobytes() == want_loss.tobytes()
         assert grads.keys() == want_grads.keys()
@@ -567,10 +599,11 @@ def test_backward_release_and_fused_attention_lower_peak_memory(
     small_triplets, small_vocab, monkeypatch
 ):
     """One training example's forward plus backward, traced by tracemalloc:
-    releasing the graph during backward and keeping only attention's
-    probabilities must lower the peak to at most 0.6 of a run that keeps
-    the whole graph and the matmul -> scale -> softmax chain (measured
-    0.475 with numpy 2.4), with byte-identical parameter gradients."""
+    releasing the graph during backward and recomputing attention's
+    probabilities there must lower the peak to at most 0.6 of a run that
+    keeps the whole graph and the matmul -> scale -> softmax -> matmul chain
+    (measured 0.476 with numpy 2.4), with byte-identical parameter
+    gradients."""
     cfg = tiny_config(len(small_vocab), dropout=0.1)
     inp = prepare_input(small_triplets[0], small_vocab, cfg)
 
@@ -588,10 +621,57 @@ def test_backward_release_and_fused_attention_lower_peak_memory(
 
     peak, grads = run()
     monkeypatch.setattr(ad, "_release", lambda node: None)
-    monkeypatch.setattr(ad, "attention_weights", oracle_attention_weights)
+    monkeypatch.setattr(ad, "attention", oracle_attention)
     kept_peak, kept_grads = run()
     assert peak <= 0.6 * kept_peak, (peak, kept_peak)
     for name, g in grads.items():
         w = kept_grads[name]
         assert g.dtype == w.dtype and g.strides == w.strides, name
         assert g.tobytes() == w.tobytes(), name
+
+
+def _traced(fn):
+    """``fn()``'s result, with the peak and the still-held bytes it
+    allocated under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, held
+
+
+class TestAttentionMemory:
+    def test_no_grad_call_allocates_less_than_one_probability_tensor(self):
+        rng = np.random.default_rng(8)
+        q, k, v = (ad.tensor(rng.standard_normal((8, 8, 200, 16))) for _ in range(3))
+        mask = np.ones((8, 1, 1, 200), bool)
+        mask[:, ..., 150:] = False
+        with ad.no_grad():
+            out, peak, _ = _traced(lambda: ad.attention(q, k, v, 0.25, mask))
+        probs_bytes = 8 * 8 * 200 * 200 * np.dtype(np.float32).itemsize
+        assert out.dtype == np.float32
+        assert peak < probs_bytes, (peak, probs_bytes)
+
+    def test_grad_mode_encode_holds_no_probabilities(
+        self, small_triplets, small_vocab, monkeypatch
+    ):
+        """The graph of an encode holds less, by at least the bytes of every
+        probability tensor, than the chain's graph, which keeps them."""
+        cfg = tiny_config(len(small_vocab), local_layers=2)
+        inp = prepare_input(small_triplets[0], small_vocab, cfg)
+        model = SummModel(cfg, seed=3)
+        probs = []
+
+        def chain(q, k, v, scale, mask=None):
+            out = oracle_attention(q, k, v, scale, mask)
+            probs.append(out.parents[0].values.nbytes)
+            return out
+
+        enc, _, held = _traced(lambda: model.encode(inp))
+        monkeypatch.setattr(ad, "attention", chain)
+        enc_chain, _, held_chain = _traced(lambda: model.encode(inp))
+        assert enc.memory.values.tobytes() == enc_chain.memory.values.tobytes()
+        assert len(probs) == cfg.local_layers + cfg.global_layers
+        assert held_chain - held >= sum(probs), (held, held_chain, probs)

@@ -139,9 +139,34 @@ class TestMalformedDatasetLine:
              "'title'"),
             ("build-qmdsir", VALID_RECORD, '{"query": "q", "answer_passage": "a", "documents": []}',
              "'answer_source_index'"),
+            ("stats", VALID_TRIPLET, '{"query": 5, "documents": ["d"], "summary": "s"}',
+             "query must be a string, got int"),
+            ("stats", VALID_TRIPLET, '{"query": "q", "documents": ["d"], "summary": ["s"]}',
+             "summary must be a string, got list"),
+            ("build-qmdsir", VALID_RECORD,
+             '{"query": "q", "answer_passage": "a", "documents": ["d", "e"], '
+             '"answer_source_index": 1.5}', "answer_source_index must be an integer, got float"),
+            ("build-qmdsir", VALID_RECORD,
+             '{"query": "q", "answer_passage": "a", "documents": ["d", "e"], '
+             '"answer_source_index": true}', "answer_source_index must be an integer, got bool"),
+            ("build-qmdsir", VALID_RECORD,
+             '{"query": null, "answer_passage": "a", "documents": ["d"], "answer_source_index": 0}',
+             "query must be a string, got NoneType"),
+            ("build-qmdsir", VALID_RECORD,
+             '{"query": "q", "answer_passage": 7, "documents": ["d"], "answer_source_index": 0}',
+             "answer_passage must be a string, got int"),
+            ("build-qmdsir", VALID_RECORD,
+             '{"query": "q", "answer_passage": "a", "documents": ["d", 3], '
+             '"answer_source_index": 0}', "document 1 must be a string, got int"),
+            ("build-qmdscnn", VALID_ARTICLE,
+             '{"id": 2, "title": "t", "paragraphs": ["p"], "summary": 5}',
+             "article 2 summary must be a string, got int"),
         ],
         ids=["missing-field", "broken-json", "non-string-document", "non-object", "string-documents",
-             "article-missing-field", "record-missing-field"],
+             "article-missing-field", "record-missing-field", "non-string-query",
+             "non-string-summary", "float-source-index", "bool-source-index",
+             "record-non-string-query", "record-non-string-answer", "record-non-string-document",
+             "article-non-string-summary"],
     )
     def test_error_names_file_and_line(self, tmp_path, monkeypatch, capsys,
                                        command, valid, line2, named):

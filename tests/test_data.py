@@ -503,3 +503,37 @@ def test_a_string_where_a_list_belongs_is_refused(tmp_path, cls, obj):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.jsonl:1: .* must be a list, got str"):
         load_records(path, cls)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_answer_source_index_must_be_an_integer(tmp_path, index):
+    """A float index would match no rank, so the answer-source document
+    would be kept; ``True`` would pass as 1."""
+    obj = {"query": "q", "answer_passage": "a", "documents": ["d0", "d1", "d2"],
+           "answer_source_index": index}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: answer_source_index must be an integer"):
+        load_records(path, IrRecord)
+    assert IrRecord("q", "a", ["d0", "d1"], np.int64(1)).answer_source_index == 1
+
+
+@pytest.mark.parametrize(
+    "cls, obj, named",
+    [
+        (Triplet, {"query": 5, "documents": ["d"], "summary": "s"}, "triplet query"),
+        (Triplet, {"query": "q", "documents": ["d"], "summary": None}, "triplet summary"),
+        (IrRecord, {"query": ["q"], "answer_passage": "a", "documents": ["d"],
+                    "answer_source_index": 0}, "IR record query"),
+        (IrRecord, {"query": "q", "answer_passage": 1, "documents": ["d"],
+                    "answer_source_index": 0}, "IR record answer_passage"),
+        (IrRecord, {"query": "q", "answer_passage": "a", "documents": ["d", {"t": 1}],
+                    "answer_source_index": 0}, "IR record document 1"),
+    ],
+    ids=["triplet-query", "triplet-summary", "record-query", "record-answer", "record-document"],
+)
+def test_text_fields_must_be_strings(tmp_path, cls, obj, named):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:1: {named} must be a string"):
+        load_records(path, cls)

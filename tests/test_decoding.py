@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from querysumm.autodiff import log_softmax_values
+from querysumm import decoding
 from querysumm.decoding import (
     STRUCTURAL_IDS,
     DecodeConfig,
     _banned_by_trigram,
+    _best_ids,
     beam_search,
     beam_search_nbest,
     greedy_decode,
@@ -204,6 +206,77 @@ class TestNBest:
             logits = row(t)
             logp += logits[tok] - np.log(np.exp(logits).sum())
         assert score == pytest.approx(logp / length_penalty(2, 0.4), rel=1e-9)
+
+
+def lexsort_best_ids(logp, beam):
+    """The selection ``_best_ids`` replaced: a lexsort of the whole row by
+    score descending, then id ascending, cut at ``beam`` ids or at the first
+    non-finite score."""
+    best = []
+    for v in np.lexsort((np.arange(logp.size), -logp))[:beam]:
+        if not np.isfinite(logp[v]):
+            break
+        best.append(v)
+    return np.array(best, dtype=np.int64)
+
+
+class TestBestIdsAgainstLexsort:
+    def test_random_rows_with_ties_and_masked_entries(self):
+        rng = np.random.default_rng(0)
+        for trial in range(400):
+            size = int(rng.integers(1, 40))
+            if trial % 2:
+                logp = rng.standard_normal(size)
+            else:
+                logp = rng.integers(-3, 1, size=size).astype(np.float64)  # many ties
+            logp[rng.random(size) < rng.random()] = -np.inf
+            beam = int(rng.integers(1, 8))
+            assert _best_ids(logp, beam).tolist() == lexsort_best_ids(logp, beam).tolist()
+
+    def test_ties_at_the_cut_go_to_the_lowest_ids(self):
+        logp = np.array([-1.0, 0.0, -1.0, -1.0, -np.inf, -1.0])
+        assert _best_ids(logp, 3).tolist() == [1, 0, 2]
+
+    def test_fewer_finite_scores_than_beam(self):
+        logp = np.array([-np.inf, -2.0, -np.inf, -0.5, -np.inf])
+        assert _best_ids(logp, 4).tolist() == [3, 1]
+        assert _best_ids(np.full(5, -np.inf), 4).size == 0
+
+    @staticmethod
+    def both(monkeypatch, model, enc, cfg):
+        got = beam_search_nbest(model, enc, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(decoding, "_best_ids", lexsort_best_ids)
+            want = beam_search_nbest(model, enc, cfg)
+        assert got, cfg
+        return got, want
+
+    def test_greedy_and_trigram_blocked_beam_ids_equal_the_lexsort(self, monkeypatch):
+        for seed in range(3):
+            model, enc = real_model_and_encoding(seed, vocab_size=30)
+            for beam, block in ((1, False), (4, True)):
+                cfg = DecodeConfig(beam=beam, min_len=3, max_len=12, block_trigrams=block)
+                got, want = self.both(monkeypatch, model, enc, cfg)
+                assert got == want, (seed, beam)
+
+    def test_min_len_masking_of_eos_equals_the_lexsort(self, monkeypatch):
+        model = random_stub(3, eos_boost=50.0)
+        for beam in (1, 4):
+            cfg = DecodeConfig(beam=beam, alpha=0.0, min_len=4, max_len=10)
+            got, want = self.both(monkeypatch, model, dummy_enc(), cfg)
+            assert got == want and len(got[0][0]) == 4
+
+    def test_rows_with_fewer_finite_scores_than_beam_equal_the_lexsort(self, monkeypatch):
+        def row(t):
+            logits = np.full(12, -np.inf)
+            logits[[6, 7]] = [1.0, 0.5]
+            logits[EOS_ID] = 0.25 * t
+            return logits
+
+        model = RiggedModel(12, row)
+        cfg = DecodeConfig(beam=4, alpha=0.4, min_len=2, max_len=6, block_trigrams=True)
+        got, want = self.both(monkeypatch, model, dummy_enc(), cfg)
+        assert got == want
 
 
 def reference_beam_search_nbest(model, enc, config):

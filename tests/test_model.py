@@ -34,17 +34,21 @@ from conftest import handmade_triplet, tiny_config
 
 @pytest.fixture()
 def attention_probs(monkeypatch):
-    """The attention distribution of every ``ad.attention_weights`` call the
-    test makes, in call order, as arrays (..., heads, Tq, Tk)."""
+    """The attention distribution of every ``ad.attention`` call the test
+    makes, in call order, as arrays (..., heads, Tq, Tk).  The primitive
+    keeps no probabilities, so each is read from a second call whose values
+    are the identity: its output rows are the probability rows, exactly."""
     probs = []
-    weights = ad.attention_weights
+    attention = ad.attention
 
-    def record(*args, **kwargs):
-        p = weights(*args, **kwargs)
-        probs.append(p.values.copy())
-        return p
+    def record(q, k, v, scale, mask=None):
+        tk = k.shape[-2]
+        eye = ad.tensor(np.eye(tk).reshape((1,) * (k.values.ndim - 2) + (tk, tk)), k.dtype)
+        with ad.no_grad():
+            probs.append(attention(q, k, eye, scale, mask).values)
+        return attention(q, k, v, scale, mask)
 
-    monkeypatch.setattr(ad, "attention_weights", record)
+    monkeypatch.setattr(ad, "attention", record)
     return probs
 
 
@@ -112,6 +116,20 @@ class TestSinusoids:
     def test_matches_reference(self):
         table = sinusoid_table(7, 10, np.float64)
         np.testing.assert_allclose(table, reference_sinusoid(range(7), 10), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [0, 1, 99, 450])
+    def test_rows_from_start_match_the_full_table_bytes(self, start, dtype):
+        for n in (1, 5):
+            got = sinusoid_table(n, 128, dtype, start)
+            want = sinusoid_table(start + n, 128, dtype)[start:]
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(
+            sinusoid_table(3, 10, np.float64, start),
+            reference_sinusoid(range(start, start + 3), 10),
+            atol=1e-12,
+        )
 
 
 class TestOrderingEncoding:

@@ -67,3 +67,44 @@ def uncalled_definitions():
 
 def test_every_definition_has_a_caller():
     assert uncalled_definitions() == []
+
+
+def _functions(path):
+    return {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_every_primitive_has_a_no_graph_test_and_a_gradient_check():
+    """Each ``autodiff`` function that builds a node through ``_node`` is a
+    key of ``_primitive_calls()`` (the no-graph test) and of the
+    finite-difference table in ``tests/test_autodiff.py``."""
+    primitives = {
+        name
+        for name, node in _functions(SOURCE / "autodiff.py").items()
+        if name != "_node"
+        and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_node"
+            for n in ast.walk(node)
+        )
+    }
+    tests = _functions(ROOT / "tests" / "test_autodiff.py")
+    no_graph = {
+        key.value
+        for n in ast.walk(tests["_primitive_calls"])
+        if isinstance(n, ast.Return) and isinstance(n.value, ast.Dict)
+        for key in n.value.keys
+    }
+    finite_differences = {
+        n.slice.value
+        for n in ast.walk(tests["test_every_primitive_against_finite_differences"])
+        if isinstance(n, ast.Subscript)
+        and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "checks"
+    }
+    assert {"attention", "softmax", "tsum"} <= primitives
+    assert sorted(primitives - no_graph) == []
+    assert sorted(primitives - finite_differences) == []
