@@ -30,9 +30,8 @@ print(f"vocabulary: {len(vocab)} entries")
 
 config = ModelConfig(
     vocab_size=len(vocab), d_model=64, ffn_hidden=256, heads=4,
-    local_layers=2, query_layers=1, global_layers=1, dropout=0.1,
+    local_layers=2, global_layers=1, dropout=0.1,
     use_query_encoder=True, use_hierarchical_merge=True, use_ordering=True,
-    baseline_query_prepend=False,
     max_doc_tokens=30, max_docs=3, max_summary_tokens=20,
 )
 model = SummModel(config, seed=0)

@@ -31,9 +31,10 @@ vocab = build_vocab(tokens, 400)
 
 with tempfile.TemporaryDirectory() as workdir:
     spec = TransferSpec(
+        # the query encoder is off, so the query heads the first document
         model_config=ModelConfig(
             vocab_size=len(vocab), d_model=32, ffn_hidden=64, heads=2,
-            local_layers=1, query_layers=0, global_layers=1, dropout=0.1,
+            local_layers=1, global_layers=1, dropout=0.1,
             max_doc_tokens=24, max_docs=3, max_summary_tokens=16,
         ),
         train_config=TrainConfig(

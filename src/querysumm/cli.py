@@ -10,11 +10,14 @@ Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
     {
       "vocab_max_size": 2000,
       "model": { ... ModelConfig fields except vocab_size ... },
-      "train": { ... TrainConfig fields ... },
+      "train": { ... TrainConfig fields ... },              # paths: train only
       "decode": { ... DecodeConfig fields ... },            # transfer only
       "finetune": { ... TrainConfig fields ... },           # optional
       "sources": {"qmdscnn": {"train": P, "val": P}, ...}   # transfer only
     }
+
+``model.use_query_encoder`` alone decides whether the query is encoded or
+prepended.  A bad section field exits 1: ``error: <config>: <section>: ...``.
 """
 
 from __future__ import annotations
@@ -141,11 +144,17 @@ def _load_config(path) -> dict:
         return json.load(fh)
 
 
-def _vocab_and_model(cfg: dict, train_triplets):
+def _section(path, cfg: dict, name: str, cls, **fields):
+    """``cls`` of section ``name`` (absent: empty) and ``fields``; errors name the section."""
+    try:
+        return cls(**fields, **cfg.get(name, {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {name}: {exc}") from exc
+
+
+def _vocab_and_model(path, cfg: dict, train_triplets):
     vocab = build_vocab(list(_corpus_tokens(train_triplets)), cfg.get("vocab_max_size", 2000))
-    model_cfg = ModelConfig(vocab_size=len(vocab), **cfg.get("model", {}))
-    train_cfg = TrainConfig(**cfg["train"])
-    return vocab, model_cfg, train_cfg
+    return vocab, _section(path, cfg, "model", ModelConfig, vocab_size=len(vocab))
 
 
 def cmd_build_qmdscnn(args) -> int:
@@ -192,9 +201,12 @@ def cmd_align_hist(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    train_triplets = load_records(cfg["train"]["train_path"], Triplet)
-    val_triplets = load_records(cfg["train"]["val_path"], Triplet)
-    vocab, model_cfg, train_cfg = _vocab_and_model(cfg, train_triplets)
+    train_cfg = _section(args.config, cfg, "train", TrainConfig)
+    if None in (train_cfg.train_path, train_cfg.val_path):
+        raise ValueError(f"{args.config}: train.train_path and train.val_path must be set")
+    train_triplets = load_records(train_cfg.train_path, Triplet)
+    val_triplets = load_records(train_cfg.val_path, Triplet)
+    vocab, model_cfg = _vocab_and_model(args.config, cfg, train_triplets)
     model = SummModel(model_cfg, seed=train_cfg.seed)
     result = train(model, train_cfg, train_triplets, val_triplets, vocab, resume_from=args.resume)
     print(f"best checkpoint {result.best_path} (val ROUGE-L {result.best_score:.4f})")
@@ -224,12 +236,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg = _load_config(args.config)
+    train_cfg = _section(args.config, cfg, "train", TrainConfig)
     sources = cfg["sources"]
     if args.source == "combined":
         if len(sources) != 2:
             raise ValueError("combined mode needs exactly two sources in the config")
         (tag_a, a), (tag_b, b) = sources.items()
-        seed = cfg["train"].get("seed", 0)
+        seed = train_cfg.seed
         train_triplets, val_triplets = (
             interleave(load_records(a[part], Triplet), load_records(b[part], Triplet), seed)
             for part in ("train", "val")
@@ -242,11 +255,12 @@ def cmd_transfer(args) -> int:
         raise ValueError(f"unknown source {args.source!r}; config has {list(sources)}")
 
     eval_triplets = load_records(args.eval_path, Triplet)
-    vocab, model_cfg, train_cfg = _vocab_and_model(cfg, train_triplets)
-    decode_cfg = (
-        DecodeConfig(**cfg["decode"]) if "decode" in cfg else TRANSFER_DECODE_DEFAULTS
-    )
-    finetune_cfg = TrainConfig(**cfg["finetune"]) if "finetune" in cfg else None
+    vocab, model_cfg = _vocab_and_model(args.config, cfg, train_triplets)
+    decode_cfg, finetune_cfg = TRANSFER_DECODE_DEFAULTS, None
+    if "decode" in cfg:
+        decode_cfg = _section(args.config, cfg, "decode", DecodeConfig)
+    if "finetune" in cfg:
+        finetune_cfg = _section(args.config, cfg, "finetune", TrainConfig)
     finetune_triplets = load_records(args.finetune, Triplet) if args.finetune else None
     spec = TransferSpec(model_cfg, train_cfg, decode_cfg, finetune_cfg)
     report, _ = transfer_pipeline(

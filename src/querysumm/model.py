@@ -7,8 +7,8 @@ and global layers exchanging information across documents through
 multi-head pooling plus inter-document attention.  Three switchable
 components extend the baseline:
 
-* query encoder  - a separate query embedding table and query layer instead
-  of prepending the query text to the first document;
+* query encoder  - a separate query embedding table and one query layer
+  instead of prepending the query text to the first document;
 * ordering       - a structured self-attention hop producing one importance
   score per document, re-encoded as a sinusoid and concatenated onto the
   global states (the inter-document position half of the input encoding is
@@ -17,7 +17,7 @@ components extend the baseline:
   final global states via a learned projection, instead of global alone.
 
 The decoder is a standard causal transformer layer with cross-attention
-over the flattened encoder memory; output logits reuse the (tied) input
+over the flattened encoder memory; output logits reuse the tied input
 embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 """
 
@@ -41,43 +41,33 @@ class ModelConfig:
     ffn_hidden: int = 1024
     heads: int = 8
     local_layers: int | None = None
-    query_layers: int | None = None
     global_layers: int = 2
     decoder_layers: int = 1
     dropout: float = 0.1
     use_query_encoder: bool = False
     use_hierarchical_merge: bool = False
     use_ordering: bool = False
-    baseline_query_prepend: bool = True
     max_doc_tokens: int = 200
     max_docs: int = 8
     max_summary_tokens: int = 100
-    tie_embeddings: bool = True
 
     def __post_init__(self):
         if self.local_layers is None:
             self.local_layers = 5 if self.use_query_encoder else 6
-        if self.query_layers is None:
-            self.query_layers = 1 if self.use_query_encoder else 0
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        for name in (
+            "d_model", "ffn_hidden", "heads", "local_layers", "global_layers", "decoder_layers",
+            "max_doc_tokens", "max_docs", "max_summary_tokens",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads:
             raise ValueError("d_model must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % 4:
             raise ValueError("d_model must be divisible by 4 for split sinusoids")
-        if self.use_query_encoder != (self.query_layers > 0):
-            raise ValueError("query_layers must be > 0 exactly when the query encoder is on")
-        if self.use_query_encoder and self.baseline_query_prepend:
-            raise ValueError("query encoder and query prepending are alternatives")
-        if self.global_layers < 1:
-            raise ValueError("at least one global layer is required")
         if self.vocab_size <= 5:
             raise ValueError("vocab_size must exceed the 5 reserved ids")
-        for name in ("max_doc_tokens", "max_docs", "max_summary_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def joint_flags(dataset: str) -> dict:
@@ -89,11 +79,7 @@ def joint_flags(dataset: str) -> dict:
     query encoder instead.
     """
     if dataset in ("qmdscnn", "qmdsir"):
-        return dict(
-            use_hierarchical_merge=True,
-            use_query_encoder=True,
-            baseline_query_prepend=False,
-        )
+        return dict(use_hierarchical_merge=True, use_query_encoder=True)
     if dataset == "wikisum":
         return dict(use_hierarchical_merge=True, use_ordering=True)
     raise ValueError(f"unknown dataset family {dataset!r}")
@@ -137,14 +123,14 @@ def prepare_input(triplet, vocab: Vocabulary, config: ModelConfig) -> ModelInput
 
     The only place input limits apply: at most ``max_docs`` documents,
     each document and the query cut to ``max_doc_tokens``, the target to
-    ``max_summary_tokens``.  With ``baseline_query_prepend`` a non-empty
-    query plus separator become the head of document 1 before its cut.
+    ``max_summary_tokens``.  Without the query encoder a non-empty query
+    plus separator become the head of document 1 before its cut.
     The model encodes the result as given."""
     docs = [vocab.encode(tokenize(d)) for d in triplet.documents[: config.max_docs]]
     query_ids = vocab.encode(tokenize(triplet.query))[: config.max_doc_tokens]
     if config.use_query_encoder and not query_ids:
         raise ValueError("query encoder requires a query with at least one token")
-    if config.baseline_query_prepend and query_ids and docs:
+    if not config.use_query_encoder and query_ids and docs:
         docs[0] = query_ids + [QSEP_ID] + docs[0]
     doc_ids = [ids[: config.max_doc_tokens] for ids in docs]
     target = None
@@ -473,12 +459,11 @@ class SummModel:
         cfg = config
         d = cfg.d_model
         self.embed = store.kaiming("embed", (cfg.vocab_size, d), fan_in=d)
-        if not cfg.tie_embeddings:
-            self.out_proj = Linear(store, "out_proj", d, cfg.vocab_size)
         self.local = [LocalLayer(store, f"local.{i}", cfg) for i in range(cfg.local_layers)]
         if cfg.use_query_encoder:
             self.query_embed = store.kaiming("query_embed", (cfg.vocab_size, d), fan_in=d)
-            self.query = [QueryLayer(store, f"query.{i}", cfg) for i in range(cfg.query_layers)]
+            # "query.0", the name checkpoints of a layer list gave it
+            self.query = QueryLayer(store, "query.0", cfg)
         self.globals_ = [GlobalLayer(store, f"global.{i}", cfg) for i in range(cfg.global_layers)]
         if cfg.use_ordering:
             self.ordering = OrderingScores(store, "ordering", d)
@@ -528,8 +513,7 @@ class SummModel:
         if cfg.use_query_encoder:
             q = self.embed_query(inp.query_ids)
             q = ad.dropout(q, cfg.dropout, rng)
-            for layer in self.query:
-                x = layer(x, q, token_mask, rng)
+            x = self.query(x, q, token_mask, rng)
         for layer in self.globals_:
             x, doc_vectors = layer(x, token_mask, rng)
         token_states = x
@@ -567,12 +551,8 @@ class SummModel:
 
     def output_logits(self, x: Tensor) -> Tensor:
         """Vocabulary logits of final decoder states (..., d)."""
-        cfg = self.config
-        if cfg.tie_embeddings:
-            logits = ad.matmul(x, ad.swapaxes(self.embed, 0, 1))
-        else:
-            logits = self.out_proj(x)
-        return ad.scale(logits, 1.0 / math.sqrt(cfg.d_model))
+        logits = ad.matmul(x, ad.swapaxes(self.embed, 0, 1))
+        return ad.scale(logits, 1.0 / math.sqrt(self.config.d_model))
 
     def decode_logits(self, prefix_ids, memory: Tensor, memory_mask, rng=None) -> Tensor:
         """Logits (S, vocab) for every position of the decoder prefix, which

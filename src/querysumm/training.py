@@ -121,11 +121,19 @@ def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None
 
 def _saved_config(path, meta: dict) -> ModelConfig:
     """The ``ModelConfig`` a checkpoint manifest holds; a missing one, or
-    one ``ModelConfig`` rejects, raises a ``ValueError`` naming ``path``."""
+    one ``ModelConfig`` rejects, raises a ``ValueError`` naming ``path``.
+    Fields of older manifests that ``use_query_encoder`` now implies are
+    dropped at the implied value and refused at any other."""
     if "model_config" not in meta:
         raise ValueError(f"{path}: checkpoint manifest has no 'model_config'")
     try:
-        return ModelConfig(**meta["model_config"])
+        fields = dict(meta["model_config"])
+        on = fields.get("use_query_encoder", False)
+        implied = {"query_layers": int(on), "baseline_query_prepend": not on, "tie_embeddings": True}
+        for name, value in implied.items():
+            if name in fields and (saved := fields.pop(name)) != value:
+                raise ValueError(f"{name} is {saved!r}, and only {value!r} is supported")
+        return ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model_config: {exc}") from exc
 

@@ -49,7 +49,6 @@ def _toy_config(**flags) -> ModelConfig:
         max_doc_tokens=6,
         max_docs=3,
         max_summary_tokens=6,
-        baseline_query_prepend=flags.pop("baseline_query_prepend", False),
         **flags,
     )
 
@@ -171,13 +170,11 @@ LAYER_CHECKS = {
 }
 
 FULL_CHECKS = {
-    "full-baseline": dict(baseline_query_prepend=True),
-    "full-merge": dict(use_hierarchical_merge=True, baseline_query_prepend=True),
-    "full-ordering": dict(use_ordering=True, baseline_query_prepend=True),
+    "full-baseline": {},
+    "full-merge": dict(use_hierarchical_merge=True),
+    "full-ordering": dict(use_ordering=True),
     "full-query": dict(use_query_encoder=True),
-    "full-joint": dict(
-        use_query_encoder=True, use_hierarchical_merge=True, use_ordering=True
-    ),
+    "full-joint": dict(use_query_encoder=True, use_hierarchical_merge=True, use_ordering=True),
 }
 
 

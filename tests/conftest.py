@@ -49,7 +49,6 @@ def tiny_config(vocab_size, **kw):
         ffn_hidden=32,
         heads=2,
         local_layers=1,
-        query_layers=0,
         global_layers=1,
         decoder_layers=1,
         dropout=0.0,

@@ -68,9 +68,8 @@ def test_criterion_02_overfit():
     assert len(vocab) <= 200, "overfit vocabulary must stay small"
     cfg = ModelConfig(
         vocab_size=len(vocab), d_model=64, ffn_hidden=256, heads=4,
-        local_layers=2, query_layers=1, global_layers=1, dropout=0.0,
+        local_layers=2, global_layers=1, dropout=0.0,
         use_query_encoder=True, use_hierarchical_merge=True, use_ordering=True,
-        baseline_query_prepend=False,
         max_doc_tokens=30, max_docs=3, max_summary_tokens=20,
     )
     model = SummModel(cfg, seed=0)
@@ -100,8 +99,8 @@ def test_criterion_02_overfit():
 def test_criterion_03_permutation_equivariance():
     cfg = ModelConfig(
         vocab_size=80, d_model=16, ffn_hidden=32, heads=2,
-        local_layers=1, query_layers=0, global_layers=1, dropout=0.0,
-        use_ordering=True, use_hierarchical_merge=True, baseline_query_prepend=False,
+        local_layers=1, global_layers=1, dropout=0.0,
+        use_ordering=True, use_hierarchical_merge=True,
         max_doc_tokens=12, max_docs=6, max_summary_tokens=8,
     )
     model = SummModel(cfg, seed=2, dtype=np.float64)
@@ -310,10 +309,10 @@ def test_criterion_08_ordering_encoding_values():
 def test_criterion_09_parameter_count_ordering():
     vocab_size = 2000
     variants = {
-        "baseline": dict(baseline_query_prepend=True),
-        "merge": dict(use_hierarchical_merge=True, baseline_query_prepend=True),
-        "ordering": dict(use_ordering=True, baseline_query_prepend=True),
-        "query": dict(use_query_encoder=True, baseline_query_prepend=False),
+        "baseline": {},
+        "merge": dict(use_hierarchical_merge=True),
+        "ordering": dict(use_ordering=True),
+        "query": dict(use_query_encoder=True),
     }
     counts = {}
     for name, flags in variants.items():
@@ -330,7 +329,7 @@ def test_criterion_10_decode_contracts():
     vocab_size = 60
     cfg = ModelConfig(
         vocab_size=vocab_size, d_model=16, ffn_hidden=32, heads=2,
-        local_layers=1, query_layers=0, global_layers=1, dropout=0.0,
+        local_layers=1, global_layers=1, dropout=0.0,
         max_doc_tokens=10, max_docs=3, max_summary_tokens=8,
     )
     rng = np.random.default_rng(10)
@@ -378,7 +377,7 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
         "vocab_max_size": 400,
         "model": {
             "d_model": 32, "ffn_hidden": 64, "heads": 2, "local_layers": 1,
-            "query_layers": 0, "global_layers": 1, "dropout": 0.1,
+            "global_layers": 1, "dropout": 0.1,
             "max_doc_tokens": 24, "max_docs": 3, "max_summary_tokens": 16,
         },
         "train": {

@@ -539,8 +539,6 @@ class TestHotPathOracles:
         cfg = tiny_config(
             len(small_vocab),
             use_query_encoder=True,
-            query_layers=1,
-            baseline_query_prepend=False,
             dropout=0.1,
         )
         inp = prepare_input(small_triplets[0], small_vocab, cfg)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from querysumm.decoding import DecodeConfig
 from querysumm.model import ModelConfig, SummModel
 from querysumm.synthetic import make_articles, make_ir_records
 from querysumm.text import Vocabulary
-from querysumm.training import NumericalAbort
+from querysumm.training import NumericalAbort, TrainConfig
 
 
 @pytest.fixture()
@@ -34,7 +35,7 @@ def train_config(tmp_path, steps=3):
         "vocab_max_size": 300,
         "model": {
             "d_model": 16, "ffn_hidden": 32, "heads": 2, "local_layers": 1,
-            "query_layers": 0, "global_layers": 1, "dropout": 0.0,
+            "global_layers": 1, "dropout": 0.0,
             "max_doc_tokens": 20, "max_docs": 2, "max_summary_tokens": 10,
         },
         "train": {
@@ -186,14 +187,15 @@ class TestMalformedDatasetLine:
             load_records(path, Article)
 
 
-def untrained_checkpoint(path, **meta_edits):
+def untrained_checkpoint(path, use_query_encoder=False, **meta_edits):
     """A d=16 model's weights with the manifest ``save_model_checkpoint``
     writes, then ``meta_edits`` applied (``None`` deletes a field)."""
     tokens = ["alpha", "beta", "café", "naïve"]
     vocab = Vocabulary(tokens)
     config = ModelConfig(
         vocab_size=len(vocab), d_model=16, ffn_hidden=32, heads=2, local_layers=1,
-        query_layers=0, global_layers=1, max_doc_tokens=20, max_docs=2, max_summary_tokens=10,
+        global_layers=1, max_doc_tokens=20, max_docs=2, max_summary_tokens=10,
+        use_query_encoder=use_query_encoder,
     )
     meta = {"model_config": asdict(config), "vocab": tokens, "step": 0}
     for field, value in meta_edits.items():
@@ -309,6 +311,115 @@ class TestMalformedManifest:
         assert not os.path.exists("decodes.jsonl")
 
 
+def older_fields(use_query_encoder):
+    """The fields older manifests also held, at the values that
+    ``use_query_encoder`` now implies."""
+    return {
+        "query_layers": int(use_query_encoder),
+        "baseline_query_prepend": not use_query_encoder,
+        "tie_embeddings": True,
+    }
+
+
+def add_older_fields(src, dst, **overrides):
+    """Copy checkpoint ``src`` to ``dst``, its manifest's model config
+    extended with ``older_fields`` and then ``overrides``."""
+    arrays, meta = load_arrays(src)
+    fields = meta["model_config"]
+    fields.update(older_fields(fields["use_query_encoder"]), **overrides)
+    save_arrays(dst, arrays, meta)
+
+
+class TestOlderManifest:
+    @pytest.mark.parametrize("encoder", [False, True], ids=["prepend", "query-encoder"])
+    def test_implied_values_load_for_decode_and_evaluate(
+        self, tmp_path, monkeypatch, capsys, encoder
+    ):
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("new.ckpt", use_query_encoder=encoder)
+        add_older_fields("new.ckpt", "old.ckpt")
+        one_triplet_file("triplets.jsonl")
+        for ckpt in ("new.ckpt", "old.ckpt"):
+            assert run("decode", "--ckpt", ckpt, "--in", "triplets.jsonl",
+                       "--out", f"{ckpt}.jsonl", "--max-len", "6") == 0
+            assert run("evaluate", "--ckpt", ckpt, "--in", "triplets.jsonl",
+                       "--max-len", "6") == 0
+        assert Path("old.ckpt.jsonl").read_text() == Path("new.ckpt.jsonl").read_text()
+        model, _, _ = training.load_model_checkpoint("old.ckpt")
+        assert ("query.0.attn.wv.w" in model.params) == encoder  # as older checkpoints name it
+
+    @pytest.mark.parametrize(
+        "encoder, field, value",
+        [
+            (False, "tie_embeddings", False),
+            (True, "query_layers", 2),
+            (False, "query_layers", 1),
+            (False, "baseline_query_prepend", False),
+            (True, "baseline_query_prepend", True),
+        ],
+        ids=["untied", "two-query-layers", "query-layer-without-encoder",
+             "no-prepend-without-encoder", "prepend-with-encoder"],
+    )
+    def test_other_values_are_refused_naming_the_field(
+        self, tmp_path, monkeypatch, capsys, encoder, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("new.ckpt", use_query_encoder=encoder)
+        add_older_fields("new.ckpt", "old.ckpt", **{field: value})
+        one_triplet_file("triplets.jsonl")
+        for command in (["decode", "--out", "decodes.jsonl"], ["evaluate"]):
+            argv = [command[0], "--ckpt", "old.ckpt", "--in", "triplets.jsonl", *command[1:]]
+            assert run(*argv) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: old.ckpt: ") and f"{field} is {value!r}" in err
+        assert not os.path.exists("decodes.jsonl")
+
+
+def readme_train_config():
+    """The ``train`` JSON example of README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("`train` reads a JSON config:\n\n```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_train_config_builds_through_the_config_reader(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(readme_train_config())
+    cfg = cli._load_config(path)
+    train_cfg = cli._section(path, cfg, "train", TrainConfig)
+    vocab, model_cfg = cli._vocab_and_model(path, cfg, [Triplet("a query", ["a doc"], "a sum")])
+    assert model_cfg.vocab_size == len(vocab) and model_cfg.use_query_encoder
+    assert (train_cfg.train_path, train_cfg.val_path) == ("train.jsonl", "val.jsonl")
+
+
+def transfer_config(workdir):
+    """A transfer config over the first eight triplets of ``triplets.jsonl``."""
+    trips = load_records("triplets.jsonl", Triplet)
+    save_records(trips[:4], "src_a.jsonl")
+    save_records(trips[4:6], "src_a_val.jsonl")
+    save_records(trips[6:], "src_b.jsonl")
+    save_records(trips[:2], "eval.jsonl")
+    cfg = {
+        "vocab_max_size": 300,
+        "model": {
+            "d_model": 16, "ffn_hidden": 32, "heads": 2, "local_layers": 1,
+            "global_layers": 1, "dropout": 0.0,
+            "max_doc_tokens": 20, "max_docs": 2, "max_summary_tokens": 10,
+        },
+        "train": {
+            "steps": 2, "checkpoint_dir": str(workdir / "tr"), "batch_tokens": 256,
+            "val_interval": 1, "seed": 0, "base_lr": 1.0, "warmup": 50,
+        },
+        "decode": {"beam": 1, "alpha": 0.0, "min_len": 1, "max_len": 6},
+        "sources": {
+            "alpha": {"train": "src_a.jsonl", "val": "src_a_val.jsonl"},
+            "beta": {"train": "src_b.jsonl", "val": "src_a_val.jsonl"},
+        },
+    }
+    cfg_path = workdir / "transfer.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
 class TestModelCommands:
     def test_train_decode_evaluate(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
@@ -336,30 +447,7 @@ class TestModelCommands:
 
     def test_transfer(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
-        trips = load_records("triplets.jsonl", Triplet)
-        save_records(trips[:4], "src_a.jsonl")
-        save_records(trips[4:6], "src_a_val.jsonl")
-        save_records(trips[6:], "src_b.jsonl")
-        save_records(trips[:2], "eval.jsonl")
-        cfg = {
-            "vocab_max_size": 300,
-            "model": {
-                "d_model": 16, "ffn_hidden": 32, "heads": 2, "local_layers": 1,
-                "query_layers": 0, "global_layers": 1, "dropout": 0.0,
-                "max_doc_tokens": 20, "max_docs": 2, "max_summary_tokens": 10,
-            },
-            "train": {
-                "steps": 2, "checkpoint_dir": str(workdir / "tr"), "batch_tokens": 256,
-                "val_interval": 1, "seed": 0, "base_lr": 1.0, "warmup": 50,
-            },
-            "decode": {"beam": 1, "alpha": 0.0, "min_len": 1, "max_len": 6},
-            "sources": {
-                "alpha": {"train": "src_a.jsonl", "val": "src_a_val.jsonl"},
-                "beta": {"train": "src_b.jsonl", "val": "src_a_val.jsonl"},
-            },
-        }
-        cfg_path = workdir / "transfer.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path = transfer_config(workdir)
         assert run("transfer", "--config", str(cfg_path), "--source", "alpha",
                    "--eval", "eval.jsonl") == 0
         assert "rouge-1" in capsys.readouterr().out
@@ -378,6 +466,52 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "val_interval" in err
         assert not (workdir / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, field, value",
+        [
+            ("train", "model", "bogus", 1),
+            ("train", "model", "heads", "2"),
+            ("train", "train", "bogus", 1),
+            ("train", "train", "steps", "3"),
+            ("transfer", "model", "bogus", 1),
+            ("transfer", "train", "bogus", 1),
+            ("transfer", "finetune", "bogus", 1),
+            ("transfer", "finetune", "steps", "3"),
+            ("transfer", "decode", "bogus", 1),
+            ("transfer", "decode", "beam", "1"),
+        ],
+    )
+    def test_bad_config_field_names_config_and_section(
+        self, workdir, capsys, command, section, field, value
+    ):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = train_config(workdir) if command == "train" else transfer_config(workdir)
+        cfg = json.loads(path.read_text())
+        if section == "finetune":
+            cfg["finetune"] = dict(cfg["train"])
+        cfg[section][field] = value
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path)]
+        if command == "transfer":
+            argv += ["--source", "alpha", "--eval", "eval.jsonl"]
+        assert run(command, *argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {section}: ")
+        if field == "bogus":  # an ill-typed value's error need not name its field
+            assert "unexpected keyword argument 'bogus'" in err
+        assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
+
+    @pytest.mark.parametrize("field", ["train_path", "val_path"])
+    def test_train_without_a_data_path_names_it(self, workdir, capsys, field):
+        path = train_config(workdir)
+        cfg = json.loads(path.read_text())
+        del cfg["train"][field]
+        path.write_text(json.dumps(cfg))
+        assert run("train", "--config", str(path)) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {path}: train.train_path and train.val_path must be set\n"
+        )
 
     def test_invalid_dropout_is_validation_error(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
@@ -401,6 +535,24 @@ class TestModelCommands:
                    "--resume", "weights.ckpt") == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and "weights.ckpt" in err
+
+    @pytest.mark.parametrize(
+        "overrides, status",
+        [({}, cli.EXIT_OK), ({"tie_embeddings": False}, cli.EXIT_VALIDATION)],
+        ids=["implied", "untied"],
+    )
+    def test_resume_from_older_manifest(self, workdir, capsys, overrides, status):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        assert run("train", "--config", str(train_config(workdir, steps=2))) == 0
+        add_older_fields(workdir / "ckpt" / "latest.ckpt", workdir / "old.ckpt", **overrides)
+        capsys.readouterr()
+        assert run("train", "--config", str(train_config(workdir, steps=4)),
+                   "--resume", "old.ckpt") == status
+        if overrides:
+            err = capsys.readouterr().err
+            assert err.startswith("error: old.ckpt: ") and "tie_embeddings is False" in err
+        else:
+            assert "after 4 steps" in capsys.readouterr().out
 
     def test_resume_under_another_model_config_is_validation_error(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")

@@ -324,7 +324,7 @@ def reference_beam_search_nbest(model, enc, config):
 def real_model_and_encoding(seed, vocab_size=12, **kw):
     """A tiny float64 model; a small vocabulary keeps the end token within
     reach of every beam, so hypotheses finish at different steps."""
-    cfg = tiny_config(vocab_size, decoder_layers=2, baseline_query_prepend=False, **kw)
+    cfg = tiny_config(vocab_size, decoder_layers=2, **kw)
     model = SummModel(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     inp = ModelInput(
@@ -381,10 +381,7 @@ class CountingLinear:
 class TestWorkPerDecode:
     @pytest.mark.parametrize("length", [5, 20])
     def test_memory_projected_once_and_each_position_computed_once(self, length):
-        model, enc = real_model_and_encoding(0, vocab_size=40, tie_embeddings=False)
-        # The end token wins as soon as it is allowed, so the decode stops
-        # on it after exactly ``length`` tokens.
-        model.params["out_proj.b"].values[EOS_ID] = 100.0
+        model, enc = real_model_and_encoding(0, vocab_size=40)
         for beam in (1, 3):
             memory_k, positions = [], []
             for layer in model.decoder:
@@ -392,11 +389,13 @@ class TestWorkPerDecode:
                 layer.self_attn.wq = CountingLinear(layer.self_attn.wq)
                 memory_k.append(layer.cross_attn.wk)
                 positions.append(layer.self_attn.wq)
-            cfg = DecodeConfig(beam=beam, min_len=length, max_len=length + 5)
+            # The end token is banned until ``max_len``, where the decode
+            # stops, so every decode is exactly ``length`` tokens long.
+            cfg = DecodeConfig(beam=beam, min_len=length, max_len=length)
             tokens = (greedy_decode if beam == 1 else beam_search)(model, enc, cfg)
             assert len(tokens) == length
             assert [c.calls for c in memory_k] == [1] * len(model.decoder)
             if beam == 1:
-                assert [c.rows for c in positions] == [length + 1] * len(model.decoder)
+                assert [c.rows for c in positions] == [length] * len(model.decoder)
             for layer, k, q in zip(model.decoder, memory_k, positions):
                 layer.cross_attn.wk, layer.self_attn.wq = k.linear, q.linear

@@ -66,29 +66,31 @@ def reference_sinusoid(positions, dim):
 
 class TestModelConfig:
     def test_default_layer_split_with_query(self):
-        cfg = ModelConfig(vocab_size=100, use_query_encoder=True, baseline_query_prepend=False)
-        assert (cfg.local_layers, cfg.query_layers, cfg.global_layers) == (5, 1, 2)
+        cfg = ModelConfig(vocab_size=100, use_query_encoder=True)
+        assert (cfg.local_layers, cfg.global_layers) == (5, 2)
 
     def test_default_layer_split_without_query(self):
         cfg = ModelConfig(vocab_size=100)
-        assert (cfg.local_layers, cfg.query_layers, cfg.global_layers) == (6, 0, 2)
+        assert (cfg.local_layers, cfg.global_layers) == (6, 2)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=100, d_model=30, heads=4)
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=100, use_query_encoder=True, query_layers=0)
-        with pytest.raises(ValueError):
-            ModelConfig(vocab_size=100, use_query_encoder=True, baseline_query_prepend=True)
-        with pytest.raises(ValueError):
             ModelConfig(vocab_size=3)
 
     @pytest.mark.parametrize(
-        "field", ["max_doc_tokens", "max_docs", "max_summary_tokens", "heads", "dropout"]
+        "field",
+        [
+            "max_doc_tokens", "max_docs", "max_summary_tokens", "heads", "dropout",
+            "d_model", "ffn_hidden", "local_layers", "global_layers", "decoder_layers",
+        ],
     )
     def test_input_limits_must_be_positive(self, field):
-        # A dropout rate must also stay below 1, where nothing is kept.
+        # A dropout rate must also stay below 1, where nothing is kept; the
+        # smallest d_model splits into the 8 default heads and 4 sinusoids.
         bad, good = ((1.0, -0.1, float("nan")), 0.0) if field == "dropout" else ((0, -1), 1)
+        good = 8 if field == "d_model" else good
         for value in bad:
             with pytest.raises(ValueError, match=field):
                 ModelConfig(vocab_size=100, **{field: value})
@@ -98,8 +100,7 @@ class TestModelConfig:
         for family in ("qmdscnn", "qmdsir"):
             flags = joint_flags(family)
             assert flags["use_hierarchical_merge"] and flags["use_query_encoder"]
-            cfg = ModelConfig(vocab_size=100, **flags)
-            assert cfg.query_layers == 1
+            ModelConfig(vocab_size=100, **flags)
         flags = joint_flags("wikisum")
         assert flags["use_hierarchical_merge"] and flags["use_ordering"]
         assert "use_query_encoder" not in flags
@@ -178,7 +179,7 @@ class TestEmbedInputs:
         )
 
     def test_matches_independent_sinusoid_oracle(self):
-        model = self.make_model(baseline_query_prepend=False)
+        model = self.make_model()
         ids = [[5, 6, 7], [8, 9, 5]]
         states = model.embed_inputs(self.input_for(ids))
         half = 4
@@ -192,14 +193,14 @@ class TestEmbedInputs:
                 np.testing.assert_allclose(states.values[i, j], expected, atol=1e-9)
 
     def test_identical_tokens_differ_only_in_intra_half(self):
-        model = self.make_model(baseline_query_prepend=False)
+        model = self.make_model()
         states = model.embed_inputs(self.input_for([[5, 5, 5]]))
         diff = states.values[0, 1] - states.values[0, 0]
         np.testing.assert_allclose(diff[:4], 0.0, atol=1e-12)  # same document
         assert np.abs(diff[4:]).max() > 0
 
     def test_ordering_zeroes_inter_document_half(self):
-        model = self.make_model(use_ordering=True, baseline_query_prepend=False)
+        model = self.make_model(use_ordering=True)
         states = model.embed_inputs(self.input_for([[5, 6], [5, 6]]))
         # identical token at same intra position in different documents must
         # now embed identically
@@ -207,7 +208,7 @@ class TestEmbedInputs:
 
     def test_encodes_input_as_given(self):
         # Input limits belong to prepare_input; the model never cuts.
-        model = self.make_model(baseline_query_prepend=False)
+        model = self.make_model()
         states = model.embed_inputs(self.input_for(np.full((10, 50), 5)))
         assert states.shape == (10, 50, 8)  # beyond max_docs=3, max_doc_tokens=24
 
@@ -260,8 +261,7 @@ class TestLayers:
         np.testing.assert_array_equal(out[1], pool.out.b.values)
 
     def test_query_layer_zeroed_value_projection_reduces_to_layer_norm(self):
-        cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
-                          baseline_query_prepend=False)
+        cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True)
         layer = QueryLayer(self.store, "q", cfg)
         layer.wv.w.values[:] = 0.0  # value path off; biases are zero
         x = self.states(2, 4, 8)
@@ -274,8 +274,7 @@ class TestLayers:
         np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
 
     def test_query_layer_shape_preserved(self):
-        cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
-                          baseline_query_prepend=False)
+        cfg = tiny_config(40, d_model=8, heads=2, use_query_encoder=True)
         layer = QueryLayer(self.store, "q2", cfg)
         x = self.states(3, 5, 8)
         out = layer(x, self.states(2, 8), np.ones((3, 5), dtype=bool))
@@ -337,8 +336,7 @@ class TestQueryLayerClosedForm:
     pooled query at every key; these tests hold it to that attention."""
 
     def query_config(self):
-        return tiny_config(40, d_model=8, heads=2, use_query_encoder=True, query_layers=1,
-                           baseline_query_prepend=False)
+        return tiny_config(40, d_model=8, heads=2, use_query_encoder=True)
 
     def test_matches_explicit_attention_with_any_query_key_projections(self):
         cfg = self.query_config()
@@ -371,8 +369,7 @@ class TestQueryLayerClosedForm:
             [tokenize(d) for d in trip.documents] + [tokenize(trip.query), tokenize(trip.summary)],
             64,
         )
-        cfg = tiny_config(len(vocab), use_query_encoder=True, query_layers=1,
-                          baseline_query_prepend=False)
+        cfg = tiny_config(len(vocab), use_query_encoder=True)
         model = SummModel(cfg, seed=4)
         path = tmp_path / "m.ckpt"
         save_model_checkpoint(path, model, AdamNoam(model.params, cfg.d_model), vocab, {"step": 1})
@@ -394,7 +391,7 @@ class TestQueryLayerClosedForm:
 class TestMergeAndMemory:
     def make_model(self, **kw):
         return SummModel(
-            tiny_config(40, d_model=8, heads=2, baseline_query_prepend=False, **kw),
+            tiny_config(40, d_model=8, heads=2, **kw),
             seed=1,
             dtype=np.float64,
         )
@@ -450,7 +447,7 @@ class TestPaddedDocument:
         score and no unmasked decoder memory."""
         model = SummModel(
             tiny_config(40, d_model=8, heads=2, global_layers=2, use_ordering=True,
-                        use_hierarchical_merge=True, baseline_query_prepend=False),
+                        use_hierarchical_merge=True),
             seed=2,
             dtype=np.float64,
         )
@@ -474,7 +471,7 @@ class TestPaddedDocument:
 class TestDecoderAndForward:
     def model_and_input(self, seed=0, **kw):
         model = SummModel(
-            tiny_config(60, d_model=8, heads=2, baseline_query_prepend=False, **kw),
+            tiny_config(60, d_model=8, heads=2, **kw),
             seed=seed,
             dtype=np.float64,
         )
@@ -517,7 +514,7 @@ class TestDecoderAndForward:
         rng = np.random.default_rng(2)
         for vocab_size in (60, 200):
             model = SummModel(
-                tiny_config(vocab_size, d_model=16, heads=2, baseline_query_prepend=False),
+                tiny_config(vocab_size, d_model=16, heads=2),
                 seed=int(rng.integers(1000)),
             )
             inp = ModelInput(
@@ -578,10 +575,10 @@ class TestDecoderAndForward:
     def test_parameter_count_ordering_toy_dims(self):
         counts = {}
         for name, flags in {
-            "baseline": dict(baseline_query_prepend=True),
-            "merge": dict(use_hierarchical_merge=True, baseline_query_prepend=True),
-            "ordering": dict(use_ordering=True, baseline_query_prepend=True),
-            "query": dict(use_query_encoder=True, query_layers=1, baseline_query_prepend=False),
+            "baseline": {},
+            "merge": dict(use_hierarchical_merge=True),
+            "ordering": dict(use_ordering=True),
+            "query": dict(use_query_encoder=True),
         }.items():
             cfg = tiny_config(60, d_model=8, heads=2, **flags)
             counts[name] = SummModel(cfg, seed=0).parameter_count()
@@ -593,9 +590,7 @@ class TestDecoderState:
     ``decode_logits``."""
 
     def model_and_encoding(self, dtype, seed=0, **kw):
-        cfg = tiny_config(
-            60, d_model=16, heads=4, decoder_layers=2, baseline_query_prepend=False, **kw
-        )
+        cfg = tiny_config(60, d_model=16, heads=4, decoder_layers=2, **kw)
         model = SummModel(cfg, seed=seed, dtype=dtype)
         rng = np.random.default_rng(seed + 20)
         doc_ids = rng.integers(5, 60, size=(3, 6)).astype(np.int64)
@@ -604,9 +599,8 @@ class TestDecoderState:
         return model, model.encode(inp)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_every_step_row_matches_decode_logits(self, dtype, atol, tie):
-        model, enc = self.model_and_encoding(dtype, tie_embeddings=tie)
+    def test_every_step_row_matches_decode_logits(self, dtype, atol):
+        model, enc = self.model_and_encoding(dtype)
         rng = np.random.default_rng(1)
         prefixes = [[BOS_ID] + rng.integers(5, 60, size=9).tolist() for _ in range(3)]
         state = model.start_decoding(enc)
@@ -681,7 +675,7 @@ class TestPrepareInput:
         return prepare_input(triplet, self.VOCAB, tiny_config(40, d_model=8, heads=2, **cfg))
 
     def test_query_prepend_moves_query_into_document_one(self):
-        inp = self.prepare([[5, 6], [7, 8]], query_ids=[9, 10], baseline_query_prepend=True)
+        inp = self.prepare([[5, 6], [7, 8]], query_ids=[9, 10])
         assert list(inp.doc_ids[0][:3]) == [9, 10, QSEP_ID]
         assert list(inp.doc_ids[0][3:5]) == [5, 6]
         assert list(inp.doc_ids[1][:2]) == [7, 8]
@@ -692,7 +686,6 @@ class TestPrepareInput:
         inp = self.prepare(
             [list(range(5, 13)), list(range(13, 21))],
             query_ids=range(5, 12),  # 7 query tokens
-            baseline_query_prepend=True,
             max_doc_tokens=10,
         )
         assert inp.doc_ids.shape[1] == 10  # prepended width capped at max_doc_tokens
@@ -703,7 +696,7 @@ class TestPrepareInput:
         assert inp.token_mask[1].sum() == 8
 
     def test_truncation_never_errors(self):
-        inp = self.prepare([[5] * 50] * 10, baseline_query_prepend=False)
+        inp = self.prepare([[5] * 50] * 10)
         assert inp.doc_ids.shape == (3, 24)  # max_docs=3, max_doc_tokens=24
         model = SummModel(tiny_config(40, d_model=8, heads=2), seed=3, dtype=np.float64)
         assert model.embed_inputs(inp).shape == (3, 24, 8)
@@ -738,13 +731,15 @@ class TestPrepareInput:
             docs = [text(self.PUNCTUATION if rng.random() < 0.5 else self.WORDS)
                     for _ in range(n_docs)]
             query = text(self.WORDS) if rng.random() < 0.7 else ""
-            prepend = bool(rng.random() < 0.5)
+            # The query encoder needs a query token; with it off, the query
+            # is prepended.
+            encoder = bool(rng.random() < 0.5) and bool(tokenize(query))
             limit, max_docs = int(rng.integers(1, 25)), int(rng.integers(1, 6))
             cfg = tiny_config(40, d_model=8, heads=2, max_doc_tokens=limit, max_docs=max_docs,
-                              baseline_query_prepend=prepend)
+                              use_query_encoder=encoder)
             inp = prepare_input(Triplet(query, docs, "t5"), self.VOCAB, cfg)
             lengths = [len(tokenize(d)) for d in docs[:max_docs]]
-            if prepend and tokenize(query):
+            if not encoder and tokenize(query):
                 lengths[0] += min(len(tokenize(query)), limit) + 1  # query and separator
             lengths = np.minimum(lengths, limit)
             assert inp.doc_ids.shape[0] == min(n_docs, max_docs)
@@ -758,8 +753,7 @@ class TestPrepareInput:
         t = handmade_triplet()
         vocab = build_vocab([tokenize(d) for d in t.documents], 64)
         blank = Triplet("  ", t.documents, t.summary)
-        query_cfg = tiny_config(len(vocab), use_query_encoder=True, query_layers=1,
-                                baseline_query_prepend=False)
+        query_cfg = tiny_config(len(vocab), use_query_encoder=True)
         with pytest.raises(ValueError, match="query"):
             prepare_input(blank, vocab, query_cfg)
         # Prepending an empty query is a no-op, so the baseline accepts it.

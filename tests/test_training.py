@@ -258,8 +258,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
 
     @pytest.mark.parametrize(
-        "edit", [dict(dropout=0.3), dict(baseline_query_prepend=False), dict(heads=4)],
-        ids=["dropout", "query-prepend", "heads"],
+        "edit", [dict(dropout=0.3), dict(max_doc_tokens=12), dict(heads=4)],
+        ids=["dropout", "max-doc-tokens", "heads"],
     )
     def test_resume_refuses_another_model_config(self, tmp_path, edit):
         trips, vocab, model = setup_uniform()
