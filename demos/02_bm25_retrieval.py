@@ -10,15 +10,21 @@ from querysumm.synthetic import make_articles
 from querysumm.text import tokenize
 
 articles = make_articles(8, seed=1)
+ordinals = []  # chunk id -> the chunk's place in its article
 chunks = []
 for art in articles:
     for chunk in chunk_article(art, seed=1):
+        ordinals.append(chunk.ordinal)
         chunks.append((len(chunks), tokenize(chunk.text), art.id))
 print(f"indexed {len(chunks)} chunks from {len(articles)} articles")
 
 index = build_index(chunks)
 print(f"n_docs={index.n_docs}, avg_len={index.avg_len:.1f}, "
       f"vocabulary terms={len(index.postings)}")
+# The index addresses a chunk by its rank in ascending chunk-id order; the
+# ids here run 0..n-1, so rank and id coincide.  Each chunk's article is a
+# code into ``index.articles``, whose keys are in code order.
+article_of = list(index.articles)
 
 query = tokenize(articles[0].title)
 print(f"\nquery: {query}")
@@ -26,15 +32,15 @@ print(f"\nquery: {query}")
 ranked = top_k(index, query, k=6)
 print("top chunks (any article):")
 for cid in ranked:
-    art_id, ordinal = index.chunk_meta[cid]
-    print(f"  chunk {cid:3d} (article {art_id}, #{ordinal}) score {score(index, query, cid):.4f}")
+    art_id = article_of[index.article_codes[cid]]
+    print(f"  chunk {cid:3d} (article {art_id}, #{ordinals[cid]}) score {score(index, query, cid):.4f}")
 
 # Retrieval for augmentation excludes the query's own article so the
 # appended documents are genuinely new.
 foreign = top_k(index, query, k=4, exclude_article=articles[0].id)
 print("\ntop foreign chunks (own article excluded):")
 for rank, cid in enumerate(foreign, 1):
-    art_id, _ = index.chunk_meta[cid]
+    art_id = article_of[index.article_codes[cid]]
     print(f"  rank {rank}: chunk {cid} from {art_id}, score {score(index, query, cid):.4f}")
 
 # Doubling a query term doubles its contribution: occurrences count.

@@ -5,34 +5,46 @@ is immutable afterwards, so concurrent queries are safe.  Scores use the
 non-negative idf variant ``ln(1 + (N - df + 0.5) / (df + 0.5))``; duplicate
 query terms contribute once per occurrence.
 
-Each ``(term, chunk, tf)`` is stored once, in the term's posting list, which
-is sorted by chunk id; each chunk's length normaliser is computed once, at
-build time.  ``top_k`` evaluates term at a time: it walks the postings of
-each query occurrence and adds that term's contribution to a per-chunk
-accumulator, so its work grows with the query terms' posting lengths, not
-with the corpus.  Only chunks that share a query term can score above zero.
+The index addresses a chunk by its position, its rank in ascending chunk-id
+order.  Each term's postings are two int arrays, the positions (ascending)
+and tf of the chunks that hold it, stored with the term's idf.  Each chunk's
+length normaliser and article code are arrays by position, computed once at
+build time, where one sort of every token's (term, position) key counts all
+postings at once.  ``top_k`` zero-fills one float64 accumulator per query
+and, for each query occurrence, adds that term's contribution at its
+positions in one numpy expression; exclusion and ``> 0`` are masks, and a
+partition picks the top k.  Its cost is numpy work per posting of the query terms plus one
+O(chunks) fill and mask per query, with no Python per posting.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 # BM25 term-frequency saturation and length normalisation.
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
 
 
-@dataclass
+class Postings(NamedTuple):
+    positions: np.ndarray  # int64, strictly ascending positions of the chunks holding the term
+    tf: np.ndarray  # int64, the term's count in each of those chunks
+    idf: float
+
+
+@dataclass(frozen=True)
 class RetrievalIndex:
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(chunk_id, tf)] by chunk_id
-    # chunk_id -> k1 * (1 - b + b * len / avg_len), in ascending chunk_id
-    norm: dict[int, float]
+    postings: dict[str, Postings]
+    chunk_ids: np.ndarray  # int64, ascending: position -> chunk id
+    norm: np.ndarray  # float64 by position: k1 * (1 - b + b * len / avg_len)
+    article_codes: np.ndarray  # int64 by position: the code of the chunk's article
+    articles: dict[object, int]  # article id -> code
     avg_len: float
     n_docs: int
-    chunk_meta: dict[int, tuple[object, int]]  # chunk_id -> (article_id, ordinal)
 
 
 def build_index(chunks: list[tuple[int, list[str], object]]) -> RetrievalIndex:
@@ -44,43 +56,50 @@ def build_index(chunks: list[tuple[int, list[str], object]]) -> RetrievalIndex:
     """
     if not chunks:
         raise ValueError("cannot index an empty chunk list")
-    chunk_meta: dict[int, tuple[object, int]] = {}
-    ordinals: dict[object, int] = {}
-    for chunk_id, _, article_id in chunks:
-        if chunk_id in chunk_meta:
-            raise ValueError(f"duplicate chunk id {chunk_id}")
-        ordinal = ordinals.get(article_id, 0)
-        ordinals[article_id] = ordinal + 1
-        chunk_meta[chunk_id] = (article_id, ordinal)
+    ordered = sorted(chunks, key=lambda c: c[0])
+    chunk_ids = np.array([c[0] for c in ordered], dtype=np.int64)
+    repeated = np.flatnonzero(chunk_ids[1:] == chunk_ids[:-1])
+    if repeated.size:
+        raise ValueError(f"duplicate chunk id {chunk_ids[repeated[0]]}")
+    articles: dict[object, int] = {}
+    codes = [articles.setdefault(article_id, len(articles)) for _, _, article_id in ordered]
 
-    doc_len: dict[int, int] = {}
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for chunk_id, tokens, _ in sorted(chunks, key=lambda c: c[0]):
-        doc_len[chunk_id] = len(tokens)
-        freqs: dict[str, int] = {}
-        for t in tokens:
-            freqs[t] = freqs.get(t, 0) + 1
-        for term, tf in freqs.items():
-            postings.setdefault(term, []).append((chunk_id, tf))
-
-    n_docs = len(doc_len)
-    total_len = sum(doc_len.values())
+    n_docs = len(ordered)
+    lengths = np.array([len(tokens) for _, tokens, _ in ordered], dtype=np.int64)
+    total_len = int(lengths.sum())
     if total_len == 0:
         raise ValueError(f"cannot index {n_docs} chunks that hold no tokens")
     avg_len = total_len / n_docs
-    k1, b = K1_DEFAULT, B_DEFAULT
+
+    # Key every token by term id * n_docs + position: one sort then groups
+    # the postings by term with positions ascending, and each key's count
+    # is its tf.  Term ids follow first appearance, the order of ``vocab``.
+    vocab: dict[str, int] = {}
+    term_ids = [vocab.setdefault(t, len(vocab)) for _, tokens, _ in ordered for t in tokens]
+    token_positions = np.repeat(np.arange(n_docs), lengths)
+    token_keys = np.array(term_ids, dtype=np.int64) * n_docs + token_positions
+    keys, tf = np.unique(token_keys, return_counts=True)
+    term_of_posting, positions = np.divmod(keys, n_docs)
+    ends = np.cumsum(np.bincount(term_of_posting, minlength=len(vocab))).tolist()
+    postings = {}
+    start = 0
+    for term, end in zip(vocab, ends):
+        df = end - start
+        postings[term] = Postings(
+            positions=positions[start:end],
+            tf=tf[start:end],
+            idf=math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5)),
+        )
+        start = end
     return RetrievalIndex(
         postings=postings,
-        norm={cid: k1 * (1.0 - b + b * n / avg_len) for cid, n in doc_len.items()},
+        chunk_ids=chunk_ids,
+        norm=K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * lengths / avg_len),
+        article_codes=np.array(codes, dtype=np.int64),
+        articles=articles,
         avg_len=avg_len,
         n_docs=n_docs,
-        chunk_meta=chunk_meta,
     )
-
-
-def idf(index: RetrievalIndex, term: str) -> float:
-    df = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
 
 
 def score(index: RetrievalIndex, query: list[str], chunk_id: int) -> float:
@@ -90,20 +109,33 @@ def score(index: RetrievalIndex, query: list[str], chunk_id: int) -> float:
     over query token occurrences, so a term repeated in the query counts
     once per occurrence.
     """
-    if chunk_id not in index.norm:
+    pos = int(np.searchsorted(index.chunk_ids, chunk_id))
+    if pos == index.n_docs or index.chunk_ids[pos] != chunk_id:
         raise KeyError(f"unknown chunk id {chunk_id}")
-    norm = index.norm[chunk_id]
+    norm = float(index.norm[pos])
     total = 0.0
     for term in query:
-        plist = index.postings.get(term)
-        if not plist:
+        p = index.postings.get(term)
+        if p is None:
             continue
-        i = bisect_left(plist, (chunk_id,))
-        if i == len(plist) or plist[i][0] != chunk_id:
+        i = int(np.searchsorted(p.positions, pos))
+        if i == p.positions.size or p.positions[i] != pos:
             continue
-        tf = plist[i][1]
-        total += idf(index, term) * tf * (K1_DEFAULT + 1.0) / (tf + norm)
+        tf = int(p.tf[i])
+        total += p.idf * tf * (K1_DEFAULT + 1.0) / (tf + norm)
     return total
+
+
+def _accumulate(index: RetrievalIndex, query: list[str]) -> np.ndarray:
+    """Every chunk's score by position, from the operands of ``score`` in
+    the same order, so each entry equals ``score`` bit for bit.  A term's
+    positions are unique, so the fancy-indexed ``+=`` adds once per chunk."""
+    acc = np.zeros(index.n_docs)
+    for term in query:
+        p = index.postings.get(term)
+        if p is not None:
+            acc[p.positions] += p.idf * p.tf * (K1_DEFAULT + 1.0) / (p.tf + index.norm[p.positions])
+    return acc
 
 
 def top_k(
@@ -118,31 +150,19 @@ def top_k(
     Chunks whose source article equals ``exclude_article`` are skipped.
     Fewer than ``k`` ids come back when fewer eligible chunks share a
     query term; an empty or unknown query gets ``[]``.
-
-    Each chunk's score is accumulated from the operands of ``score`` in the
-    same order, so it equals ``score(index, query, chunk_id)`` bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    meta, norms = index.chunk_meta, index.norm
-    k1_plus_1 = K1_DEFAULT + 1.0
-    scores: dict[int, float] = {}
-    for term in query:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        w = idf(index, term)
-        for chunk_id, tf in plist:
-            if exclude_article is not None and meta[chunk_id][0] == exclude_article:
-                continue
-            s = scores.get(chunk_id, 0.0)
-            scores[chunk_id] = s + w * tf * k1_plus_1 / (tf + norms[chunk_id])
-
-    # Partial sort: only chunks scoring at least the k-th best score can
-    # rank in the top k, ties included.
-    best = heapq.nlargest(k, scores.values())
-    floor = best[-1] if best else 0.0
-    return sorted(
-        (cid for cid, s in scores.items() if s >= floor and s > 0.0),
-        key=lambda cid: (-scores[cid], cid),
-    )[:k]
+    scores = _accumulate(index, query)
+    eligible = scores > 0.0
+    if exclude_article is not None and exclude_article in index.articles:
+        eligible &= index.article_codes != index.articles[exclude_article]
+    ids = np.flatnonzero(eligible)
+    # Only positions scoring at least the k-th best score can rank in the
+    # top k, ties included; positions ascend with chunk id.
+    if ids.size > k:
+        kept = scores[ids]
+        cut = np.partition(kept, ids.size - k)[ids.size - k]
+        ids = ids[kept >= cut]
+    ids = ids[np.lexsort((ids, -scores[ids]))][:k]
+    return index.chunk_ids[ids].tolist()

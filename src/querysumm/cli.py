@@ -17,7 +17,10 @@ Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
     }
 
 ``model.use_query_encoder`` alone decides whether the query is encoded or
-prepended.  A bad section field exits 1: ``error: <config>: <section>: ...``.
+prepended.  A bad section field exits 1: ``error: <config>: <section>: ...``;
+so does a config that is not a JSON object, or a ``transfer`` config
+without ``sources``.  ``build-qmdscnn`` also prints how many triplets got
+0..k retrieved chunks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import data as dataforge
 from .data import Article, IrRecord, Triplet, load_records, save_records, write_jsonl
@@ -140,16 +144,39 @@ def _corpus_tokens(triplets):
 
 
 def _load_config(path) -> dict:
+    """The config file's JSON object; errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return cfg
 
 
 def _section(path, cfg: dict, name: str, cls, **fields):
     """``cls`` of section ``name`` (absent: empty) and ``fields``; errors name the section."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: {name}: section must be a JSON object")
     try:
-        return cls(**fields, **cfg.get(name, {}))
+        return cls(**fields, **section)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {name}: {exc}") from exc
+
+
+def _sources(path, cfg: dict) -> dict:
+    """Section ``sources``, tag -> {"train": path, "val": path}; errors name the file."""
+    if "sources" not in cfg:
+        raise ValueError(f"{path}: missing section 'sources'")
+    sources = cfg["sources"]
+    if not isinstance(sources, dict):
+        raise ValueError(f"{path}: sources: section must be a JSON object")
+    for tag, paths in sources.items():
+        if not (isinstance(paths, dict) and "train" in paths and "val" in paths):
+            raise ValueError(f"{path}: sources: {tag!r} must be an object with 'train' and 'val'")
+    return sources
 
 
 def _vocab_and_model(path, cfg: dict, train_triplets):
@@ -162,6 +189,9 @@ def cmd_build_qmdscnn(args) -> int:
     triplets = dataforge.build_qmdscnn(corpus, seed=args.seed, k_retrieved=args.k)
     save_records(triplets, args.out)
     print(f"wrote {len(triplets)} triplets to {args.out}")
+    hits = Counter(len(t.meta["retrieved_from"]) for t in triplets)
+    buckets = " ".join(f"{n}:{hits[n]}" for n in range(args.k + 1))
+    print(f"retrieved hits per triplet {buckets}")
     return EXIT_OK
 
 
@@ -237,7 +267,7 @@ def cmd_evaluate(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _load_config(args.config)
     train_cfg = _section(args.config, cfg, "train", TrainConfig)
-    sources = cfg["sources"]
+    sources = _sources(args.config, cfg)
     if args.source == "combined":
         if len(sources) != 2:
             raise ValueError("combined mode needs exactly two sources in the config")

@@ -24,6 +24,7 @@ embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,23 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import kaiming_uniform
 from .text import BOS_ID, EOS_ID, PAD_ID, QSEP_ID, Vocabulary, tokenize
+
+
+def check_field_types(config, integers=(), reals=(), flags=()) -> None:
+    """Raise ``ValueError`` naming the first field of ``config`` whose value
+    has the wrong type: ``integers`` must be integers and ``reals`` real
+    numbers (``bool`` is neither), ``flags`` booleans.  A config calls it
+    before it compares any value, so ``"2"`` is refused by its field name."""
+    checks = [(name, numbers.Integral, "an integer") for name in integers]
+    checks += [(name, numbers.Real, "a real number") for name in reals]
+    for name, kind, noun in checks:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+    for name in flags:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 @dataclass
@@ -54,10 +72,17 @@ class ModelConfig:
     def __post_init__(self):
         if self.local_layers is None:
             self.local_layers = 5 if self.use_query_encoder else 6
-        for name in (
+        positive = (
             "d_model", "ffn_hidden", "heads", "local_layers", "global_layers", "decoder_layers",
             "max_doc_tokens", "max_docs", "max_summary_tokens",
-        ):
+        )
+        check_field_types(
+            self,
+            integers=("vocab_size", *positive),
+            reals=("dropout",),
+            flags=("use_query_encoder", "use_hierarchical_merge", "use_ordering"),
+        )
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads:

@@ -19,7 +19,7 @@ from .autodiff import backward, no_grad
 from .checkpoint import load_arrays, load_meta, save_arrays
 from .data import Triplet
 from .decoding import DecodeConfig, greedy_decode
-from .model import ModelConfig, ModelInput, SummModel, prepare_input
+from .model import ModelConfig, ModelInput, SummModel, check_field_types, prepare_input
 from .optim import AdamNoam
 from .rouge import rouge_l
 from .text import Vocabulary, tokenize
@@ -48,7 +48,9 @@ class TrainConfig:
     fine_tune_from: str | None = None
 
     def __post_init__(self):
-        for name in ("steps", "batch_tokens", "accum_steps", "val_interval", "warmup"):
+        positive = ("steps", "batch_tokens", "accum_steps", "val_interval", "warmup")
+        check_field_types(self, integers=(*positive, "seed"), reals=("base_lr",))
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.base_lr < float("inf"):

@@ -1,22 +1,69 @@
 import math
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from querysumm.bm25 import build_index, idf, score, top_k
+from querysumm.bm25 import B_DEFAULT, K1_DEFAULT, _accumulate, build_index, score, top_k
 
 
-def reference_top_k(index, chunk_ids, query, k, exclude_article=None):
-    """The sort-every-chunk ranking that ``top_k`` replaced: score every
-    eligible chunk, drop those scoring zero and sort by (-score, chunk_id)."""
+def reference_top_k(chunks, index, query, k, exclude_article=None):
+    """The sort-every-chunk ranking: score every eligible chunk, drop those
+    scoring zero and sort by (-score, chunk_id)."""
     eligible = [
         cid
-        for cid in sorted(chunk_ids)
-        if exclude_article is None or index.chunk_meta[cid][0] != exclude_article
+        for cid, _, article in sorted(chunks, key=lambda c: c[0])
+        if exclude_article is None or article != exclude_article
     ]
     positive = [cid for cid in eligible if score(index, query, cid) > 0.0]
     return sorted(positive, key=lambda cid: (-score(index, query, cid), cid))[:k]
+
+
+def dict_oracle_top_k(chunks, query, k, exclude_article=None):
+    """The dict-of-tuples BM25 that the array index replaced, kept here as a
+    test oracle only: per-term ``[(chunk_id, tf)]`` postings, Python-float
+    norms and one dict update per posting.  Returns ``(ids, scores)``, where
+    ``scores`` maps each chunk that shares a query term to its accumulated
+    score."""
+    meta = {}
+    ordinals = {}
+    for chunk_id, _, article_id in chunks:
+        ordinal = ordinals.get(article_id, 0)
+        ordinals[article_id] = ordinal + 1
+        meta[chunk_id] = (article_id, ordinal)
+    doc_len = {}
+    postings = {}
+    for chunk_id, tokens, _ in sorted(chunks, key=lambda c: c[0]):
+        doc_len[chunk_id] = len(tokens)
+        freqs = {}
+        for t in tokens:
+            freqs[t] = freqs.get(t, 0) + 1
+        for term, tf in freqs.items():
+            postings.setdefault(term, []).append((chunk_id, tf))
+    n_docs = len(doc_len)
+    avg_len = sum(doc_len.values()) / n_docs
+    k1, b = K1_DEFAULT, B_DEFAULT
+    norms = {cid: k1 * (1.0 - b + b * n / avg_len) for cid, n in doc_len.items()}
+
+    k1_plus_1 = K1_DEFAULT + 1.0
+    scores = {}
+    for term in query:
+        plist = postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        w = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for chunk_id, tf in plist:
+            if exclude_article is not None and meta[chunk_id][0] == exclude_article:
+                continue
+            s = scores.get(chunk_id, 0.0)
+            scores[chunk_id] = s + w * tf * k1_plus_1 / (tf + norms[chunk_id])
+    best = sorted(scores.values(), reverse=True)[:k]
+    floor = best[-1] if best else 0.0
+    ids = sorted(
+        (cid for cid, s in scores.items() if s >= floor and s > 0.0),
+        key=lambda cid: (-scores[cid], cid),
+    )[:k]
+    return ids, scores
 
 
 def formula_score(chunks, query, chunk_id, k1=1.2, b=0.75):
@@ -50,26 +97,6 @@ def random_corpus(rng, n_chunks, vocab, first_id=0, id_gap=1, n_articles=7):
     return [chunks[i] for i in order]
 
 
-class RecordingMapping(Mapping):
-    """Read-only mapping that records every key it is asked for."""
-
-    def __init__(self, data):
-        self.data = data
-        self.keys_read = set()
-        self.iterated = False
-
-    def __getitem__(self, key):
-        self.keys_read.add(key)
-        return self.data[key]
-
-    def __iter__(self):
-        self.iterated = True
-        return iter(self.data)
-
-    def __len__(self):
-        return len(self.data)
-
-
 def two_doc_index():
     return build_index([(0, ["a", "a", "b"], "art0"), (1, ["b", "c"], "art1")])
 
@@ -79,8 +106,13 @@ class TestBuildIndex:
         idx = two_doc_index()
         assert idx.n_docs == 2
         assert idx.avg_len == pytest.approx(2.5)
-        assert [cid for cid, _ in idx.postings["b"]] == [0, 1]
-        assert idx.postings["a"] == [(0, 2)]
+        assert idx.chunk_ids.tolist() == [0, 1]
+        assert idx.postings["b"].positions.tolist() == [0, 1]
+        assert idx.postings["b"].tf.tolist() == [1, 1]
+        assert idx.postings["a"].positions.tolist() == [0]
+        assert idx.postings["a"].tf.tolist() == [2]
+        assert idx.article_codes.tolist() == [0, 1]
+        assert idx.articles == {"art0": 0, "art1": 1}
 
     def test_single_chunk(self):
         idx = build_index([(7, ["x", "y", "z"], "a")])
@@ -102,16 +134,36 @@ class TestBuildIndex:
         assert score(idx, ["x"], 0) == 0.0
 
     def test_postings_match_brute_force_counts(self):
+        # Ids with gaps, given in shuffled order: positions are ranks by id.
         rng = np.random.default_rng(0)
         chunks = []
         for cid in range(200):
             tokens = [f"t{int(i)}" for i in rng.integers(0, 40, size=rng.integers(3, 20))]
-            chunks.append((cid, tokens, f"art{cid % 17}"))
+            chunks.append((3 * cid + 5, tokens, f"art{cid % 17}"))
+        chunks = [chunks[i] for i in rng.permutation(len(chunks))]
         idx = build_index(chunks)
-        for cid, tokens, _ in chunks[::13]:
-            for term in set(tokens):
-                tf = dict(idx.postings[term])[cid]
-                assert tf == tokens.count(term)
+        by_id = sorted(chunks, key=lambda c: c[0])
+        assert idx.chunk_ids.tolist() == [cid for cid, _, _ in by_id]
+        vocabulary = {term for _, tokens, _ in chunks for term in tokens}
+        assert set(idx.postings) == vocabulary
+        for term, p in idx.postings.items():
+            assert p.positions.dtype == p.tf.dtype == np.int64
+            assert np.all(np.diff(p.positions) > 0)
+            holders = [pos for pos, (_, tokens, _) in enumerate(by_id) if term in tokens]
+            assert p.positions.tolist() == holders
+            assert p.tf.tolist() == [by_id[pos][1].count(term) for pos in holders]
+            df = len(holders)
+            assert p.idf == math.log(1.0 + (len(chunks) - df + 0.5) / (df + 0.5))
+        avg_len = sum(len(tokens) for _, tokens, _ in chunks) / len(chunks)
+        assert idx.avg_len == avg_len
+        expected_norm = [
+            K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * len(tokens) / avg_len)
+            for _, tokens, _ in by_id
+        ]
+        assert idx.norm.dtype == np.float64
+        assert idx.norm.tobytes() == np.array(expected_norm).tobytes()
+        articles = list(idx.articles)
+        assert [articles[code] for code in idx.article_codes] == [a for _, _, a in by_id]
 
 
 class TestScore:
@@ -171,7 +223,7 @@ class TestScore:
 
     def test_idf_nonnegative_even_for_common_terms(self):
         idx = build_index([(i, ["common"], i) for i in range(10)])
-        assert idf(idx, "common") > 0.0
+        assert idx.postings["common"].idf > 0.0
 
 
 class TestTopK:
@@ -225,7 +277,6 @@ class TestTopK:
             n_chunks = int(rng.integers(1, 45))
             chunks = random_corpus(rng, n_chunks, vocab=12 + 4 * trial, first_id=first_id, id_gap=id_gap)
             idx = build_index(chunks)
-            ids = [cid for cid, _, _ in chunks]
             articles = sorted({art for _, _, art in chunks}) + [None, "no-such-article"]
             for _ in range(25):
                 query = [f"t{int(i)}" for i in rng.integers(0, 36, size=rng.integers(0, 7))]
@@ -234,7 +285,7 @@ class TestTopK:
                 exclude = articles[int(rng.integers(len(articles)))]
                 for k in (1, 3, 10, n_chunks + 5):
                     got = top_k(idx, query, k, exclude_article=exclude)
-                    assert got == reference_top_k(idx, ids, query, k, exclude), (query, k, exclude)
+                    assert got == reference_top_k(chunks, idx, query, k, exclude), (query, k, exclude)
 
     def test_empty_and_unknown_queries_return_nothing(self):
         chunks = [(cid, ["x", "y"], f"a{cid % 2}") for cid in (9, 7, 11, 8)]
@@ -246,20 +297,37 @@ class TestTopK:
         idx = build_index([(7, ["p"], "a"), (8, ["q"], "b"), (9, ["r", "p"], "c")])
         assert top_k(idx, ["p"], 3) == [7, 9]
 
-    def test_reads_only_chunks_in_query_postings(self):
-        # No chunk outside the query terms' postings may be looked at.
-        rng = np.random.default_rng(8)
-        chunks = random_corpus(rng, 300, vocab=60, first_id=7, id_gap=2)
-        chunks.extend((1000 + i, ["shared", f"u{i}"], f"art{i % 3}") for i in range(6))
-        idx = build_index(chunks)
-        query = ["shared", "t3", "t3", "unknown"]
-        expected = reference_top_k(idx, [c for c, _, _ in chunks], query, 4, "art1")
-        in_postings = {cid for term in query for cid, _ in idx.postings.get(term, ())}
-        idx.chunk_meta = RecordingMapping(idx.chunk_meta)
-        idx.norm = RecordingMapping(idx.norm)
-        assert top_k(idx, query, 4, exclude_article="art1") == expected
-        for mapping in (idx.chunk_meta, idx.norm):
-            assert not mapping.iterated
-            assert mapping.keys_read <= in_postings
-        assert len(in_postings) < len(chunks) // 2
 
+class TestAgainstDictOracle:
+    """The array index against the dict-of-tuples BM25 it replaced."""
+
+    @pytest.mark.parametrize("first_id,id_gap", [(0, 1), (5, 2), (11, 7)])
+    def test_ids_and_accumulated_score_bytes(self, first_id, id_gap):
+        # Ids with gaps in shuffled order, every fifth chunk duplicated for
+        # ties; queries repeat terms and hold unknown ones; exclusion of a
+        # known article, an unknown one and none; k from 1 past the corpus.
+        rng = np.random.default_rng(100 + first_id * 10 + id_gap)
+        for trial in range(8):
+            n_chunks = int(rng.integers(1, 60))
+            vocab = 10 + 5 * trial
+            chunks = random_corpus(rng, n_chunks, vocab, first_id=first_id, id_gap=id_gap)
+            idx = build_index(chunks)
+            position = {cid: pos for pos, cid in enumerate(idx.chunk_ids.tolist())}
+            known = sorted({article for _, _, article in chunks})
+            for _ in range(15):
+                query = [f"t{int(i)}" for i in rng.integers(0, vocab + 8, size=rng.integers(0, 7))]
+                if query and rng.random() < 0.5:
+                    query += query[: int(rng.integers(1, len(query) + 1))]
+                acc = _accumulate(idx, query)
+                assert acc.dtype == np.float64 and acc.shape == (n_chunks,)
+                for cid, pos in position.items():
+                    assert float.hex(float(acc[pos])) == float.hex(score(idx, query, cid))
+                for exclude in (None, known[int(rng.integers(len(known)))], "no-such-article"):
+                    for k in (1, 2, 4, n_chunks, n_chunks + 3):
+                        ids, oracle_scores = dict_oracle_top_k(chunks, query, k, exclude)
+                        got = top_k(idx, query, k, exclude_article=exclude)
+                        assert got == ids, (query, k, exclude)
+                    for cid, s in oracle_scores.items():
+                        assert float.hex(float(acc[position[cid]])) == float.hex(s)
+                    for cid in got:
+                        assert float.hex(score(idx, query, cid)) == float.hex(oracle_scores[cid])

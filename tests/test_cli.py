@@ -57,6 +57,24 @@ class TestDatasetCommands:
         assert len(load_records("triplets.jsonl", Triplet)) == 8
         assert "wrote 8 triplets" in capsys.readouterr().out
 
+    def test_build_qmdscnn_prints_retrieved_hits_histogram(self, workdir, capsys):
+        # The last article shares no term with the others, so retrieval for
+        # its title finds no foreign chunk above zero.
+        articles = load_records("articles.jsonl", Article)
+        articles.append(Article("isolated", "zorblax quintessa",
+                                ["zorblax quintessa vimbrel", "vimbrel zorblax"], "zorblax"))
+        save_records(articles, "articles.jsonl")
+        assert run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "3",
+                   "--out", "triplets.jsonl") == 0
+        lines = capsys.readouterr().out.splitlines()
+        triplets = load_records("triplets.jsonl", Triplet)
+        counts = [len(t.meta["retrieved_from"]) for t in triplets]
+        assert lines[0] == "wrote 9 triplets to triplets.jsonl"
+        assert lines[1] == "retrieved hits per triplet " + " ".join(
+            f"{n}:{counts.count(n)}" for n in range(4)
+        )
+        assert counts[-1] == 0 and lines[1].startswith("retrieved hits per triplet 0:1 ")
+
     def test_build_qmdsir_with_reject_log(self, workdir, capsys):
         assert run("build-qmdsir", "--records", "records.jsonl",
                    "--out", "ir.jsonl", "--reject-log", "rej.jsonl") == 0
@@ -480,6 +498,13 @@ class TestModelCommands:
             ("transfer", "finetune", "steps", "3"),
             ("transfer", "decode", "bogus", 1),
             ("transfer", "decode", "beam", "1"),
+            ("train", "model", "dropout", "0.1"),
+            ("train", "model", "max_docs", 2.0),
+            ("train", "model", "use_query_encoder", "yes"),
+            ("train", "train", "seed", True),
+            ("train", "train", "base_lr", "1.0"),
+            ("transfer", "decode", "alpha", None),
+            ("transfer", "decode", "max_docs", 1.5),
         ],
     )
     def test_bad_config_field_names_config_and_section(
@@ -498,9 +523,51 @@ class TestModelCommands:
         assert run(command, *argv) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {section}: ")
-        if field == "bogus":  # an ill-typed value's error need not name its field
+        if field == "bogus":
             assert "unexpected keyword argument 'bogus'" in err
+        else:
+            kind = "an integer"
+            if field in ("dropout", "base_lr", "alpha"):
+                kind = "a real number"
+            elif field == "use_query_encoder":
+                kind = "a boolean"
+            assert err == f"error: {path}: {section}: {field} must be {kind}, got {value!r}\n"
         assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_config_that_is_not_an_object_names_the_file(self, workdir, capsys, command):
+        path = workdir / "c.json"
+        path.write_text("[1, 2]")
+        argv = ["--source", "alpha", "--eval", "eval.jsonl"] if command == "transfer" else []
+        assert run(command, "--config", str(path), *argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            (None, "missing section 'sources'"),
+            (["a.jsonl"], "sources: section must be a JSON object"),
+            (
+                {"alpha": {"train": "a.jsonl"}},
+                "sources: 'alpha' must be an object with 'train' and 'val'",
+            ),
+        ],
+        ids=["missing", "list", "no-val"],
+    )
+    def test_transfer_sources_errors_name_the_file(self, workdir, capsys, sources, message):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = transfer_config(workdir)
+        cfg = json.loads(path.read_text())
+        if sources is None:
+            del cfg["sources"]
+        else:
+            cfg["sources"] = sources
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("transfer", "--config", str(path), "--source", "alpha",
+                   "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (workdir / "tr").exists()
 
     @pytest.mark.parametrize("field", ["train_path", "val_path"])
     def test_train_without_a_data_path_names_it(self, workdir, capsys, field):

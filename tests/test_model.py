@@ -27,7 +27,8 @@ from querysumm.model import (
 )
 from querysumm.optim import AdamNoam
 from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, Vocabulary, build_vocab, tokenize
-from querysumm.training import load_model_checkpoint, save_model_checkpoint
+from querysumm.decoding import DecodeConfig
+from querysumm.training import TrainConfig, load_model_checkpoint, save_model_checkpoint
 
 from conftest import handmade_triplet, tiny_config
 
@@ -78,6 +79,29 @@ class TestModelConfig:
             ModelConfig(vocab_size=100, d_model=30, heads=4)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=3)
+
+    @pytest.mark.parametrize(
+        "make, field, value, kind",
+        [
+            (lambda **f: ModelConfig(vocab_size=100, **f), "heads", "2", "an integer"),
+            (lambda **f: ModelConfig(**f), "vocab_size", True, "an integer"),
+            (lambda **f: ModelConfig(vocab_size=100, **f), "d_model", 64.0, "an integer"),
+            (lambda **f: ModelConfig(vocab_size=100, **f), "local_layers", "1", "an integer"),
+            (lambda **f: ModelConfig(vocab_size=100, **f), "dropout", "0.1", "a real number"),
+            (lambda **f: ModelConfig(vocab_size=100, **f), "use_ordering", 1, "a boolean"),
+            (lambda **f: TrainConfig(steps=1, checkpoint_dir="c", **f), "warmup", "8", "an integer"),
+            (lambda **f: TrainConfig(checkpoint_dir="c", **f), "steps", False, "an integer"),
+            (lambda **f: TrainConfig(steps=1, checkpoint_dir="c", **f), "base_lr", True, "a real number"),
+            (lambda **f: DecodeConfig(**f), "max_len", 10.0, "an integer"),
+            (lambda **f: DecodeConfig(**f), "max_docs", "2", "an integer"),
+            (lambda **f: DecodeConfig(**f), "alpha", None, "a real number"),
+            (lambda **f: DecodeConfig(**f), "block_trigrams", "no", "a boolean"),
+        ],
+    )
+    def test_field_types_are_checked_before_any_comparison(self, make, field, value, kind):
+        with pytest.raises(ValueError) as info:
+            make(**{field: value})
+        assert str(info.value) == f"{field} must be {kind}, got {value!r}"
 
     @pytest.mark.parametrize(
         "field",
