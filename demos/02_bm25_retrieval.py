@@ -15,15 +15,14 @@ chunks = []
 for art in articles:
     for chunk in chunk_article(art, seed=1):
         ordinals.append(chunk.ordinal)
-        chunks.append((len(chunks), tokenize(chunk.text), art.id))
+        chunks.append((tokenize(chunk.text), art.id))
 print(f"indexed {len(chunks)} chunks from {len(articles)} articles")
 
 index = build_index(chunks)
 print(f"n_docs={index.n_docs}, avg_len={index.avg_len:.1f}, "
       f"vocabulary terms={len(index.postings)}")
-# The index addresses a chunk by its rank in ascending chunk-id order; the
-# ids here run 0..n-1, so rank and id coincide.  Each chunk's article is a
-# code into ``index.articles``, whose keys are in code order.
+# A chunk's id is its position in the indexed list.  Each chunk's article
+# is a code into ``index.articles``, whose keys are in code order.
 article_of = list(index.articles)
 
 query = tokenize(articles[0].title)
@@ -44,7 +43,7 @@ for rank, cid in enumerate(foreign, 1):
     print(f"  rank {rank}: chunk {cid} from {art_id}, score {score(index, query, cid):.4f}")
 
 # Doubling a query term doubles its contribution: occurrences count.
-term = next(tok for tok in query if tok in chunks[foreign[0]][1])
+term = next(tok for tok in query if tok in chunks[foreign[0]][0])
 once = score(index, [term], foreign[0])
 twice = score(index, [term, term], foreign[0])
 print(f"\nscore with [{term!r}] = {once:.4f}; repeated twice = {twice:.4f}")

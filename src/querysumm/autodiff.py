@@ -132,9 +132,9 @@ def _release(node: Tensor) -> None:
     node.requires_grad = False
 
 
-def backward(root: Tensor, grad=None) -> None:
+def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable ``requires_grad``
-    leaf.  ``grad`` seeds the root cotangent (defaults to ones).
+    leaf, seeding the root's cotangent with ones.
 
     ``backward`` consumes the graph: each non-leaf node is released once its
     backward closure has run (reverse topological order means every
@@ -146,11 +146,7 @@ def backward(root: Tensor, grad=None) -> None:
             "backward: root has no graph (built under no_grad, from constants, "
             "or already consumed by backward)"
         )
-    if grad is None:
-        grad = np.ones_like(root.values)
-    root.grad = np.asarray(grad, dtype=root.values.dtype) + (
-        0 if root.grad is None else root.grad
-    )
+    _accumulate(root, np.ones_like(root.values))
     order = _topo_order(root)
     while order:
         node = order.pop()
@@ -209,18 +205,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Each leading (batch) dim of ``b`` must equal ``a``'s
-    or be 1, in which case that slice of ``b`` is shared across the batch;
-    a 2-D ``b`` is shared by every batch entry."""
+    """Matrix product of operands of equal rank.  Each leading (batch) dim
+    of ``b`` must equal ``a``'s or be 1, in which case that slice of ``b``
+    is shared across the batch."""
     av, bv = a.values, b.values
-    _shape_check(av.ndim >= 2 and bv.ndim >= 2, "matmul", av.shape, bv.shape)
-    _shape_check(av.shape[-1] == bv.shape[-2], "matmul", av.shape, bv.shape)
     _shape_check(
-        bv.ndim == 2
-        or (
-            bv.ndim == av.ndim
-            and all(nb in (1, na) for na, nb in zip(av.shape[:-2], bv.shape[:-2]))
-        ),
+        av.ndim == bv.ndim >= 2
+        and av.shape[-1] == bv.shape[-2]
+        and all(nb in (1, na) for na, nb in zip(av.shape[:-2], bv.shape[:-2])),
         "matmul",
         av.shape,
         bv.shape,
@@ -228,12 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         _accumulate(a, g @ bv.swapaxes(-1, -2))
-        if bv.ndim == 2 and av.ndim > 2:
-            _accumulate(
-                b, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            )
-        else:
-            _accumulate(b, _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape))
+        _accumulate(b, _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(av @ bv, (a, b), bw)
 
@@ -326,28 +313,21 @@ def cos(a: Tensor) -> Tensor:
     return _node(np.cos(a.values), (a,), lambda g: _accumulate(a, g * -np.sin(a.values)))
 
 
-def _softmax_values(x: np.ndarray, mask, op: str, owned: bool = False) -> np.ndarray:
-    """Masked softmax of ``x`` over the last axis, computed in one buffer:
-    the masked copy when there is a mask, else ``x`` itself if the caller
-    ``owned`` it, else a fresh array.  Masked positions get probability
-    exactly 0; rows with no valid position, or with a NaN, come out
-    all-zero rather than NaN."""
-    if mask is not None:
-        shape = x.shape
-        x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
-        _shape_check(x.shape == shape, op, shape, np.shape(mask))
-        owned = True
+def _softmax_inplace(x: np.ndarray) -> np.ndarray:
+    """Softmax of ``x`` over the last axis, computed in ``x`` itself and
+    returned.  Positions at -inf get probability exactly 0; rows with no
+    finite position, or with a NaN, come out all-zero rather than NaN."""
     x_max = np.max(x, axis=-1, keepdims=True)
     x_max[~np.isfinite(x_max)] = 0.0
-    p = np.subtract(x, x_max, out=x if owned else None)
-    np.exp(p, out=p)
-    z = p.sum(axis=-1, keepdims=True)
+    x -= x_max
+    np.exp(x, out=x)
+    z = x.sum(axis=-1, keepdims=True)
     empty = ~(z > 0)  # fully masked (or NaN) rows
     if empty.any():
         z[empty] = 1.0
-        p[empty[..., 0]] = 0.0
-    p /= z
-    return p
+        x[empty[..., 0]] = 0.0
+    x /= z
+    return x
 
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -366,9 +346,14 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     ``mask`` is boolean, broadcastable to ``a``; masked positions get
     probability exactly 0.  Rows with no valid position, or with a NaN, come
     out all-zero rather than NaN.  Forward and backward each fill one fresh
-    buffer in place.
+    buffer in place: the masked copy, or a copy that keeps ``a``'s strides.
     """
-    p = _softmax_values(a.values, mask, "softmax")
+    if mask is None:
+        x = a.values.copy(order="K")
+    else:
+        x = np.where(np.asarray(mask, dtype=bool), a.values, -np.inf)
+        _shape_check(x.shape == a.shape, "softmax", a.shape, np.shape(mask))
+    p = _softmax_inplace(x)
     return _node(p, (a,), lambda g: _accumulate(a, _softmax_grad(g, p)))
 
 
@@ -388,7 +373,7 @@ def _attention_probs(q, kt, scale: float, blocked, out: np.ndarray) -> np.ndarra
     scores *= scale
     if blocked is not None and blocked.any():
         np.copyto(scores, -np.inf, where=blocked)
-    return _softmax_values(scores, None, "attention", owned=True)
+    return _softmax_inplace(scores)
 
 
 def attention(
@@ -442,11 +427,7 @@ def attention(
         np.matmul(p, _block(vv, i, ndim), out=out[i])
 
     def bw(g):
-        # Per slice, the matmul -> scale -> softmax -> matmul chain's
-        # backward, operation for operation: each +0.0 is the first-gradient
-        # store of an intermediate node (it turns -0.0 into +0.0 before the
-        # products).  Gradients of shared K/V sum over the whole batch at
-        # the end, as the chain's did.
+        # Gradients of shared K/V sum over the whole batch at the end.
         gq = np.empty(qv.shape, out.dtype)
         gkt = np.empty((*lead, *kt.shape[-2:]), out.dtype)
         gv = np.empty((*lead, *vv.shape[-2:]), out.dtype)
@@ -454,12 +435,8 @@ def attention(
             k_i, v_i = _block(kv, i, ndim), _block(vv, i, ndim)
             p = _attention_probs(qv[i], k_i.swapaxes(-1, -2), scale, _block(blocked, i, ndim), buf)
             np.matmul(p.swapaxes(-1, -2), g[i], out=gv[i])
-            d = g[i] @ v_i.swapaxes(-1, -2)
-            d += 0.0
-            d = _softmax_grad(d, p)
-            d += 0.0
+            d = _softmax_grad(g[i] @ v_i.swapaxes(-1, -2), p)
             d *= scale
-            d += 0.0
             np.matmul(d, k_i, out=gq[i])
             np.matmul(qv[i].swapaxes(-1, -2), d, out=gkt[i])
         _accumulate(v, _unbroadcast(gv, vv.shape))
@@ -531,11 +508,9 @@ def log_softmax_values(x: np.ndarray) -> np.ndarray:
     return x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy_sum(
-    logits: Tensor, targets: np.ndarray, ignore_id: int | None = None
-) -> tuple[Tensor, int]:
-    """Summed token negative log-likelihood over rows whose target is not
-    ``ignore_id``.  Returns ``(loss_sum, counted_tokens)``."""
+def cross_entropy_sum(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, int]:
+    """Summed token negative log-likelihood of every row's target.  Returns
+    ``(loss_sum, counted_tokens)``."""
     targets = np.asarray(targets)
     _shape_check(
         logits.values.ndim == 2 and targets.shape == (logits.shape[0],),
@@ -543,31 +518,18 @@ def cross_entropy_sum(
         logits.shape,
         targets.shape,
     )
-    keep = (
-        np.ones_like(targets, dtype=bool) if ignore_id is None else targets != ignore_id
-    )
-    count = int(keep.sum())
     logp = log_softmax_values(logits.values)
     rows = np.arange(targets.shape[0])
-    nll = np.where(keep, -logp[rows, targets], 0.0)
+    nll = -logp[rows, targets]
 
     def bw(g):
-        soft = np.exp(logp)
-        d = soft.copy()
+        d = np.exp(logp)
         d[rows, targets] -= 1.0
-        d[~keep] = 0.0
         _accumulate(logits, g * d)
 
-    return _node(np.asarray(nll.sum(), dtype=logits.dtype), (logits,), bw), count
+    return _node(np.asarray(nll.sum(), dtype=logits.dtype), (logits,), bw), rows.size
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or everything to a scalar."""
-
-    def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
-
-    return _node(a.values.sum(axis=axis), (a,), bw)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every entry, a scalar."""
+    return _node(a.values.sum(), (a,), lambda g: _accumulate(a, np.broadcast_to(g, a.shape)))

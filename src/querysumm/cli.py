@@ -20,7 +20,8 @@ Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
 prepended.  A bad section field exits 1: ``error: <config>: <section>: ...``;
 so does a config that is not a JSON object, or a ``transfer`` config
 without ``sources``.  ``build-qmdscnn`` also prints how many triplets got
-0..k retrieved chunks.
+0..k retrieved chunks, and ``build-qmdsir`` how many records each reason
+rejected.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ def cmd_build_qmdsir(args) -> int:
         rows = ({"record": idx, "reason": reason} for idx, reason in rejected)
         write_jsonl(rows, args.reject_log)
     print(f"kept {len(kept)} of {len(records)} records ({len(rejected)} rejected)")
+    reasons = Counter(reason for _, reason in rejected)
+    print("rejected by reason " + " ".join(f"{r}:{reasons[r]}" for r in dataforge.REJECT_REASONS))
     return EXIT_OK
 
 
@@ -270,7 +273,9 @@ def cmd_transfer(args) -> int:
     sources = _sources(args.config, cfg)
     if args.source == "combined":
         if len(sources) != 2:
-            raise ValueError("combined mode needs exactly two sources in the config")
+            raise ValueError(
+                f"{args.config}: combined mode needs exactly two sources, config has {len(sources)}"
+            )
         (tag_a, a), (tag_b, b) = sources.items()
         seed = train_cfg.seed
         train_triplets, val_triplets = (
@@ -282,7 +287,9 @@ def cmd_transfer(args) -> int:
         train_triplets = load_records(src["train"], Triplet)
         val_triplets = load_records(src["val"], Triplet)
     else:
-        raise ValueError(f"unknown source {args.source!r}; config has {list(sources)}")
+        raise ValueError(
+            f"{args.config}: unknown source {args.source!r}; config has {list(sources)}"
+        )
 
     eval_triplets = load_records(args.eval_path, Triplet)
     vocab, model_cfg = _vocab_and_model(args.config, cfg, train_triplets)

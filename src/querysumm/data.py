@@ -169,8 +169,7 @@ def build_qmdscnn(
     flat = []
     for chunks in per_article:
         flat.extend(chunks)
-    indexed = [(i, tokenize(c.text), c.article_id) for i, c in enumerate(flat)]
-    index = bm25.build_index(indexed)
+    index = bm25.build_index([(tokenize(c.text), c.article_id) for c in flat])
 
     triplets = []
     for article, own in zip(corpus, per_article):
@@ -299,6 +298,8 @@ def _best_coverage(sentence_tokens: list[str], doc_counts: list[Counter]) -> flo
 REJECT_TOO_FEW_SENTENCES = "answer_under_2_sentences"
 REJECT_TOO_FEW_DOCUMENTS = "under_3_documents"
 REJECT_LOW_COVERAGE = "sentence_coverage_below_threshold"
+# The order ``filter_qmdsir`` checks them in.
+REJECT_REASONS = (REJECT_TOO_FEW_SENTENCES, REJECT_TOO_FEW_DOCUMENTS, REJECT_LOW_COVERAGE)
 
 
 def filter_qmdsir(

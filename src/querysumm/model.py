@@ -331,10 +331,9 @@ class MultiHeadPooling:
 
 
 def _broadcast_vector(vec: Tensor, n: int, t: int, dtype) -> Tensor:
-    """Expand (d,) or (N, d) to (N, T, d) through a gradient-correct
-    broadcasting multiply."""
-    d = vec.shape[-1]
-    shaped = ad.reshape(vec, (1, 1, d) if vec.values.ndim == 1 else (vec.shape[0], 1, d))
+    """Expand (N, d) to (N, T, d) through a gradient-correct broadcasting
+    multiply."""
+    shaped = ad.reshape(vec, (vec.shape[0], 1, vec.shape[1]))
     ones = ad.tensor(np.ones((n, t, 1)), dtype=dtype)
     return ad.mul(ones, shaped)
 
@@ -576,7 +575,7 @@ class SummModel:
 
     def output_logits(self, x: Tensor) -> Tensor:
         """Vocabulary logits of final decoder states (..., d)."""
-        logits = ad.matmul(x, ad.swapaxes(self.embed, 0, 1))
+        logits = ad.linear(x, ad.swapaxes(self.embed, 0, 1))
         return ad.scale(logits, 1.0 / math.sqrt(self.config.d_model))
 
     def decode_logits(self, prefix_ids, memory: Tensor, memory_mask, rng=None) -> Tensor:
@@ -609,10 +608,10 @@ class SummModel:
         dec_in = np.concatenate([[BOS_ID], inp.target_ids])
         dec_tgt = np.concatenate([inp.target_ids, [EOS_ID]])
         logits = self.decode_logits(dec_in, enc.memory, enc.memory_mask, rng)
-        return ad.cross_entropy_sum(logits, dec_tgt, ignore_id=PAD_ID)
+        return ad.cross_entropy_sum(logits, dec_tgt)
 
-    def loss(self, inp: ModelInput, rng=None) -> Tensor:
-        total, count = self.loss_sum(inp, rng)
+    def loss(self, inp: ModelInput) -> Tensor:
+        total, count = self.loss_sum(inp)
         return ad.scale(total, 1.0 / count)
 
     # --- bookkeeping -------------------------------------------------------

@@ -140,11 +140,11 @@ def _saved_config(path, meta: dict) -> ModelConfig:
         raise ValueError(f"{path}: bad model_config: {exc}") from exc
 
 
-def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary, dict]:
-    """Model, vocabulary and manifest of a checkpoint.  A manifest without
-    ``model_config`` or ``vocab``, whose ``model_config`` ``ModelConfig``
-    rejects, or whose ``vocab`` does not fill ``vocab_size`` raises a
-    ``ValueError`` naming ``path``."""
+def load_model_checkpoint(path) -> tuple[SummModel, Vocabulary, dict]:
+    """Float32 model, vocabulary and manifest of a checkpoint.  A manifest
+    without ``model_config`` or ``vocab``, whose ``model_config``
+    ``ModelConfig`` rejects, or whose ``vocab`` does not fill ``vocab_size``
+    raises a ``ValueError`` naming ``path``."""
     arrays, meta = load_arrays(path)
     config = _saved_config(path, meta)
     if "vocab" not in meta:
@@ -155,7 +155,7 @@ def load_model_checkpoint(path, dtype=np.float32) -> tuple[SummModel, Vocabulary
             f"{path}: vocab holds {len(vocab)} ids but model_config.vocab_size"
             f" is {config.vocab_size}"
         )
-    model = SummModel(config, seed=0, dtype=dtype)
+    model = SummModel(config, seed=0)
     _load_weights(model, arrays, path)
     return model, vocab, meta
 
@@ -174,6 +174,8 @@ def train(
     each; either one resumes the run.  ``cfg.fine_tune_from`` loads only the
     weights of a checkpoint.  Raises ``NumericalAbort`` on a non-finite loss
     or gradient."""
+    if not train_triplets:
+        raise ValueError("no training triplets")
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     inputs = [prepare_input(t, vocab, model.config) for t in train_triplets]
     sizes = [example_size(inp) for inp in inputs]

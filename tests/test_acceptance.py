@@ -194,7 +194,7 @@ def test_criterion_05_bm25_oracle():
         else:
             tokens = [f"t{int(i)}" for i in rng.integers(0, 35, size=rng.integers(3, 18))]
         chunks.append((cid, tokens, f"art{cid % 13}"))
-    index = build_index(chunks)
+    index = build_index([(tokens, article) for _, tokens, article in chunks])
     k1, b = K1_DEFAULT, B_DEFAULT
     n_docs = len(chunks)
     avg_len = sum(len(t) for _, t, _ in chunks) / n_docs

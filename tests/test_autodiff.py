@@ -74,11 +74,11 @@ class TestForwardValues:
         assert count == 2
         assert total.item() / count == pytest.approx(np.log(10))
 
-    def test_cross_entropy_ignores_pad(self):
+    def test_cross_entropy_counts_every_row(self):
         logits = ad.tensor(np.zeros((3, 4)), np.float64)
-        total, count = ad.cross_entropy_sum(logits, np.array([1, 0, 2]), ignore_id=0)
-        assert count == 2
-        assert total.item() == pytest.approx(2 * np.log(4))
+        total, count = ad.cross_entropy_sum(logits, np.array([1, 0, 2]))
+        assert count == 3
+        assert total.item() == pytest.approx(3 * np.log(4))
 
     def test_shape_errors_name_the_primitive(self):
         a = ad.tensor(np.zeros((2, 3)))
@@ -87,6 +87,8 @@ class TestForwardValues:
             ad.matmul(a, b)
         with pytest.raises(ShapeError, match="matmul"):  # batch 3 is neither 2 nor 1
             ad.matmul(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeError, match="matmul"):  # b's rank is not a's
+            ad.matmul(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((4, 5))))
         with pytest.raises(ShapeError, match="add"):
             ad.add(a, b)
         with pytest.raises(ShapeError, match="linear"):
@@ -181,7 +183,7 @@ class TestBackward:
         targets = np.array([1, 0, 3, 0, 6])
 
         def mean_cross_entropy():
-            total, count = ad.cross_entropy_sum(logits, targets, ignore_id=0)
+            total, count = ad.cross_entropy_sum(logits, targets)
             return ad.scale(total, 1.0 / count)
 
         checks["cross_entropy_sum"] = grad_check(mean_cross_entropy, {"l": logits})
@@ -207,8 +209,7 @@ class TestBackward:
             lambda: wsum(ad.swapaxes(rs, 0, 1), wt), {"x": rs}
         )
         checks["scale"] = grad_check(lambda: wsum(ad.scale(rs, -1.5), wr.reshape(2, 6)), {"x": rs})
-        wts = rng.standard_normal(2)
-        checks["tsum"] = grad_check(lambda: wsum(ad.tsum(rs, axis=1), wts), {"x": rs})
+        checks["tsum"] = grad_check(lambda: ad.scale(ad.tsum(ad.mul(rs, rs)), 0.5), {"x": rs})
 
         # b's size-1 batch axis is shared by every a row: its gradient sums.
         mb1 = rand(rng, 3, 2, 1, 4)
@@ -297,7 +298,7 @@ def _primitive_calls():
         "dropout": lambda: [ad.dropout(p(3, 4), 0.3, np.random.default_rng(0))],
         "embedding_lookup": lambda: [ad.embedding_lookup(p(9, 4), np.array([[1, 2], [2, 8]]))],
         "cross_entropy_sum": lambda: [ad.cross_entropy_sum(p(5, 7), np.array([1, 0, 3, 0, 6]))[0]],
-        "tsum": lambda: [ad.tsum(p(3, 4), axis=1)],
+        "tsum": lambda: [ad.tsum(p(3, 4))],
     }
 
 

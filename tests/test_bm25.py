@@ -8,10 +8,10 @@ from querysumm.bm25 import B_DEFAULT, K1_DEFAULT, _accumulate, build_index, scor
 
 def reference_top_k(chunks, index, query, k, exclude_article=None):
     """The sort-every-chunk ranking: score every eligible chunk, drop those
-    scoring zero and sort by (-score, chunk_id)."""
+    scoring zero and sort by (-score, chunk id)."""
     eligible = [
         cid
-        for cid, _, article in sorted(chunks, key=lambda c: c[0])
+        for cid, (_, article) in enumerate(chunks)
         if exclude_article is None or article != exclude_article
     ]
     positive = [cid for cid in eligible if score(index, query, cid) > 0.0]
@@ -69,36 +69,40 @@ def dict_oracle_top_k(chunks, query, k, exclude_article=None):
 def formula_score(chunks, query, chunk_id, k1=1.2, b=0.75):
     """The documented BM25 formula evaluated from the raw token lists."""
     n_docs = len(chunks)
-    avg_len = sum(len(tokens) for _, tokens, _ in chunks) / n_docs
-    tokens = next(t for cid, t, _ in chunks if cid == chunk_id)
+    avg_len = sum(len(tokens) for tokens, _ in chunks) / n_docs
+    tokens = chunks[chunk_id][0]
     total = 0.0
     for term in query:
         tf = tokens.count(term)
         if tf == 0:
             continue
-        df = sum(1 for _, t, _ in chunks if term in t)
+        df = sum(1 for t, _ in chunks if term in t)
         term_idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         total += term_idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(tokens) / avg_len))
     return total
 
 
-def random_corpus(rng, n_chunks, vocab, first_id=0, id_gap=1, n_articles=7):
-    """Chunks with ids ``first_id, first_id + id_gap, ...`` in shuffled input
-    order; every fifth chunk copies the previous one, so scores tie."""
+def random_corpus(rng, n_chunks, vocab, n_articles=7):
+    """``(tokens, article)`` chunks; every fifth chunk copies the previous
+    one's tokens, so scores tie."""
     chunks = []
     for i in range(n_chunks):
-        cid = first_id + i * id_gap
         if i % 5 == 4:
-            tokens = list(chunks[-1][1])
+            tokens = list(chunks[-1][0])
         else:
             tokens = [f"t{int(j)}" for j in rng.integers(0, vocab, size=rng.integers(1, 14))]
-        chunks.append((cid, tokens, f"art{int(rng.integers(n_articles))}"))
-    order = rng.permutation(n_chunks)
-    return [chunks[i] for i in order]
+        chunks.append((tokens, f"art{int(rng.integers(n_articles))}"))
+    return chunks
+
+
+def with_ids(chunks):
+    """``(chunk_id, tokens, article)`` triples, the form the dict oracle
+    takes, with each chunk's position as its id."""
+    return [(cid, tokens, article) for cid, (tokens, article) in enumerate(chunks)]
 
 
 def two_doc_index():
-    return build_index([(0, ["a", "a", "b"], "art0"), (1, ["b", "c"], "art1")])
+    return build_index([(["a", "a", "b"], "art0"), (["b", "c"], "art1")])
 
 
 class TestBuildIndex:
@@ -106,7 +110,6 @@ class TestBuildIndex:
         idx = two_doc_index()
         assert idx.n_docs == 2
         assert idx.avg_len == pytest.approx(2.5)
-        assert idx.chunk_ids.tolist() == [0, 1]
         assert idx.postings["b"].positions.tolist() == [0, 1]
         assert idx.postings["b"].tf.tolist() == [1, 1]
         assert idx.postings["a"].positions.tolist() == [0]
@@ -115,55 +118,49 @@ class TestBuildIndex:
         assert idx.articles == {"art0": 0, "art1": 1}
 
     def test_single_chunk(self):
-        idx = build_index([(7, ["x", "y", "z"], "a")])
+        idx = build_index([(["x", "y", "z"], "a")])
         assert idx.avg_len == 3.0
         assert idx.n_docs == 1
 
-    def test_duplicate_and_empty_errors(self):
-        with pytest.raises(ValueError):
-            build_index([(0, ["a"], "x"), (0, ["b"], "x")])
-        with pytest.raises(ValueError):
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty chunk list"):
             build_index([])
 
     def test_corpus_without_tokens_rejected(self):
         with pytest.raises(ValueError, match="2 chunks that hold no tokens"):
-            build_index([(0, [], "a"), (1, [], "b")])
+            build_index([([], "a"), ([], "b")])
         # One token anywhere is enough; empty chunks then score zero.
-        idx = build_index([(0, [], "a"), (1, ["x"], "b"), (2, [], "c")])
+        idx = build_index([([], "a"), (["x"], "b"), ([], "c")])
         assert top_k(idx, ["x"], 3) == [1]
         assert score(idx, ["x"], 0) == 0.0
 
     def test_postings_match_brute_force_counts(self):
-        # Ids with gaps, given in shuffled order: positions are ranks by id.
         rng = np.random.default_rng(0)
         chunks = []
         for cid in range(200):
             tokens = [f"t{int(i)}" for i in rng.integers(0, 40, size=rng.integers(3, 20))]
-            chunks.append((3 * cid + 5, tokens, f"art{cid % 17}"))
-        chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+            chunks.append((tokens, f"art{cid % 17}"))
         idx = build_index(chunks)
-        by_id = sorted(chunks, key=lambda c: c[0])
-        assert idx.chunk_ids.tolist() == [cid for cid, _, _ in by_id]
-        vocabulary = {term for _, tokens, _ in chunks for term in tokens}
+        vocabulary = {term for tokens, _ in chunks for term in tokens}
         assert set(idx.postings) == vocabulary
         for term, p in idx.postings.items():
             assert p.positions.dtype == p.tf.dtype == np.int64
             assert np.all(np.diff(p.positions) > 0)
-            holders = [pos for pos, (_, tokens, _) in enumerate(by_id) if term in tokens]
+            holders = [cid for cid, (tokens, _) in enumerate(chunks) if term in tokens]
             assert p.positions.tolist() == holders
-            assert p.tf.tolist() == [by_id[pos][1].count(term) for pos in holders]
+            assert p.tf.tolist() == [chunks[cid][0].count(term) for cid in holders]
             df = len(holders)
             assert p.idf == math.log(1.0 + (len(chunks) - df + 0.5) / (df + 0.5))
-        avg_len = sum(len(tokens) for _, tokens, _ in chunks) / len(chunks)
+        avg_len = sum(len(tokens) for tokens, _ in chunks) / len(chunks)
         assert idx.avg_len == avg_len
         expected_norm = [
             K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * len(tokens) / avg_len)
-            for _, tokens, _ in by_id
+            for tokens, _ in chunks
         ]
         assert idx.norm.dtype == np.float64
         assert idx.norm.tobytes() == np.array(expected_norm).tobytes()
         articles = list(idx.articles)
-        assert [articles[code] for code in idx.article_codes] == [a for _, _, a in by_id]
+        assert [articles[code] for code in idx.article_codes] == [a for _, a in chunks]
 
 
 class TestScore:
@@ -188,41 +185,37 @@ class TestScore:
     def test_equals_documented_formula_bit_for_bit(self):
         rng = np.random.default_rng(4)
         for trial in range(5):
-            chunks = random_corpus(rng, 40, vocab=20, first_id=7, id_gap=1 + trial)
+            chunks = random_corpus(rng, 40, vocab=20)
             idx = build_index(chunks)
             for _ in range(20):
                 query = [f"t{int(i)}" for i in rng.integers(0, 24, size=rng.integers(0, 6))]
-                for cid, _, _ in chunks:
+                for cid in range(len(chunks)):
                     assert score(idx, query, cid) == formula_score(chunks, query, cid)
 
     def test_unknown_chunk(self):
-        with pytest.raises(KeyError):
-            score(two_doc_index(), ["a"], 99)
+        for chunk_id in (-1, 2, 99):
+            with pytest.raises(KeyError, match=f"unknown chunk id {chunk_id}"):
+                score(two_doc_index(), ["a"], chunk_id)
 
     def test_nonnegative_and_zero_iff_no_overlap(self):
         rng = np.random.default_rng(1)
-        chunks = [
-            (cid, [f"t{int(i)}" for i in rng.integers(0, 30, size=10)], cid)
-            for cid in range(50)
-        ]
+        chunks = [([f"t{int(i)}" for i in rng.integers(0, 30, size=10)], cid) for cid in range(50)]
         idx = build_index(chunks)
         for _ in range(30):
             query = [f"t{int(i)}" for i in rng.integers(0, 35, size=4)]
             cid = int(rng.integers(50))
             s = score(idx, query, cid)
-            overlap = set(query) & set(chunks[cid][1])
+            overlap = set(query) & set(chunks[cid][0])
             assert s >= 0.0
             assert (s == 0.0) == (not overlap)
 
     def test_monotone_in_term_frequency(self):
         # Same length, same df; tf 2 beats tf 1.
-        idx = build_index(
-            [(0, ["q", "q", "x"], "a"), (1, ["q", "x", "x"], "b"), (2, ["q", "y", "y"], "c")]
-        )
+        idx = build_index([(["q", "q", "x"], "a"), (["q", "x", "x"], "b"), (["q", "y", "y"], "c")])
         assert score(idx, ["q"], 0) > score(idx, ["q"], 1)
 
     def test_idf_nonnegative_even_for_common_terms(self):
-        idx = build_index([(i, ["common"], i) for i in range(10)])
+        idx = build_index([(["common"], i) for i in range(10)])
         assert idx.postings["common"].idf > 0.0
 
 
@@ -239,25 +232,19 @@ class TestTopK:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
         chunks = [
-            (cid, [f"t{int(i)}" for i in rng.integers(0, 25, size=rng.integers(2, 12))], f"a{cid % 7}")
+            ([f"t{int(i)}" for i in rng.integers(0, 25, size=rng.integers(2, 12))], f"a{cid % 7}")
             for cid in range(50)
         ]
         idx = build_index(chunks)
         for _ in range(20):
             query = [f"t{int(i)}" for i in rng.integers(0, 25, size=3)]
             got = top_k(idx, query, 4)
-            ranked = sorted(
-                (cid for cid, _, _ in chunks),
-                key=lambda cid: (-score(idx, query, cid), cid),
-            )
+            ranked = sorted(range(50), key=lambda cid: (-score(idx, query, cid), cid))
             assert got == ranked[:4]
 
     def test_prefix_property(self):
         rng = np.random.default_rng(3)
-        chunks = [
-            (cid, [f"t{int(i)}" for i in rng.integers(0, 12, size=8)], cid)
-            for cid in range(30)
-        ]
+        chunks = [([f"t{int(i)}" for i in rng.integers(0, 12, size=8)], cid) for cid in range(30)]
         idx = build_index(chunks)
         query = ["t1", "t5", "t9"]
         for k in range(1, 8):
@@ -267,17 +254,18 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(two_doc_index(), ["a"], 0)
 
-    @pytest.mark.parametrize("first_id,id_gap", [(0, 1), (7, 1), (7, 3)])
-    def test_matches_sort_every_chunk_reference(self, first_id, id_gap):
+    @pytest.mark.parametrize("seed,n_articles", [(0, 1), (7, 1), (7, 3)])
+    def test_matches_sort_every_chunk_reference(self, seed, n_articles):
         # Small vocabularies with duplicated chunks give many exact ties;
         # queries repeat terms, hold terms outside the vocabulary or are empty;
-        # k runs past the eligible set; exclusion on and off.
-        rng = np.random.default_rng(first_id * 10 + id_gap)
+        # k runs past the eligible set; exclusion on and off, where excluding
+        # the one article of a one-article corpus leaves nothing.
+        rng = np.random.default_rng([seed, n_articles])
         for trial in range(6):
             n_chunks = int(rng.integers(1, 45))
-            chunks = random_corpus(rng, n_chunks, vocab=12 + 4 * trial, first_id=first_id, id_gap=id_gap)
+            chunks = random_corpus(rng, n_chunks, vocab=12 + 4 * trial, n_articles=n_articles)
             idx = build_index(chunks)
-            articles = sorted({art for _, _, art in chunks}) + [None, "no-such-article"]
+            articles = sorted({art for _, art in chunks}) + [None, "no-such-article"]
             for _ in range(25):
                 query = [f"t{int(i)}" for i in rng.integers(0, 36, size=rng.integers(0, 7))]
                 if query and rng.random() < 0.3:
@@ -288,46 +276,44 @@ class TestTopK:
                     assert got == reference_top_k(chunks, idx, query, k, exclude), (query, k, exclude)
 
     def test_empty_and_unknown_queries_return_nothing(self):
-        chunks = [(cid, ["x", "y"], f"a{cid % 2}") for cid in (9, 7, 11, 8)]
-        idx = build_index(chunks)
+        idx = build_index([(["x", "y"], f"a{cid % 2}") for cid in range(4)])
         assert top_k(idx, [], 3) == []
         assert top_k(idx, ["nope", "never"], 10) == []
         assert top_k(idx, [], 10, exclude_article="a1") == []
         # Only positive scores come back, even when k asks for more.
-        idx = build_index([(7, ["p"], "a"), (8, ["q"], "b"), (9, ["r", "p"], "c")])
-        assert top_k(idx, ["p"], 3) == [7, 9]
+        idx = build_index([(["p"], "a"), (["q"], "b"), (["r", "p"], "c")])
+        assert top_k(idx, ["p"], 3) == [0, 2]
 
 
 class TestAgainstDictOracle:
     """The array index against the dict-of-tuples BM25 it replaced."""
 
-    @pytest.mark.parametrize("first_id,id_gap", [(0, 1), (5, 2), (11, 7)])
-    def test_ids_and_accumulated_score_bytes(self, first_id, id_gap):
-        # Ids with gaps in shuffled order, every fifth chunk duplicated for
-        # ties; queries repeat terms and hold unknown ones; exclusion of a
-        # known article, an unknown one and none; k from 1 past the corpus.
-        rng = np.random.default_rng(100 + first_id * 10 + id_gap)
+    @pytest.mark.parametrize("seed,n_articles", [(0, 1), (5, 2), (11, 7)])
+    def test_ids_and_accumulated_score_bytes(self, seed, n_articles):
+        # Every fifth chunk duplicated for ties; queries repeat terms and
+        # hold unknown ones; exclusion of a known article, an unknown one
+        # and none; k from 1 past the corpus.
+        rng = np.random.default_rng([100, seed, n_articles])
         for trial in range(8):
             n_chunks = int(rng.integers(1, 60))
             vocab = 10 + 5 * trial
-            chunks = random_corpus(rng, n_chunks, vocab, first_id=first_id, id_gap=id_gap)
+            chunks = random_corpus(rng, n_chunks, vocab, n_articles=n_articles)
             idx = build_index(chunks)
-            position = {cid: pos for pos, cid in enumerate(idx.chunk_ids.tolist())}
-            known = sorted({article for _, _, article in chunks})
+            known = sorted({article for _, article in chunks})
             for _ in range(15):
                 query = [f"t{int(i)}" for i in rng.integers(0, vocab + 8, size=rng.integers(0, 7))]
                 if query and rng.random() < 0.5:
                     query += query[: int(rng.integers(1, len(query) + 1))]
                 acc = _accumulate(idx, query)
                 assert acc.dtype == np.float64 and acc.shape == (n_chunks,)
-                for cid, pos in position.items():
-                    assert float.hex(float(acc[pos])) == float.hex(score(idx, query, cid))
+                for cid in range(n_chunks):
+                    assert float.hex(float(acc[cid])) == float.hex(score(idx, query, cid))
                 for exclude in (None, known[int(rng.integers(len(known)))], "no-such-article"):
                     for k in (1, 2, 4, n_chunks, n_chunks + 3):
-                        ids, oracle_scores = dict_oracle_top_k(chunks, query, k, exclude)
+                        ids, oracle_scores = dict_oracle_top_k(with_ids(chunks), query, k, exclude)
                         got = top_k(idx, query, k, exclude_article=exclude)
                         assert got == ids, (query, k, exclude)
                     for cid, s in oracle_scores.items():
-                        assert float.hex(float(acc[position[cid]])) == float.hex(s)
+                        assert float.hex(float(acc[cid])) == float.hex(s)
                     for cid in got:
                         assert float.hex(score(idx, query, cid)) == float.hex(oracle_scores[cid])

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,17 @@ import pytest
 from querysumm import autodiff as ad
 from querysumm import cli, training
 from querysumm.checkpoint import load_arrays, save_arrays
-from querysumm.data import Article, Triplet, load_records, save_records
+from querysumm.data import (
+    REJECT_LOW_COVERAGE,
+    REJECT_TOO_FEW_DOCUMENTS,
+    REJECT_TOO_FEW_SENTENCES,
+    Article,
+    IrRecord,
+    Triplet,
+    filter_qmdsir,
+    load_records,
+    save_records,
+)
 from querysumm.decoding import DecodeConfig
 from querysumm.model import ModelConfig, SummModel
 from querysumm.synthetic import make_articles, make_ir_records
@@ -83,6 +93,28 @@ class TestDatasetCommands:
         assert len(kept) + len(rejected) == 10
         for entry in rejected:
             assert set(entry) == {"record", "reason"}
+
+    @pytest.mark.parametrize("short_answer, reject_log", [(False, False), (True, True)],
+                             ids=["no-log", "log"])
+    def test_build_qmdsir_prints_rejections_by_reason(
+        self, workdir, capsys, short_answer, reject_log
+    ):
+        records = load_records("records.jsonl", IrRecord)
+        if short_answer:  # without it, no answer is under 2 sentences: a 0 count
+            records[0] = replace(records[0], answer_passage="one sentence only")
+            save_records(records, "records.jsonl")
+        argv = ["--reject-log", "rej.jsonl"] if reject_log else []
+        assert run("build-qmdsir", "--records", "records.jsonl", "--out", "ir.jsonl", *argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kept, rejected = filter_qmdsir(records)
+        reasons = [reason for _, reason in rejected]
+        assert lines[0] == f"kept {len(kept)} of 10 records ({len(rejected)} rejected)"
+        assert lines[1] == "rejected by reason " + " ".join(
+            f"{r}:{reasons.count(r)}"
+            for r in (REJECT_TOO_FEW_SENTENCES, REJECT_TOO_FEW_DOCUMENTS, REJECT_LOW_COVERAGE)
+        )
+        assert (REJECT_TOO_FEW_SENTENCES in reasons) == short_answer
+        assert os.path.exists("rej.jsonl") == reject_log
 
     def test_stats_and_align_hist(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--out", "triplets.jsonl")
@@ -474,6 +506,25 @@ class TestModelCommands:
         assert run("transfer", "--config", str(cfg_path), "--source", "missing",
                    "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "eval_path, finetune, message",
+        [
+            ("empty.jsonl", [], "cannot evaluate an empty dataset"),
+            ("eval.jsonl", ["--finetune", "src_b.jsonl"],
+             "finetune triplets supplied without a finetune config"),
+        ],
+        ids=["empty-eval", "finetune-without-config"],
+    )
+    def test_transfer_fails_before_it_trains(self, workdir, capsys, eval_path, finetune, message):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = transfer_config(workdir)
+        save_records([], "empty.jsonl")
+        capsys.readouterr()
+        assert run("transfer", "--config", str(path), "--source", "alpha",
+                   "--eval", eval_path, *finetune) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "tr").exists()
+
     def test_zero_val_interval_rejected_before_training(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         path = train_config(workdir)
@@ -543,18 +594,31 @@ class TestModelCommands:
         assert capsys.readouterr().err == f"error: {path}: config must be a JSON object\n"
 
     @pytest.mark.parametrize(
-        "sources, message",
+        "sources, source, message",
         [
-            (None, "missing section 'sources'"),
-            (["a.jsonl"], "sources: section must be a JSON object"),
+            (None, "alpha", "missing section 'sources'"),
+            (["a.jsonl"], "alpha", "sources: section must be a JSON object"),
             (
                 {"alpha": {"train": "a.jsonl"}},
+                "alpha",
                 "sources: 'alpha' must be an object with 'train' and 'val'",
             ),
+            (
+                {tag: {"train": "a.jsonl", "val": "a.jsonl"} for tag in ("a", "b", "c")},
+                "combined",
+                "combined mode needs exactly two sources, config has 3",
+            ),
+            (
+                {tag: {"train": "a.jsonl", "val": "a.jsonl"} for tag in ("a", "b")},
+                "gamma",
+                "unknown source 'gamma'; config has ['a', 'b']",
+            ),
         ],
-        ids=["missing", "list", "no-val"],
+        ids=["missing", "list", "no-val", "combined-of-three", "unknown-source"],
     )
-    def test_transfer_sources_errors_name_the_file(self, workdir, capsys, sources, message):
+    def test_transfer_sources_errors_name_the_file(
+        self, workdir, capsys, sources, source, message
+    ):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         path = transfer_config(workdir)
         cfg = json.loads(path.read_text())
@@ -564,7 +628,7 @@ class TestModelCommands:
             cfg["sources"] = sources
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
-        assert run("transfer", "--config", str(path), "--source", "alpha",
+        assert run("transfer", "--config", str(path), "--source", source,
                    "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (workdir / "tr").exists()

@@ -167,11 +167,8 @@ class TestInterleave:
         ]
 
 
-def test_transfer_pipeline_smoke(tmp_path):
-    trips = [handmade_triplet(tag=f"s{i}") for i in range(6)]
-    eval_trips = [handmade_triplet(tag=f"v{i}") for i in range(2)]
-    vocab = build_vocab(corpus_tokens(trips + eval_trips), 64)
-    spec = TransferSpec(
+def transfer_spec(tmp_path, vocab, finetune=True):
+    return TransferSpec(
         model_config=tiny_config(len(vocab), d_model=16, heads=2),
         train_config=TrainConfig(
             steps=2, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1,
@@ -181,11 +178,39 @@ def test_transfer_pipeline_smoke(tmp_path):
         finetune_config=TrainConfig(
             steps=1, checkpoint_dir=str(tmp_path / "unused"), batch_tokens=128,
             val_interval=1, seed=0, base_lr=1.0, warmup=20,
-        ),
+        ) if finetune else None,
     )
+
+
+def test_transfer_pipeline_smoke(tmp_path):
+    trips = [handmade_triplet(tag=f"s{i}") for i in range(6)]
+    eval_trips = [handmade_triplet(tag=f"v{i}") for i in range(2)]
+    vocab = build_vocab(corpus_tokens(trips + eval_trips), 64)
+    spec = transfer_spec(tmp_path, vocab)
     report, result = transfer_pipeline(
         spec, trips, trips[:2], eval_trips, vocab, finetune_triplets=trips[:3]
     )
     assert report.mode == "recall250"
     assert set(report.averages) == {"rouge-1", "rouge-2", "rouge-l", "rouge-su4"}
     assert "finetune" in result.best_path
+
+
+@pytest.mark.parametrize(
+    "with_finetune_config, eval_count, finetune_count, message",
+    [
+        (True, 0, 0, "cannot evaluate an empty dataset"),
+        (False, 2, 3, "finetune triplets supplied without a finetune config"),
+    ],
+    ids=["empty-eval", "finetune-without-config"],
+)
+def test_transfer_pipeline_fails_before_it_trains(
+    tmp_path, with_finetune_config, eval_count, finetune_count, message
+):
+    trips = [handmade_triplet(tag=f"s{i}") for i in range(6)]
+    vocab = build_vocab(corpus_tokens(trips), 64)
+    spec = transfer_spec(tmp_path / "ckpt", vocab, finetune=with_finetune_config)
+    with pytest.raises(ValueError, match=message):
+        transfer_pipeline(
+            spec, trips, trips[:2], trips[:eval_count], vocab, trips[:finetune_count]
+        )
+    assert not (tmp_path / "ckpt").exists()

@@ -69,6 +69,74 @@ def test_every_definition_has_a_caller():
     assert uncalled_definitions() == []
 
 
+# (file, function, parameter) whose default no caller overrides.
+DEFAULT_ALLOWED = {
+    # Tests substitute a fake decoder.
+    ("evaluation.py", "evaluate", "decode_fn"),
+    # Tests drive the CLI through it; the console script passes nothing.
+    ("cli.py", "main", "argv"),
+}
+
+
+def defaulted_parameters():
+    """(file, function, call name, parameter, positional index) of every
+    defaulted parameter of a module function, method or class ``__init__``
+    (whose call name is the class's).  The index counts from the first
+    argument a call passes, so a method's ``self`` is skipped; keyword-only
+    parameters have index ``None``.  Nested closures and other dunders are
+    skipped."""
+    for path in sorted(SOURCE.glob("*.py")):
+        scopes = [(ast.parse(path.read_text(encoding="utf-8")), None)]
+        while scopes:
+            scope, cls = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((node, node.name))
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                call_name = node.name
+                if call_name.startswith("__") and call_name.endswith("__"):
+                    if call_name != "__init__" or cls is None:
+                        continue
+                    call_name = cls
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                for i, p in enumerate(positional[first:], first):
+                    yield path.name, node.name, call_name, p.arg, i - (cls is not None)
+                for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield path.name, node.name, call_name, p.arg, None
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no call in the caller directories overrides, by
+    keyword or by position, is a constant in disguise.  Calls match by
+    name, as in ``uncalled_definitions``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for d in CALLER_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = getattr(f, "id", None) or getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    never_passed = {
+        (file, function, param)
+        for file, function, call_name, param, index in defaulted_parameters()
+        if not any(_passes(c, param, index) for c in calls.get(call_name, ()))
+    }
+    assert sorted(never_passed) == sorted(DEFAULT_ALLOWED)
+
+
 def _functions(path):
     return {
         node.name: node

@@ -75,6 +75,13 @@ class TestTrainLoop:
         missing = [name for name, p in model.params.items() if p.grad is None]
         assert not missing
 
+    def test_empty_training_set_is_refused_before_anything_is_written(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(steps=1, checkpoint_dir=str(tmp_path / "ckpt"))
+        with pytest.raises(ValueError, match="no training triplets"):
+            train(model, cfg, [], trips[:2], vocab)
+        assert not (tmp_path / "ckpt").exists()
+
     def test_budget_validation(self, tmp_path):
         trips, vocab, model = setup_uniform()
         cfg = TrainConfig(steps=1, checkpoint_dir=str(tmp_path), batch_tokens=2)
@@ -427,9 +434,10 @@ class TestCheckpointIO:
         trips, vocab, model = setup_uniform(dtype=np.float64)
         path = tmp_path / "m.ckpt"
         save_model_checkpoint(path, model, AdamNoam(model.params, 16), vocab, {})
-        loaded, _, _ = load_model_checkpoint(path, dtype=np.float64)
+        arrays, _ = load_arrays(path)
         for name, p in model.params.items():
-            assert loaded.params[name].values.tobytes() == p.values.tobytes()
+            assert arrays[name].dtype == np.float64
+            assert arrays[name].tobytes() == p.values.tobytes()
 
     def test_reloaded_model_reproduces_eval_loss(self, tmp_path):
         trips, vocab, model = setup_uniform()
