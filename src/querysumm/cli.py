@@ -17,11 +17,15 @@ Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
     }
 
 ``model.use_query_encoder`` alone decides whether the query is encoded or
-prepended.  A bad section field exits 1: ``error: <config>: <section>: ...``;
-so does a config that is not a JSON object, or a ``transfer`` config
-without ``sources``.  ``build-qmdscnn`` also prints how many triplets got
-0..k retrieved chunks, and ``build-qmdsir`` how many records each reason
-rejected.
+prepended.  Every section field is checked against its annotation, the
+path fields (strings) included, so a bad one exits 1:
+``error: <config>: <section>: ...``.  So does a ``vocab_max_size`` that is
+not an integer > 5, a config that is not a JSON object, a ``transfer``
+config without ``sources``, or an empty validation or ``--finetune`` set;
+all fail before anything trains.  ``decode`` and ``evaluate`` check their
+search flags (``--max-len`` >= 1) before they load the checkpoint.
+``build-qmdscnn`` also prints how many triplets got 0..k retrieved chunks,
+and ``build-qmdsir`` how many records each reason rejected.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def _corpus_tokens(triplets):
 
 
 def _load_config(path) -> dict:
-    """The config file's JSON object; errors name the file."""
+    """The config file's JSON object, ``vocab_max_size`` checked and
+    defaulted; errors name the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -153,6 +158,9 @@ def _load_config(path) -> dict:
             raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    size = cfg.setdefault("vocab_max_size", 2000)
+    if isinstance(size, bool) or not isinstance(size, int) or size <= 5:
+        raise ValueError(f"{path}: vocab_max_size must be an integer > 5, got {size!r}")
     return cfg
 
 
@@ -168,7 +176,8 @@ def _section(path, cfg: dict, name: str, cls, **fields):
 
 
 def _sources(path, cfg: dict) -> dict:
-    """Section ``sources``, tag -> {"train": path, "val": path}; errors name the file."""
+    """Section ``sources``, tag -> {"train": path, "val": path}, each path a
+    string; errors name the file."""
     if "sources" not in cfg:
         raise ValueError(f"{path}: missing section 'sources'")
     sources = cfg["sources"]
@@ -177,11 +186,16 @@ def _sources(path, cfg: dict) -> dict:
     for tag, paths in sources.items():
         if not (isinstance(paths, dict) and "train" in paths and "val" in paths):
             raise ValueError(f"{path}: sources: {tag!r} must be an object with 'train' and 'val'")
+        for part in ("train", "val"):
+            if not isinstance(paths[part], str):
+                raise ValueError(
+                    f"{path}: sources: {tag!r}: {part} must be a string, got {paths[part]!r}"
+                )
     return sources
 
 
 def _vocab_and_model(path, cfg: dict, train_triplets):
-    vocab = build_vocab(list(_corpus_tokens(train_triplets)), cfg.get("vocab_max_size", 2000))
+    vocab = build_vocab(list(_corpus_tokens(train_triplets)), cfg["vocab_max_size"])
     return vocab, _section(path, cfg, "model", ModelConfig, vocab_size=len(vocab))
 
 
@@ -239,6 +253,8 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.config}: train.train_path and train.val_path must be set")
     train_triplets = load_records(train_cfg.train_path, Triplet)
     val_triplets = load_records(train_cfg.val_path, Triplet)
+    if not val_triplets:
+        raise ValueError(f"{args.config}: train.val_path {train_cfg.val_path} holds no triplets")
     vocab, model_cfg = _vocab_and_model(args.config, cfg, train_triplets)
     model = SummModel(model_cfg, seed=train_cfg.seed)
     result = train(model, train_cfg, train_triplets, val_triplets, vocab, resume_from=args.resume)
@@ -248,9 +264,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    decode_cfg = _decode_config(args)
     model, vocab, _ = load_model_checkpoint(args.ckpt)
     triplets = load_records(args.input, Triplet)
-    decoded = decode_triplets(model, triplets, vocab, _decode_config(args))
+    decoded = decode_triplets(model, triplets, vocab, decode_cfg)
     write_jsonl(
         ({"id": row_id, "summary": " ".join(vocab.decode(ids))} for row_id, ids in decoded),
         args.out,
@@ -260,9 +277,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    decode_cfg = _decode_config(args)
     model, vocab, _ = load_model_checkpoint(args.ckpt)
     triplets = load_records(args.input, Triplet)
-    report = evaluate(model, triplets, vocab, _decode_config(args), mode=args.mode)
+    report = evaluate(model, triplets, vocab, decode_cfg, mode=args.mode)
     print(report.format())
     return EXIT_OK
 

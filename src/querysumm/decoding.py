@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import log_softmax_values
-from .model import EncodedBatch, SummModel, check_field_types
+from .model import EncodedBatch, SummModel, check_fields
 from .text import BOS_ID, EOS_ID, PAD_ID, QSEP_ID
 
 # Never generated: structural ids that cannot appear inside a summary.
@@ -33,20 +33,9 @@ class DecodeConfig:
     max_docs: int | None = None
 
     def __post_init__(self):
-        limits = [n for n in ("max_doc_tokens", "max_docs") if getattr(self, n) is not None]
-        check_field_types(
-            self,
-            integers=("beam", "min_len", "max_len", *limits),
-            reals=("alpha",),
-            flags=("block_trigrams",),
-        )
-        if self.beam < 1:
-            raise ValueError(f"beam must be >= 1, got {self.beam}")
+        check_fields(self, positive=("beam", "max_len", "max_doc_tokens", "max_docs"))
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
-        for name in ("max_doc_tokens", "max_docs"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be None or >= 1, got {getattr(self, name)}")
 
 
 def length_penalty(length: int, alpha: float) -> float:

@@ -176,15 +176,21 @@ def transfer_pipeline(
     ``spec.model_config`` holds.  Evaluation decode settings, including its
     own document limits, come from ``spec.decode_config``, for which
     ``TRANSFER_DECODE_DEFAULTS`` holds the full-scale protocol.  An empty
-    evaluation set, or finetune triplets without a finetune config, raise
-    ``ValueError`` before anything trains."""
+    evaluation or validation set, finetune triplets without a finetune
+    config, or an empty list of them raise ``ValueError`` before anything
+    trains."""
     if not eval_triplets:
         raise ValueError("cannot evaluate an empty dataset")
-    if finetune_triplets and spec.finetune_config is None:
-        raise ValueError("finetune triplets supplied without a finetune config")
+    if not val_triplets:
+        raise ValueError("no validation triplets")
+    if finetune_triplets is not None:
+        if spec.finetune_config is None:
+            raise ValueError("finetune triplets supplied without a finetune config")
+        if not finetune_triplets:
+            raise ValueError("no finetune triplets")
     model = SummModel(spec.model_config, seed=spec.train_config.seed)
     result = train(model, spec.train_config, train_triplets, val_triplets, vocab)
-    if finetune_triplets:
+    if finetune_triplets is not None:
         ft_cfg = replace(
             spec.finetune_config,
             fine_tune_from=result.best_path,

@@ -23,9 +23,10 @@ embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,21 +36,42 @@ from .optim import kaiming_uniform
 from .text import BOS_ID, EOS_ID, PAD_ID, QSEP_ID, Vocabulary, tokenize
 
 
-def check_field_types(config, integers=(), reals=(), flags=()) -> None:
-    """Raise ``ValueError`` naming the first field of ``config`` whose value
-    has the wrong type: ``integers`` must be integers and ``reals`` real
-    numbers (``bool`` is neither), ``flags`` booleans.  A config calls it
-    before it compares any value, so ``"2"`` is refused by its field name."""
-    checks = [(name, numbers.Integral, "an integer") for name in integers]
-    checks += [(name, numbers.Real, "a real number") for name in reals]
-    for name, kind, noun in checks:
+# Annotation without "| None" -> the type a value must have (a bool is
+# neither an integer nor a real number) and its noun.
+FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+}
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    """(name, type, noun, None allowed) per field of dataclass ``cls``."""
+    kinds = []
+    for f in fields(cls):
+        kind = str(f.type).removesuffix(" | None")
+        if kind not in FIELD_KINDS:
+            raise TypeError(f"{cls.__name__}.{f.name}: unsupported annotation {f.type!r}")
+        kinds.append((f.name, *FIELD_KINDS[kind], kind != f.type))
+    return tuple(kinds)
+
+
+def check_fields(config, positive=()) -> None:
+    """Raise ``ValueError`` naming the first field of dataclass ``config``
+    that its annotation does not admit, then the first ``positive`` field
+    that is set and below 1; an annotation not in ``FIELD_KINDS`` raises."""
+    for name, kind, noun, optional in _field_kinds(type(config)):
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if value is None and optional:
+            continue
+        if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {noun}, got {value!r}")
-    for name in flags:
+    for name in positive:
         value = getattr(config, name)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be a boolean, got {value!r}")
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -72,19 +94,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.local_layers is None:
             self.local_layers = 5 if self.use_query_encoder else 6
-        positive = (
+        check_fields(self, positive=(
             "d_model", "ffn_hidden", "heads", "local_layers", "global_layers", "decoder_layers",
             "max_doc_tokens", "max_docs", "max_summary_tokens",
-        )
-        check_field_types(
-            self,
-            integers=("vocab_size", *positive),
-            reals=("dropout",),
-            flags=("use_query_encoder", "use_hierarchical_merge", "use_ordering"),
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        ))
         if self.d_model % self.heads:
             raise ValueError("d_model must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:

@@ -19,7 +19,7 @@ from .autodiff import backward, no_grad
 from .checkpoint import load_arrays, load_meta, save_arrays
 from .data import Triplet
 from .decoding import DecodeConfig, greedy_decode
-from .model import ModelConfig, ModelInput, SummModel, check_field_types, prepare_input
+from .model import ModelConfig, ModelInput, SummModel, check_fields, prepare_input
 from .optim import AdamNoam
 from .rouge import rouge_l
 from .text import Vocabulary, tokenize
@@ -49,10 +49,7 @@ class TrainConfig:
 
     def __post_init__(self):
         positive = ("steps", "batch_tokens", "accum_steps", "val_interval", "warmup")
-        check_field_types(self, integers=(*positive, "seed"), reals=("base_lr",))
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, positive)
         if not 0.0 < self.base_lr < float("inf"):
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
 
@@ -173,7 +170,9 @@ def train(
     ``latest.ckpt``, and ``best.ckpt`` when the score improves, as one file
     each; either one resumes the run.  ``cfg.fine_tune_from`` loads only the
     weights of a checkpoint.  Raises ``NumericalAbort`` on a non-finite loss
-    or gradient."""
+    or gradient.  An empty ``val_triplets`` scores every validation 0.0, so
+    ``best.ckpt`` keeps the first validation's weights; a caller that wants
+    the best checkpoint by score must pass a non-empty set."""
     if not train_triplets:
         raise ValueError("no training triplets")
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)

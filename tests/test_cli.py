@@ -507,17 +507,27 @@ class TestModelCommands:
                    "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
 
     @pytest.mark.parametrize(
-        "eval_path, finetune, message",
+        "eval_path, finetune, edit, message",
         [
-            ("empty.jsonl", [], "cannot evaluate an empty dataset"),
-            ("eval.jsonl", ["--finetune", "src_b.jsonl"],
+            ("empty.jsonl", [], None, "cannot evaluate an empty dataset"),
+            ("eval.jsonl", ["--finetune", "src_b.jsonl"], None,
              "finetune triplets supplied without a finetune config"),
+            ("eval.jsonl", ["--finetune", "empty.jsonl"],
+             lambda cfg: cfg.update(finetune=dict(cfg["train"])), "no finetune triplets"),
+            ("eval.jsonl", [], lambda cfg: cfg["sources"]["alpha"].update(val="empty.jsonl"),
+             "no validation triplets"),
         ],
-        ids=["empty-eval", "finetune-without-config"],
+        ids=["empty-eval", "finetune-without-config", "empty-finetune", "empty-val"],
     )
-    def test_transfer_fails_before_it_trains(self, workdir, capsys, eval_path, finetune, message):
+    def test_transfer_fails_before_it_trains(
+        self, workdir, capsys, eval_path, finetune, edit, message
+    ):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         path = transfer_config(workdir)
+        if edit:
+            cfg = json.loads(path.read_text())
+            edit(cfg)
+            path.write_text(json.dumps(cfg))
         save_records([], "empty.jsonl")
         capsys.readouterr()
         assert run("transfer", "--config", str(path), "--source", "alpha",
@@ -556,6 +566,9 @@ class TestModelCommands:
             ("train", "train", "base_lr", "1.0"),
             ("transfer", "decode", "alpha", None),
             ("transfer", "decode", "max_docs", 1.5),
+            ("train", "train", "train_path", 0),
+            ("train", "train", "checkpoint_dir", 5),
+            ("train", "train", "fine_tune_from", 3),
         ],
     )
     def test_bad_config_field_names_config_and_section(
@@ -582,8 +595,64 @@ class TestModelCommands:
                 kind = "a real number"
             elif field == "use_query_encoder":
                 kind = "a boolean"
+            elif field in ("train_path", "checkpoint_dir", "fine_tune_from"):
+                kind = "a string"
             assert err == f"error: {path}: {section}: {field} must be {kind}, got {value!r}\n"
         assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    @pytest.mark.parametrize("value", ["2000", 2000.5, 5, True])
+    def test_bad_vocab_max_size_names_the_file(self, workdir, capsys, command, value):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = train_config(workdir) if command == "train" else transfer_config(workdir)
+        cfg = json.loads(path.read_text())
+        cfg["vocab_max_size"] = value
+        path.write_text(json.dumps(cfg))
+        argv = ["--source", "alpha", "--eval", "eval.jsonl"] if command == "transfer" else []
+        capsys.readouterr()
+        assert run(command, "--config", str(path), *argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {path}: vocab_max_size must be an integer > 5, got {value!r}\n"
+        )
+        assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
+
+    def test_nonpositive_decode_max_len_names_config_and_section(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = transfer_config(workdir)
+        cfg = json.loads(path.read_text())
+        cfg["decode"].update(min_len=0, max_len=0)
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("transfer", "--config", str(path), "--source", "alpha",
+                   "--eval", "eval.jsonl") == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: decode: max_len must be >= 1, got 0\n"
+        assert not (workdir / "tr").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "evaluate"])
+    def test_nonpositive_max_len_flag_fails_before_the_checkpoint_loads(
+        self, workdir, capsys, command
+    ):
+        # The checkpoint does not exist, so only the flag check can answer.
+        argv = ["--ckpt", "missing.ckpt", "--in", "missing.jsonl"]
+        argv += ["--min-len", "0", "--max-len", "0"]
+        argv += ["--out", "decodes.jsonl"] if command == "decode" else []
+        assert run(command, *argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: max_len must be >= 1, got 0\n"
+        assert not (workdir / "decodes.jsonl").exists()
+
+    def test_empty_validation_set_names_the_field(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        save_records([], "empty.jsonl")
+        path = train_config(workdir)
+        cfg = json.loads(path.read_text())
+        cfg["train"]["val_path"] = "empty.jsonl"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("train", "--config", str(path)) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {path}: train.val_path empty.jsonl holds no triplets\n"
+        )
+        assert not (workdir / "ckpt").exists()
 
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_config_that_is_not_an_object_names_the_file(self, workdir, capsys, command):
@@ -604,6 +673,11 @@ class TestModelCommands:
                 "sources: 'alpha' must be an object with 'train' and 'val'",
             ),
             (
+                {"alpha": {"train": 0, "val": "a.jsonl"}},
+                "alpha",
+                "sources: 'alpha': train must be a string, got 0",
+            ),
+            (
                 {tag: {"train": "a.jsonl", "val": "a.jsonl"} for tag in ("a", "b", "c")},
                 "combined",
                 "combined mode needs exactly two sources, config has 3",
@@ -614,7 +688,10 @@ class TestModelCommands:
                 "unknown source 'gamma'; config has ['a', 'b']",
             ),
         ],
-        ids=["missing", "list", "no-val", "combined-of-three", "unknown-source"],
+        ids=[
+            "missing", "list", "no-val", "path-not-a-string", "combined-of-three",
+            "unknown-source",
+        ],
     )
     def test_transfer_sources_errors_name_the_file(
         self, workdir, capsys, sources, source, message

@@ -84,6 +84,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(min_len=10, max_len=5)
 
+    @pytest.mark.parametrize("min_len, max_len", [(0, 0), (-3, -1)])
+    def test_max_len_below_one(self, min_len, max_len):
+        # Every decode would be empty, so the config is refused.
+        with pytest.raises(ValueError, match=f"^max_len must be >= 1, got {max_len}$"):
+            DecodeConfig(min_len=min_len, max_len=max_len)
+
     @pytest.mark.parametrize("field", ["max_doc_tokens", "max_docs"])
     def test_input_limits_none_or_positive(self, field):
         for value in (0, -1):

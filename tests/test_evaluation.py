@@ -196,21 +196,24 @@ def test_transfer_pipeline_smoke(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "with_finetune_config, eval_count, finetune_count, message",
+    "with_finetune_config, val_count, eval_count, finetune_count, message",
     [
-        (True, 0, 0, "cannot evaluate an empty dataset"),
-        (False, 2, 3, "finetune triplets supplied without a finetune config"),
+        (True, 2, 0, 0, "cannot evaluate an empty dataset"),
+        (False, 2, 2, 3, "finetune triplets supplied without a finetune config"),
+        (True, 2, 2, 0, "no finetune triplets"),
+        (True, 0, 2, None, "no validation triplets"),
     ],
-    ids=["empty-eval", "finetune-without-config"],
+    ids=["empty-eval", "finetune-without-config", "empty-finetune", "empty-val"],
 )
 def test_transfer_pipeline_fails_before_it_trains(
-    tmp_path, with_finetune_config, eval_count, finetune_count, message
+    tmp_path, with_finetune_config, val_count, eval_count, finetune_count, message
 ):
     trips = [handmade_triplet(tag=f"s{i}") for i in range(6)]
     vocab = build_vocab(corpus_tokens(trips), 64)
     spec = transfer_spec(tmp_path / "ckpt", vocab, finetune=with_finetune_config)
+    finetune = None if finetune_count is None else trips[:finetune_count]
     with pytest.raises(ValueError, match=message):
         transfer_pipeline(
-            spec, trips, trips[:2], trips[:eval_count], vocab, trips[:finetune_count]
+            spec, trips, trips[:val_count], trips[:eval_count], vocab, finetune
         )
     assert not (tmp_path / "ckpt").exists()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from querysumm.model import (
     ParamStore,
     QueryLayer,
     SummModel,
+    check_fields,
     joint_flags,
     ordering_encoding,
     prepare_input,
@@ -28,6 +30,7 @@ from querysumm.model import (
 from querysumm.optim import AdamNoam
 from querysumm.text import BOS_ID, PAD_ID, QSEP_ID, Vocabulary, build_vocab, tokenize
 from querysumm.decoding import DecodeConfig
+from querysumm.evaluation import TRANSFER_DECODE_DEFAULTS
 from querysumm.training import TrainConfig, load_model_checkpoint, save_model_checkpoint
 
 from conftest import handmade_triplet, tiny_config
@@ -102,6 +105,42 @@ class TestModelConfig:
         with pytest.raises(ValueError) as info:
             make(**{field: value})
         assert str(info.value) == f"{field} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (config, f.name)
+            for config in (
+                ModelConfig(vocab_size=100),
+                TrainConfig(
+                    steps=1, checkpoint_dir="c", train_path="t", val_path="v",
+                    fine_tune_from="f",
+                ),
+                TRANSFER_DECODE_DEFAULTS,
+            )
+            for f in fields(config)
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_every_config_field_refuses_a_value_of_the_wrong_kind(self, config, field):
+        # Every optional field is set above, so each value shows its kind: a
+        # string field gets 0, any other field the string of its value.
+        good = getattr(config, field)
+        wrong = 0 if isinstance(good, str) else str(good)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            replace(config, **{field: wrong})
+
+    def test_an_unknown_annotation_raises_at_construction(self):
+        @dataclass
+        class Odd:
+            shape: "tuple[int, int]" = (1, 1)
+
+            def __post_init__(self):
+                check_fields(self)
+
+        message = r"^Odd\.shape: unsupported annotation 'tuple\[int, int\]'$"
+        with pytest.raises(TypeError, match=message):
+            Odd()
 
     @pytest.mark.parametrize(
         "field",
