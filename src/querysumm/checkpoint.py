@@ -3,9 +3,8 @@
 Layout: 8-byte magic, little-endian uint32 manifest length, UTF-8 JSON
 manifest, then one contiguous blob of raw little-endian arrays.  The
 manifest lists (name, shape, offset, dtype) per tensor plus a free-form
-``meta`` dict; an entry without a dtype is float32, as every tensor was
-before dtypes were recorded.  A training checkpoint is one such file:
-weights, optimizer moments under ``opt/`` names, and the step in ``meta``.
+``meta`` dict.  A training checkpoint is one such file: weights, optimizer
+moments under ``opt/`` names, and the step in ``meta``.
 
 A save writes a temporary file next to the target, syncs it to disk and
 renames it over the target, so a crash mid-write leaves the previous file
@@ -21,7 +20,6 @@ import struct
 import numpy as np
 
 MAGIC = b"QSUMCKPT"
-LEGACY_DTYPE = "<f4"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -55,7 +53,10 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def _read_manifest(fh, path) -> dict:
-    """Check the magic and read the manifest, leaving ``fh`` at the blob."""
+    """Check the magic and read the manifest, leaving ``fh`` at the blob.
+    A manifest that is not a JSON object with an object ``meta`` and a list
+    of ``tensors``, each an object with a name, shape, offset and dtype,
+    raises a ``ValueError`` naming ``path``."""
     if fh.read(8) != MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
     header = fh.read(4)
@@ -67,7 +68,23 @@ def _read_manifest(fh, path) -> dict:
         raise ValueError(
             f"{path} is truncated: manifest of {manifest_len} bytes, {len(raw)} present"
         )
-    return json.loads(raw.decode("utf-8"))
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    if not isinstance(manifest.get("meta"), dict):
+        raise ValueError(f"{path}: manifest 'meta' must be an object")
+    if not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"{path}: manifest 'tensors' must be a list")
+    for i, entry in enumerate(manifest["tensors"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: tensor entry {i} must be an object")
+        for key in ("name", "shape", "offset", "dtype"):
+            if key not in entry:
+                raise ValueError(f"{path}: tensor entry {i} has no {key!r}")
+    return manifest
 
 
 def load_meta(path) -> dict:
@@ -83,7 +100,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     arrays = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
-        dtype = np.dtype(entry.get("dtype", LEGACY_DTYPE))
+        dtype = np.dtype(entry["dtype"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
         end = start + dtype.itemsize * count

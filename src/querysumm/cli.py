@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -384,7 +384,7 @@ class QueryLayer:
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.pool = MultiHeadPooling(store, f"{name}.pool", cfg.d_model, cfg.heads)
-        # Parameter names of the attention form, so its checkpoints load.
+        # "attn.wv" and "attn.wo" are the checkpoint format's names.
         self.wv = Linear(store, f"{name}.attn.wv", cfg.d_model, cfg.d_model)
         self.wo = Linear(store, f"{name}.attn.wo", cfg.d_model, cfg.d_model)
         self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
@@ -499,7 +499,7 @@ class SummModel:
         self.local = [LocalLayer(store, f"local.{i}", cfg) for i in range(cfg.local_layers)]
         if cfg.use_query_encoder:
             self.query_embed = store.kaiming("query_embed", (cfg.vocab_size, d), fan_in=d)
-            # "query.0", the name checkpoints of a layer list gave it
+            # "query.0" is the checkpoint format's name for this layer.
             self.query = QueryLayer(store, "query.0", cfg)
         self.globals_ = [GlobalLayer(store, f"global.{i}", cfg) for i in range(cfg.global_layers)]
         if cfg.use_ordering:

@@ -118,40 +118,39 @@ def _load_weights(model: SummModel, arrays: dict[str, np.ndarray], path) -> None
         raise ValueError(f"{path}: {exc.args[0]}") from exc
 
 
-def _saved_config(path, meta: dict) -> ModelConfig:
-    """The ``ModelConfig`` a checkpoint manifest holds; a missing one, or
-    one ``ModelConfig`` rejects, raises a ``ValueError`` naming ``path``.
-    Fields of older manifests that ``use_query_encoder`` now implies are
-    dropped at the implied value and refused at any other."""
+def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, ModelConfig, Vocabulary]:
+    """Arrays, manifest ``meta``, model config and vocabulary of a checkpoint.
+    A manifest without ``model_config`` or ``vocab``, whose ``model_config``
+    ``ModelConfig`` rejects, or whose ``vocab`` is not distinct strings that
+    fill ``vocab_size`` raises a ``ValueError`` naming ``path``."""
+    arrays, meta = load_arrays(path)
     if "model_config" not in meta:
         raise ValueError(f"{path}: checkpoint manifest has no 'model_config'")
     try:
-        fields = dict(meta["model_config"])
-        on = fields.get("use_query_encoder", False)
-        implied = {"query_layers": int(on), "baseline_query_prepend": not on, "tie_embeddings": True}
-        for name, value in implied.items():
-            if name in fields and (saved := fields.pop(name)) != value:
-                raise ValueError(f"{name} is {saved!r}, and only {value!r} is supported")
-        return ModelConfig(**fields)
+        config = ModelConfig(**meta["model_config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model_config: {exc}") from exc
-
-
-def load_model_checkpoint(path) -> tuple[SummModel, Vocabulary, dict]:
-    """Float32 model, vocabulary and manifest of a checkpoint.  A manifest
-    without ``model_config`` or ``vocab``, whose ``model_config``
-    ``ModelConfig`` rejects, or whose ``vocab`` does not fill ``vocab_size``
-    raises a ``ValueError`` naming ``path``."""
-    arrays, meta = load_arrays(path)
-    config = _saved_config(path, meta)
     if "vocab" not in meta:
         raise ValueError(f"{path}: checkpoint manifest has no 'vocab'")
-    vocab = Vocabulary(meta["vocab"])
+    tokens = meta["vocab"]
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ValueError(f"{path}: vocab must be a list of strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if len(vocab) != config.vocab_size:
         raise ValueError(
             f"{path}: vocab holds {len(vocab)} ids but model_config.vocab_size"
             f" is {config.vocab_size}"
         )
+    return arrays, meta, config, vocab
+
+
+def load_model_checkpoint(path) -> tuple[SummModel, Vocabulary, dict]:
+    """Float32 model, vocabulary and manifest ``meta`` of a checkpoint that
+    ``read_checkpoint`` accepts."""
+    arrays, meta, config, vocab = read_checkpoint(path)
     model = SummModel(config, seed=0)
     _load_weights(model, arrays, path)
     return model, vocab, meta
@@ -190,21 +189,25 @@ def train(
     )
     if resume_from or cfg.fine_tune_from:
         # Refused before anything loads: a checkpoint of another vocabulary
-        # and, to resume from, one of another model config or without moments.
+        # and, to resume from, one of another model config, without a step
+        # count or without moments.
         path = resume_from or cfg.fine_tune_from
-        arrays, meta = load_arrays(path)
-        if meta.get("vocab") != vocab.id_to_token[5:]:
+        arrays, meta, saved_config, saved_vocab = read_checkpoint(path)
+        if saved_vocab.id_to_token != vocab.id_to_token:
             raise ValueError(f"{path} was saved with a different vocabulary than this run's")
         if resume_from:
-            saved, run = asdict(_saved_config(path, meta)), asdict(model.config)
+            saved, run = asdict(saved_config), asdict(model.config)
             changed = [f"{k} {saved[k]!r} -> {run[k]!r}" for k in run if saved[k] != run[k]]
             if changed:
                 raise ValueError(
                     f"{path} was saved with another model config than this run's"
                     f" (checkpoint -> run): {', '.join(changed)}"
                 )
+            step = meta.get("step")
+            if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+                raise ValueError(f"{path}: step must be an integer >= 0, got {step!r}")
             try:
-                opt.load_state_arrays(arrays, step=meta["step"])
+                opt.load_state_arrays(arrays, step=step)
             except KeyError as exc:
                 raise ValueError(f"{path} holds no optimizer state to resume from") from exc
         _load_weights(model, arrays, path)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -9,7 +10,7 @@ import pytest
 
 from querysumm import autodiff as ad
 from querysumm import cli, training
-from querysumm.checkpoint import load_arrays, save_arrays
+from querysumm.checkpoint import MAGIC, load_arrays, save_arrays
 from querysumm.data import (
     REJECT_LOW_COVERAGE,
     REJECT_TOO_FEW_DOCUMENTS,
@@ -313,6 +314,32 @@ def test_decode_and_evaluate_default_to_decode_config(tmp_path, monkeypatch):
     assert seen == [DecodeConfig(), DecodeConfig()]
 
 
+def rewrite_manifest(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its manifest replaced by
+    ``edit(manifest)``: bytes are written as they are, anything else as JSON."""
+    raw = Path(src).read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    manifest = edit(json.loads(raw[12 : 12 + length]))
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps(manifest).encode("utf-8")
+    Path(dst).write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest + raw[12 + length :])
+
+
+def drop_first_entry_key(key):
+    """A ``rewrite_manifest`` edit deleting ``key`` from the first tensor entry."""
+
+    def edit(manifest):
+        del manifest["tensors"][0][key]
+        return manifest
+    return edit
+
+
+def add_tie_embeddings(manifest):
+    """A ``rewrite_manifest`` edit adding a field older model configs held."""
+    manifest["meta"]["model_config"]["tie_embeddings"] = True
+    return manifest
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize(
         "edits, named",
@@ -360,68 +387,44 @@ class TestMalformedManifest:
         assert err.startswith("error:") and "short.ckpt" in err and "vocab_size" in err
         assert not os.path.exists("decodes.jsonl")
 
-
-def older_fields(use_query_encoder):
-    """The fields older manifests also held, at the values that
-    ``use_query_encoder`` now implies."""
-    return {
-        "query_layers": int(use_query_encoder),
-        "baseline_query_prepend": not use_query_encoder,
-        "tie_embeddings": True,
-    }
-
-
-def add_older_fields(src, dst, **overrides):
-    """Copy checkpoint ``src`` to ``dst``, its manifest's model config
-    extended with ``older_fields`` and then ``overrides``."""
-    arrays, meta = load_arrays(src)
-    fields = meta["model_config"]
-    fields.update(older_fields(fields["use_query_encoder"]), **overrides)
-    save_arrays(dst, arrays, meta)
-
-
-class TestOlderManifest:
-    @pytest.mark.parametrize("encoder", [False, True], ids=["prepend", "query-encoder"])
-    def test_implied_values_load_for_decode_and_evaluate(
-        self, tmp_path, monkeypatch, capsys, encoder
-    ):
-        monkeypatch.chdir(tmp_path)
-        untrained_checkpoint("new.ckpt", use_query_encoder=encoder)
-        add_older_fields("new.ckpt", "old.ckpt")
-        one_triplet_file("triplets.jsonl")
-        for ckpt in ("new.ckpt", "old.ckpt"):
-            assert run("decode", "--ckpt", ckpt, "--in", "triplets.jsonl",
-                       "--out", f"{ckpt}.jsonl", "--max-len", "6") == 0
-            assert run("evaluate", "--ckpt", ckpt, "--in", "triplets.jsonl",
-                       "--max-len", "6") == 0
-        assert Path("old.ckpt.jsonl").read_text() == Path("new.ckpt.jsonl").read_text()
-        model, _, _ = training.load_model_checkpoint("old.ckpt")
-        assert ("query.0.attn.wv.w" in model.params) == encoder  # as older checkpoints name it
-
     @pytest.mark.parametrize(
-        "encoder, field, value",
+        "edit, message",
         [
-            (False, "tie_embeddings", False),
-            (True, "query_layers", 2),
-            (False, "query_layers", 1),
-            (False, "baseline_query_prepend", False),
-            (True, "baseline_query_prepend", True),
+            (lambda m: b"{not json", "manifest is not UTF-8 JSON"),
+            (lambda m: b"\xff{}", "manifest is not UTF-8 JSON"),
+            (lambda m: [], "manifest must be a JSON object"),
+            (lambda m: {**m, "meta": []}, "manifest 'meta' must be an object"),
+            (lambda m: {"tensors": m["tensors"]}, "manifest 'meta' must be an object"),
+            (lambda m: {**m, "tensors": {}}, "manifest 'tensors' must be a list"),
+            (lambda m: {**m, "tensors": [1]}, "tensor entry 0 must be an object"),
+            (drop_first_entry_key("name"), "tensor entry 0 has no 'name'"),
+            (drop_first_entry_key("shape"), "tensor entry 0 has no 'shape'"),
+            (drop_first_entry_key("offset"), "tensor entry 0 has no 'offset'"),
+            (drop_first_entry_key("dtype"), "tensor entry 0 has no 'dtype'"),
+            (lambda m: {**m, "meta": {**m["meta"], "vocab": ["alpha", "alpha", "beta", "café"]}},
+             "duplicate tokens in vocabulary"),
+            (lambda m: {**m, "meta": {**m["meta"], "vocab": "alpha beta"}},
+             "vocab must be a list of strings"),
         ],
-        ids=["untied", "two-query-layers", "query-layer-without-encoder",
-             "no-prepend-without-encoder", "prepend-with-encoder"],
+        ids=[
+            "bad-json", "bad-utf8", "list", "meta-list", "no-meta", "tensors-object",
+            "entry-not-object", "no-name", "no-shape", "no-offset", "no-dtype",
+            "duplicate-vocab", "vocab-string",
+        ],
     )
-    def test_other_values_are_refused_naming_the_field(
-        self, tmp_path, monkeypatch, capsys, encoder, field, value
+    def test_malformed_manifest_exits_1_naming_the_path(
+        self, tmp_path, monkeypatch, capsys, edit, message
     ):
         monkeypatch.chdir(tmp_path)
-        untrained_checkpoint("new.ckpt", use_query_encoder=encoder)
-        add_older_fields("new.ckpt", "old.ckpt", **{field: value})
+        untrained_checkpoint("ok.ckpt")
+        rewrite_manifest("ok.ckpt", "bad.ckpt", edit)
         one_triplet_file("triplets.jsonl")
         for command in (["decode", "--out", "decodes.jsonl"], ["evaluate"]):
-            argv = [command[0], "--ckpt", "old.ckpt", "--in", "triplets.jsonl", *command[1:]]
+            argv = [command[0], "--ckpt", "bad.ckpt", "--in", "triplets.jsonl", *command[1:]]
             assert run(*argv) == cli.EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err.startswith("error: old.ckpt: ") and f"{field} is {value!r}" in err
+            assert err.startswith("error: bad.ckpt: ") and message in err
+            assert err.count("\n") == 1
         assert not os.path.exists("decodes.jsonl")
 
 
@@ -745,22 +748,48 @@ class TestModelCommands:
         assert err.startswith("error:") and "weights.ckpt" in err
 
     @pytest.mark.parametrize(
-        "overrides, status",
-        [({}, cli.EXIT_OK), ({"tie_embeddings": False}, cli.EXIT_VALIDATION)],
-        ids=["implied", "untied"],
+        "edit, message",
+        [
+            (drop_first_entry_key("dtype"), "has no 'dtype'"),
+            (add_tie_embeddings, "tie_embeddings"),
+        ],
+        ids=["entry-without-dtype", "tie-embeddings"],
     )
-    def test_resume_from_older_manifest(self, workdir, capsys, overrides, status):
+    def test_old_layout_is_refused_by_every_load(self, workdir, capsys, edit, message):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         assert run("train", "--config", str(train_config(workdir, steps=2))) == 0
-        add_older_fields(workdir / "ckpt" / "latest.ckpt", workdir / "old.ckpt", **overrides)
+        rewrite_manifest(workdir / "ckpt" / "latest.ckpt", "old.ckpt", edit)
         capsys.readouterr()
-        assert run("train", "--config", str(train_config(workdir, steps=4)),
-                   "--resume", "old.ckpt") == status
-        if overrides:
+        for argv in (
+            ["decode", "--ckpt", "old.ckpt", "--in", "triplets.jsonl", "--out", "decodes.jsonl"],
+            ["evaluate", "--ckpt", "old.ckpt", "--in", "triplets.jsonl"],
+            ["train", "--config", str(train_config(workdir, steps=4)), "--resume", "old.ckpt"],
+        ):
+            assert run(*argv) == cli.EXIT_VALIDATION, argv
             err = capsys.readouterr().err
-            assert err.startswith("error: old.ckpt: ") and "tie_embeddings is False" in err
-        else:
-            assert "after 4 steps" in capsys.readouterr().out
+            assert err.startswith("error: old.ckpt: ") and message in err, argv
+        assert not os.path.exists("decodes.jsonl")
+        # The checkpoint it was edited from resumes.
+        assert run("train", "--config", str(train_config(workdir, steps=4)),
+                   "--resume", str(workdir / "ckpt" / "latest.ckpt")) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--config", "folder"],
+            ["decode", "--ckpt", "folder", "--in", "triplets.jsonl", "--out", "decodes.jsonl"],
+            ["decode", "--ckpt", "model.ckpt", "--in", "triplets.jsonl", "--out", "folder",
+             "--max-len", "2"],
+        ],
+        ids=["train-config", "decode-ckpt", "decode-out"],
+    )
+    def test_directory_given_for_a_file_exits_1_naming_it(self, workdir, capsys, argv):
+        untrained_checkpoint("model.ckpt")
+        one_triplet_file("triplets.jsonl")
+        os.mkdir("folder")
+        assert run(*argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'folder'" in err and err.count("\n") == 1
 
     def test_resume_under_another_model_config_is_validation_error(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")

@@ -217,18 +217,18 @@ def test_checkpoint_keeps_each_tensor_dtype(tmp_path):
         assert loaded[name].tobytes() == arr.tobytes()
 
 
-def test_checkpoint_without_dtypes_loads_as_float32(tmp_path):
-    # The layout written before the manifest recorded dtypes.
+def test_checkpoint_entry_without_dtype_is_refused(tmp_path):
+    # Every entry save_arrays writes records its dtype; one without is refused.
     values = np.arange(6, dtype="<f4").reshape(2, 3)
     manifest = json.dumps(
         {"meta": {"n": 1}, "tensors": [{"name": "a.w", "shape": [2, 3], "offset": 0}]}
     ).encode("utf-8")
     path = tmp_path / "old.ckpt"
     path.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest + values.tobytes())
-    loaded, meta = load_arrays(path)
-    assert meta == {"n": 1}
-    assert loaded["a.w"].dtype == np.float32
-    np.testing.assert_array_equal(loaded["a.w"], values)
+    for load in (load_arrays, load_meta):
+        with pytest.raises(ValueError, match="tensor entry 0 has no 'dtype'") as info:
+            load(path)
+        assert str(path) in str(info.value)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):

@@ -352,6 +352,57 @@ class TestTrainLoop:
         for name, p in fresh.params.items():
             assert p.values.tobytes() == before[name].tobytes(), name
 
+    @pytest.mark.parametrize(
+        "step", ["1", 1.5, True, -3, None], ids=["string", "float", "bool", "negative", "missing"]
+    )
+    def test_resume_refuses_a_step_that_is_not_a_count(self, tmp_path, step):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        arrays, meta = load_arrays(result.latest_path)
+        if step is None:
+            del meta["step"]
+        else:
+            meta["step"] = step
+        bad = str(tmp_path / "bad.ckpt")
+        save_arrays(bad, arrays, meta)
+
+        _, _, fresh = setup_uniform(seed=9)
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1
+        )
+        with pytest.raises(ValueError, match="step must be an integer >= 0") as exc:
+            train(fresh, more, trips, trips[:1], vocab, resume_from=bad)
+        assert bad in str(exc.value) and repr(step) in str(exc.value)
+        for name, p in fresh.params.items():
+            assert p.values.tobytes() == before[name].tobytes(), name
+
+    def test_fine_tune_from_refuses_a_manifest_without_model_config(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(
+            steps=1, checkpoint_dir=str(tmp_path / "src"), batch_tokens=128, val_interval=1
+        )
+        result = train(model, cfg, trips, trips[:1], vocab)
+        arrays, meta = load_arrays(result.latest_path)
+        del meta["model_config"]
+        bad = str(tmp_path / "bad.ckpt")
+        save_arrays(bad, arrays, meta)
+
+        _, _, fresh = setup_uniform(seed=9)
+        before = {name: p.values.copy() for name, p in fresh.params.items()}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "next"), batch_tokens=128, val_interval=1,
+            fine_tune_from=bad,
+        )
+        with pytest.raises(ValueError, match="no 'model_config'") as exc:
+            train(fresh, more, trips, trips[:1], vocab)
+        assert bad in str(exc.value)
+        for name, p in fresh.params.items():
+            assert p.values.tobytes() == before[name].tobytes(), name
+
     def test_nonfinite_loss_aborts_with_step(self, tmp_path):
         trips, vocab, model = setup_uniform()
         model.params["embed"].values[:] = np.nan
@@ -434,7 +485,8 @@ class TestCheckpointIO:
         trips, vocab, model = setup_uniform(dtype=np.float64)
         path = tmp_path / "m.ckpt"
         save_model_checkpoint(path, model, AdamNoam(model.params, 16), vocab, {})
-        arrays, _ = load_arrays(path)
+        arrays, _, config, _ = training.read_checkpoint(path)
+        assert config == model.config
         for name, p in model.params.items():
             assert arrays[name].dtype == np.float64
             assert arrays[name].tobytes() == p.values.tobytes()
