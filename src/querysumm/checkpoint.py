@@ -14,6 +14,7 @@ intact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -55,8 +56,9 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 def _read_manifest(fh, path) -> dict:
     """Check the magic and read the manifest, leaving ``fh`` at the blob.
     A manifest that is not a JSON object with an object ``meta`` and a list
-    of ``tensors``, each an object with a name, shape, offset and dtype,
-    raises a ``ValueError`` naming ``path``."""
+    of ``tensors``, each an object with a string name, a shape of
+    non-negative integers, a non-negative integer offset and a numeric numpy
+    dtype string, raises a ``ValueError`` naming ``path`` and the entry."""
     if fh.read(8) != MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
     header = fh.read(4)
@@ -84,7 +86,30 @@ def _read_manifest(fh, path) -> dict:
         for key in ("name", "shape", "offset", "dtype"):
             if key not in entry:
                 raise ValueError(f"{path}: tensor entry {i} has no {key!r}")
+        _check_entry_types(entry, f"{path}: tensor entry {i}")
     return manifest
+
+
+def _is_count(value) -> bool:
+    # JSON true/false load as bool, an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_entry_types(entry: dict, where: str) -> None:
+    name, shape, offset, dtype = (entry[k] for k in ("name", "shape", "offset", "dtype"))
+    if not isinstance(name, str):
+        raise ValueError(f"{where}: name must be a string, got {name!r}")
+    if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
+        raise ValueError(f"{where}: shape must be a list of non-negative integers, got {shape!r}")
+    if not _is_count(offset):
+        raise ValueError(f"{where}: offset must be a non-negative integer, got {offset!r}")
+    try:
+        # numpy reads some dtype strings as Python literals, hence SyntaxError.
+        numeric = isinstance(dtype, str) and np.dtype(dtype).kind in "biufc"
+    except (TypeError, ValueError, SyntaxError):
+        numeric = False
+    if not numeric:
+        raise ValueError(f"{where}: dtype must name a numeric numpy data type, got {dtype!r}")
 
 
 def load_meta(path) -> dict:
@@ -101,7 +126,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
         dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = entry["offset"]
         end = start + dtype.itemsize * count
         if end > len(blob):

@@ -24,7 +24,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import bm25
-from .rouge import rouge_l, rouge_n
+# ``rouge_n`` is not called here; bench/test_bench.py asserts that the
+# benchmark's tracer wraps this binding of it.
+from .rouge import _f1, rouge_l, rouge_n
 from .text import split_sentences, tokenize
 
 ORIGIN_CHUNK = "original-chunk"
@@ -193,15 +195,23 @@ def make_query_variant(
 ) -> list[Triplet]:
     """Replace queries for the query-type ablations.
 
-    ``original`` returns the triplets unchanged.  ``distractor`` swaps in the
-    other triplet's query with the highest ROUGE-1 F1 against the current
-    one (ties to the lowest index).  Only queries sharing a token can score
-    above 0, so the queries are indexed by token and only those are scored;
-    when none shares a token, every F1 is 0 and the lowest other index
-    wins.  ``dull`` uses the fixed string ``"what is it ?"``.
-    ``dissimilar`` takes the first other query (by ascending index) whose
-    ROUGE-1 F1 with the current one is below 0.2 and raises if no query
-    qualifies.
+    ``original`` returns the triplets unchanged.  ``dull`` uses the fixed
+    string ``"what is it ?"``.  ``distractor`` swaps in the other triplet's
+    query with the highest ROUGE-1 F1 against the current one (ties to the
+    lowest index); when no other query shares a token, every F1 is 0 and
+    the lowest other index wins.  ``dissimilar`` takes the first other
+    query (by ascending index) whose ROUGE-1 F1 with the current one is
+    below 0.2 and raises if no query qualifies.
+
+    Each query's tokens are counted once, and no ``rouge_n`` call is made.
+    The distractor search indexes the counts as postings
+    ``token -> [(j, count)]``; per query, one pass over the postings of its
+    distinct tokens sums the clipped overlap ``min(c_i, c_j)`` for every
+    query ``j`` it shares a token with, and a query absent from that sum
+    has F1 0.  The dissimilar search sums the same overlap pair by pair
+    from the counts, stopping at the first query that qualifies.  Each F1
+    is computed from the overlap with ``rouge``'s own arithmetic, so it is
+    the double ``rouge_n(tokens_j, tokens_i, 1).f1`` would give.
 
     Every variant is deterministic given its inputs; ``seed`` is accepted
     for interface stability but unused by the current selection rules.
@@ -218,33 +228,59 @@ def make_query_variant(
     if len(triplets) < 2:
         raise ValueError(f"{variant} variant needs at least 2 triplets")
 
-    token_cache = [tokenize(t.query) for t in triplets]
+    counts = [Counter(tokenize(t.query)) for t in triplets]
+    lengths = [sum(c.values()) for c in counts]
     if variant == "distractor":
-        postings: dict[str, list[int]] = {}
-        for j, tokens in enumerate(token_cache):
-            for token in set(tokens):
-                postings.setdefault(token, []).append(j)
-    out = []
-    for i, t in enumerate(triplets):
-        if variant == "distractor":
-            sharing = {j for token in set(token_cache[i]) for j in postings[token]}
-            sharing.discard(i)
-            best_j, best_f1 = (1 if i == 0 else 0), 0.0
-            for j in sorted(sharing):
-                f1 = rouge_n(token_cache[j], token_cache[i], 1).f1
-                if f1 > best_f1:
-                    best_j, best_f1 = j, f1
-            out.append(_with_query(t, triplets[best_j].query, variant))
-        else:
-            for j, other in enumerate(token_cache):
-                if j != i and rouge_n(other, token_cache[i], 1).f1 < DISSIMILAR_MAX_F1:
-                    out.append(_with_query(t, triplets[j].query, variant))
-                    break
-            else:
-                raise ValueError(
-                    f"no query with ROUGE-1 F1 < {DISSIMILAR_MAX_F1} for triplet {i}"
-                )
-    return out
+        picks = _distractor_picks(counts, lengths)
+    else:
+        picks = [_dissimilar_pick(counts, lengths, i) for i in range(len(triplets))]
+    return [_with_query(t, triplets[j].query, variant) for t, j in zip(triplets, picks)]
+
+
+def _distractor_picks(counts: list[Counter], lengths: list[int]) -> list[int]:
+    """Per query, the index of the other query with the highest ROUGE-1 F1,
+    from one pass over the postings of its distinct tokens."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for j, c in enumerate(counts):
+        for token, k in c.items():
+            postings.setdefault(token, []).append((j, k))
+    picks = []
+    for i, c_i in enumerate(counts):
+        overlap: dict[int, int] = {}
+        for token, k in c_i.items():
+            for j, k_j in postings[token]:
+                overlap[j] = overlap.get(j, 0) + (k if k < k_j else k_j)
+        overlap.pop(i, None)
+        best_j, best_f1 = (1 if i == 0 else 0), 0.0
+        for j in sorted(overlap):
+            o = overlap[j]
+            f1 = _f1(o / lengths[j], o / lengths[i])
+            if f1 > best_f1:
+                best_j, best_f1 = j, f1
+        picks.append(best_j)
+    return picks
+
+
+def _dissimilar_pick(counts: list[Counter], lengths: list[int], i: int) -> int:
+    """The first other query whose ROUGE-1 F1 with query ``i`` is below
+    ``DISSIMILAR_MAX_F1``.  It is nearly always among the first few, so each
+    pair's overlap is summed from the counts instead of from postings."""
+    for j, c_j in enumerate(counts):
+        if j == i:
+            continue
+        o = _clipped_overlap(counts[i], c_j)
+        if o == 0 or _f1(o / lengths[j], o / lengths[i]) < DISSIMILAR_MAX_F1:
+            return j
+    raise ValueError(f"no query with ROUGE-1 F1 < {DISSIMILAR_MAX_F1} for triplet {i}")
+
+
+def _clipped_overlap(counts: Counter, other: Counter) -> int:
+    """ROUGE-1's clipped overlap: the sum over tokens of the smaller count."""
+    overlap = 0
+    for token, k in counts.items():
+        k_other = other.get(token, 0)
+        overlap += k if k < k_other else k_other
+    return overlap
 
 
 def _with_query(t: Triplet, query: str, variant: str) -> Triplet:
@@ -283,16 +319,17 @@ def alignment_histogram(triplets: list[Triplet]) -> dict[int, int]:
     return hist
 
 
-def _best_coverage(sentence_tokens: list[str], doc_counts: list[Counter]) -> float:
-    """Highest ROUGE-1 recall of the sentence against any of the documents'
-    unigram counts: the matching score of the coverage filter (a document
-    is typically much longer than the sentence, so recall is the
-    informative direction).  An empty sentence or document scores 0."""
+def _is_covered(sentence_tokens: list[str], doc_counts: list[Counter]) -> bool:
+    """Whether the sentence's ROUGE-1 recall against some document's unigram
+    counts reaches ``COVERAGE_THRESHOLD``: the matching rule of the coverage
+    filter (a document is typically much longer than the sentence, so
+    recall is the informative direction).  Stops at the first document that
+    reaches it; an empty sentence is never covered."""
     if not sentence_tokens:
-        return 0.0
+        return False
     sentence = Counter(sentence_tokens)
-    overlap = max(sum(min(doc[w], k) for w, k in sentence.items()) for doc in doc_counts)
-    return overlap / len(sentence_tokens)
+    n = len(sentence_tokens)
+    return any(_clipped_overlap(sentence, doc) / n >= COVERAGE_THRESHOLD for doc in doc_counts)
 
 
 REJECT_TOO_FEW_SENTENCES = "answer_under_2_sentences"
@@ -330,11 +367,7 @@ def filter_qmdsir(
             rejected.append((i, REJECT_TOO_FEW_DOCUMENTS))
             continue
         doc_counts = [Counter(tokenize(doc)) for _, doc in remaining]
-        covered = all(
-            _best_coverage(tokenize(s), doc_counts) >= COVERAGE_THRESHOLD
-            for s in sentences
-        )
-        if not covered:
+        if not all(_is_covered(tokenize(s), doc_counts) for s in sentences):
             rejected.append((i, REJECT_LOW_COVERAGE))
             continue
         kept.append(

@@ -30,8 +30,21 @@ def tokenize(text: str) -> list[str]:
 
     Runs of word characters become one token; every other non-space
     character becomes its own token.  Deterministic, never raises.
+
+    The result is ``TOKEN_RE.findall(text.lower())``, computed without the
+    regex for plain words: in ``re``, ``\\s`` is exactly ``str.isspace``,
+    the separator set of ``str.split()``, so no token spans a split; and
+    ``\\w`` is exactly ``str.isalnum`` or ``"_"``, so a chunk that passes
+    ``isalnum()`` is a single ``\\w+`` match.  Any other chunk goes
+    through the regex.
     """
-    return TOKEN_RE.findall(text.lower())
+    tokens = []
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += TOKEN_RE.findall(chunk)
+    return tokens
 
 
 def split_sentences(text: str) -> list[str]:

@@ -334,6 +334,15 @@ def drop_first_entry_key(key):
     return edit
 
 
+def set_first_entry_key(key, value):
+    """A ``rewrite_manifest`` edit setting ``key`` of the first tensor entry."""
+
+    def edit(manifest):
+        manifest["tensors"][0][key] = value
+        return manifest
+    return edit
+
+
 def add_tie_embeddings(manifest):
     """A ``rewrite_manifest`` edit adding a field older model configs held."""
     manifest["meta"]["model_config"]["tie_embeddings"] = True
@@ -401,6 +410,13 @@ class TestMalformedManifest:
             (drop_first_entry_key("shape"), "tensor entry 0 has no 'shape'"),
             (drop_first_entry_key("offset"), "tensor entry 0 has no 'offset'"),
             (drop_first_entry_key("dtype"), "tensor entry 0 has no 'dtype'"),
+            (set_first_entry_key("name", 3), "tensor entry 0: name must be a string, got 3"),
+            (set_first_entry_key("shape", "ab"), "tensor entry 0: shape must be a list"),
+            (set_first_entry_key("shape", [-1]), "tensor entry 0: shape must be a list"),
+            (set_first_entry_key("offset", "0"), "tensor entry 0: offset must be a non-negative"),
+            (set_first_entry_key("offset", -8), "tensor entry 0: offset must be a non-negative"),
+            (set_first_entry_key("dtype", "xx"), "tensor entry 0: dtype must name a numeric"),
+            (set_first_entry_key("dtype", "|O"), "tensor entry 0: dtype must name a numeric"),
             (lambda m: {**m, "meta": {**m["meta"], "vocab": ["alpha", "alpha", "beta", "café"]}},
              "duplicate tokens in vocabulary"),
             (lambda m: {**m, "meta": {**m["meta"], "vocab": "alpha beta"}},
@@ -409,6 +425,8 @@ class TestMalformedManifest:
         ids=[
             "bad-json", "bad-utf8", "list", "meta-list", "no-meta", "tensors-object",
             "entry-not-object", "no-name", "no-shape", "no-offset", "no-dtype",
+            "name-int", "shape-string", "shape-negative", "offset-string", "offset-negative",
+            "dtype-unknown", "dtype-object",
             "duplicate-vocab", "vocab-string",
         ],
     )

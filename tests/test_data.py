@@ -186,7 +186,8 @@ class TestQueryVariants:
 
     @staticmethod
     def scan(queries, variant):
-        """Oracle: score every ordered pair, as the selection rules read."""
+        """Oracle: score every ordered pair, as the selection rules read.
+        Returns the picked index per query, None where none qualifies."""
         tokens = [tokenize(q) for q in queries]
         picks = []
         for i in range(len(tokens)):
@@ -198,11 +199,11 @@ class TestQueryVariants:
                     f1 = rouge_n(other, tokens[i], 1).f1
                     if f1 > best_f1:
                         best_j, best_f1 = j, f1
-                picks.append(queries[best_j])
+                picks.append(best_j)
             else:
                 for j, other in enumerate(tokens):
                     if j != i and rouge_n(other, tokens[i], 1).f1 < data.DISSIMILAR_MAX_F1:
-                        picks.append(queries[j])
+                        picks.append(j)
                         break
                 else:
                     picks.append(None)
@@ -235,21 +236,34 @@ class TestQueryVariants:
                     make_query_variant(self.make(queries), variant)
                 continue
             out = make_query_variant(self.make(queries), variant)
-            assert [t.query for t in out] == expected, queries
+            assert [t.query for t in out] == [queries[j] for j in expected], queries
 
-    def test_distractor_scores_only_queries_sharing_a_token(self, monkeypatch):
-        queries = ["storm coast", "storm rain", "market shares", "rain flood", "", "market"]
-        scored = []
-
-        def recording_rouge_n(candidate, reference, n):
-            scored.append((candidate, reference))
-            return rouge_n(candidate, reference, n)
-
-        monkeypatch.setattr(data, "rouge_n", recording_rouge_n)
-        out = make_query_variant(self.make(queries), "distractor")
-        assert [t.query for t in out] == self.scan(queries, "distractor")
-        assert scored
-        assert all(set(a) & set(b) for a, b in scored)
+    @pytest.mark.parametrize("variant", ["distractor", "dissimilar"])
+    def test_variants_equal_the_scan_on_large_sets(self, variant):
+        # A few hundred queries with repeated tokens, many F1 ties and empty
+        # queries.  Over 30 Zipf-weighted words most pairs share a common
+        # word; over 6 words the dissimilar search must look far for a
+        # query under the cap.
+        rng = np.random.default_rng(31)
+        zipf = 1.0 / np.arange(1, 31)
+        words = [f"w{k}" for k in range(30)]
+        # (n queries, word pool, word weights, fewest words, most words)
+        sets = [
+            (300, words, zipf / zipf.sum(), 0, 6),
+            (200, words, None, 0, 6),
+            (200, ["a", "b", "c", "d", "e", "f"], None, 2, 4),
+        ]
+        depths = []
+        for n, pool, weights, fewest, most in sets:
+            queries = [
+                " ".join(rng.choice(pool, int(rng.integers(fewest, most + 1)), p=weights))
+                for _ in range(n)
+            ]
+            expected = self.scan(queries, variant)
+            out = make_query_variant(self.make(queries), variant)
+            assert [t.query for t in out] == [queries[j] for j in expected]
+            depths += expected
+        assert max(depths) > 20
 
 
 class TestAlignmentHistogram:
@@ -318,19 +332,24 @@ def sentence_coverage(sentence_tokens, doc_tokens):
 
 
 class TestFilterQmdsir:
-    def test_best_coverage_equals_rouge_n_recall(self):
+    def test_coverage_verdict_equals_rouge_n_recall_at_the_threshold(self):
         rng = np.random.default_rng(29)
         words = [f"w{k}" for k in range(8)]
 
         def seq(max_len):
             return list(rng.choice(words, int(rng.integers(0, max_len + 1))))
 
-        for _ in range(300):
+        verdicts = Counter()
+        for _ in range(600):
             sentence = seq(8)
-            docs = [seq(30) for _ in range(int(rng.integers(1, 5)))]
+            docs = [seq(12) for _ in range(int(rng.integers(1, 5)))]
             counts = [Counter(d) for d in docs]
-            expected = max(sentence_coverage(sentence, d) for d in docs)
-            assert data._best_coverage(sentence, counts) == expected
+            best = max(sentence_coverage(sentence, d) for d in docs)
+            expected = best >= data.COVERAGE_THRESHOLD
+            assert data._is_covered(sentence, counts) == expected
+            verdicts[expected, best == data.COVERAGE_THRESHOLD] += 1
+        # Both verdicts occur, and some sentences sit exactly at the threshold.
+        assert verdicts[False, False] and verdicts[True, False] and verdicts[True, True]
 
 
     def test_good_record_kept(self):

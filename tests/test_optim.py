@@ -231,6 +231,54 @@ def test_checkpoint_entry_without_dtype_is_refused(tmp_path):
         assert str(path) in str(info.value)
 
 
+def set_entry_field(path, index, key, value):
+    """Rewrite checkpoint ``path`` with ``key`` of tensor entry ``index`` set to ``value``."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    manifest = json.loads(raw[12 : 12 + length])
+    manifest["tensors"][index][key] = value
+    edited = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(edited)) + edited + raw[12 + length :])
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("name", 3, "name must be a string"),
+        ("shape", "ab", "shape must be a list of non-negative integers"),
+        ("shape", [2, -3], "shape must be a list of non-negative integers"),
+        ("shape", [2, True], "shape must be a list of non-negative integers"),
+        ("offset", "0", "offset must be a non-negative integer"),
+        ("offset", -8, "offset must be a non-negative integer"),
+        ("offset", 0.0, "offset must be a non-negative integer"),
+        ("dtype", "xx", "dtype must name a numeric numpy data type"),
+        ("dtype", 4, "dtype must name a numeric numpy data type"),
+        ("dtype", "(2,f4", "dtype must name a numeric numpy data type"),
+        ("dtype", "|O", "dtype must name a numeric numpy data type"),
+        ("dtype", "S", "dtype must name a numeric numpy data type"),
+        ("dtype", "(2,)f4", "dtype must name a numeric numpy data type"),
+    ],
+)
+def test_checkpoint_entry_with_a_wrong_type_is_refused(tmp_path, key, value, message):
+    path = tmp_path / "x.ckpt"
+    save_arrays(path, {"a.w": np.ones((2, 3), np.float32), "b.w": np.zeros(4)}, {"n": 1})
+    set_entry_field(path, 1, key, value)
+    for load in (load_arrays, load_meta):
+        with pytest.raises(ValueError, match=f"tensor entry 1: {message}") as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+
+def test_checkpoint_entry_too_large_for_int64_is_truncated(tmp_path):
+    # 2**62 * 4 elements wraps to 0 in int64; counted exactly, it is far past the blob.
+    path = tmp_path / "x.ckpt"
+    save_arrays(path, {"a.w": np.ones(4, np.float32)})
+    set_entry_field(path, 0, "shape", [2**62, 4])
+    with pytest.raises(ValueError, match="truncated") as info:
+        load_arrays(path)
+    assert str(path) in str(info.value)
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "x.ckpt"
     save_arrays(path, {"a.w": np.ones((3, 4), np.float32)}, {"n": 1})

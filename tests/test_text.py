@@ -1,8 +1,12 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 
 from querysumm.text import (
     RESERVED,
+    TOKEN_RE,
     UNK_ID,
     build_vocab,
     split_sentences,
@@ -34,6 +38,37 @@ class TestTokenize:
             text = " ".join(rng.choice(pool, size=rng.integers(1, 8)))
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
+
+
+    def test_regex_classes_match_the_str_predicates_at_every_code_point(self):
+        # tokenize relies on both equivalences to skip the regex for chunks
+        # that pass isalnum(); see its docstring.
+        word, space = re.compile(r"\w"), re.compile(r"\s")
+        for cp in range(sys.maxunicode + 1):
+            c = chr(cp)
+            assert bool(word.match(c)) == (c.isalnum() or c == "_"), hex(cp)
+            assert bool(space.match(c)) == c.isspace(), hex(cp)
+        # str.split() separates on exactly the isspace() characters.
+        spaces = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        assert all(f"a{c}b".split() == ["a", "b"] for c in spaces)
+        others = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not chr(cp).isspace())
+        assert others.split() == [others]
+
+    def test_equals_the_regex_on_mixed_unicode(self):
+        rng = np.random.default_rng(5)
+        pieces = [
+            "Storm", "coast", "42", "x_y", "_", "__init__", "café", "İstanbul", "STRASSE",
+            "Straße", "ΣΟΦΙΑ", "漢字", "٣٤", "²", "½", "🙂", "e\u0301", "no-go", "it's",
+            "(z)", "a,b.c!d", "?!", "...", "—", "«q»", "\u200b", "\x00",
+        ]
+        gaps = [" ", "  ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2003",
+                "\u2028", "\u3000", "", ",", "."]
+        for _ in range(2000):
+            k = int(rng.integers(0, 12))
+            text = "".join(
+                str(rng.choice(pieces)) + str(rng.choice(gaps)) for _ in range(k)
+            )
+            assert tokenize(text) == TOKEN_RE.findall(text.lower()), repr(text)
 
 
 class TestSplitSentences:
