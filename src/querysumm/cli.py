@@ -19,11 +19,12 @@ Dataset commands: ``build-qmdscnn``, ``build-qmdsir``, ``stats``,
 ``model.use_query_encoder`` alone decides whether the query is encoded or
 prepended.  Every section field is checked against its annotation, the
 path fields (strings) included, so a bad one exits 1:
-``error: <config>: <section>: ...``.  So does a ``vocab_max_size`` that is
-not an integer > 5, a config that is not a JSON object, a ``transfer``
-config without ``sources``, or an empty validation or ``--finetune`` set;
-all fail before anything trains.  ``decode`` and ``evaluate`` check their
-search flags (``--max-len`` >= 1) before they load the checkpoint.
+``error: <config>: <section>: ...``.  So does a top-level key other than
+these six, a ``vocab_max_size`` that is not an integer > 5, a config that
+is not a JSON object, a ``transfer`` config without ``sources``, or an
+empty validation or ``--finetune`` set; all fail before anything trains.
+``decode`` and ``evaluate`` check their search flags (``--max-len`` >= 1)
+before they load the checkpoint.
 ``build-qmdscnn`` also prints how many triplets got 0..k retrieved chunks,
 and ``build-qmdsir`` how many records each reason rejected.
 """
@@ -148,9 +149,14 @@ def _corpus_tokens(triplets):
             yield tokenize(d)
 
 
+# Top-level keys of a ``train`` or ``transfer`` config: one set, so a config
+# shared by both commands is valid for each.
+CONFIG_KEYS = ("vocab_max_size", "model", "train", "decode", "finetune", "sources")
+
+
 def _load_config(path) -> dict:
-    """The config file's JSON object, ``vocab_max_size`` checked and
-    defaulted; errors name the file."""
+    """The config file's JSON object, its keys among ``CONFIG_KEYS`` and
+    ``vocab_max_size`` checked and defaulted; errors name the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -158,6 +164,11 @@ def _load_config(path) -> dict:
             raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown top-level keys {unknown}; a config takes {list(CONFIG_KEYS)}"
+        )
     size = cfg.setdefault("vocab_max_size", 2000)
     if isinstance(size, bool) or not isinstance(size, int) or size <= 5:
         raise ValueError(f"{path}: vocab_max_size must be an integer > 5, got {size!r}")

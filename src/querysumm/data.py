@@ -49,12 +49,17 @@ def _require_str(value, what: str) -> None:
 
 @dataclass
 class Article:
-    id: object
+    id: str | int
     title: str
     paragraphs: list[str]
     summary: str
 
     def __post_init__(self):
+        # A list id is unhashable; a bool or float id would alias an int one.
+        if isinstance(self.id, bool) or not isinstance(self.id, (str, int)):
+            raise TypeError(
+                f"article id must be a string or an integer, got {type(self.id).__name__}"
+            )
         _require_str(self.title, f"article {self.id} title")
         _require_str(self.summary, f"article {self.id} summary")
         _require_list(self.paragraphs, f"article {self.id} paragraphs")
@@ -83,9 +88,13 @@ class Triplet:
             raise ValueError("triplet needs at least one document")
         if any(not isinstance(d, str) or not d.strip() for d in self.documents):
             raise ValueError("triplet documents must be strings holding non-whitespace text")
+        if not isinstance(self.meta, dict):
+            raise TypeError(f"triplet meta must be an object, got {type(self.meta).__name__}")
         origins = self.meta.get("origins")
-        if origins is not None and len(origins) != len(self.documents):
-            raise ValueError("origin tags must cover all documents")
+        if origins is not None:
+            _require_list(origins, "triplet meta origins")
+            if len(origins) != len(self.documents):
+                raise ValueError("origin tags must cover all documents")
 
 
 @dataclass

@@ -123,6 +123,7 @@ def beam_search_nbest(
 
 
 def beam_search(model: SummModel, enc: EncodedBatch, config: DecodeConfig) -> list[int]:
-    """Best hypothesis of ``beam_search_nbest``."""
-    ranked = beam_search_nbest(model, enc, config)
-    return ranked[0][0] if ranked else []
+    """Best hypothesis of ``beam_search_nbest``, which is never empty: the
+    loop runs at least once, a row that cannot expand finishes, and the
+    hypotheses still live at ``max_len`` finish too."""
+    return beam_search_nbest(model, enc, config)[0][0]

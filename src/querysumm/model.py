@@ -19,6 +19,10 @@ components extend the baseline:
 The decoder is a standard causal transformer layer with cross-attention
 over the flattened encoder memory; output logits reuse the tied input
 embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
+
+Every sub-layer of every block, the FFN included, joins its input through
+one post-norm residual, ``AddNorm``: ``LayerNorm(x + Dropout(Sublayer(x)))``
+(Vaswani et al., 2017).  A block only wires its sub-layers together.
 """
 
 from __future__ import annotations
@@ -252,23 +256,31 @@ class Linear:
         return ad.linear(x, self.w, self.b)
 
 
-class LayerNorm:
-    def __init__(self, store, name, dim):
-        self.gain = store.ones(f"{name}.gain", (dim,))
-        self.bias = store.zeros(f"{name}.bias", (dim,))
+class AddNorm:
+    """The post-norm residual join of every sub-layer:
+    ``LayerNorm(x + Dropout(y))`` for a sub-layer output ``y`` of ``x``."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
+    def __init__(self, store, name, cfg: ModelConfig):
+        self.gain = store.ones(f"{name}.gain", (cfg.d_model,))
+        self.bias = store.zeros(f"{name}.bias", (cfg.d_model,))
+        self.rate = cfg.dropout
+
+    def __call__(self, x: Tensor, y: Tensor, rng=None) -> Tensor:
+        return ad.layer_norm(ad.add(x, ad.dropout(y, self.rate, rng)), self.gain, self.bias)
 
 
 class FeedForward:
-    def __init__(self, store, name, cfg: ModelConfig):
+    """The FFN sub-layer with its join: ``norm(x, w2(Dropout(relu(w1(x)))))``."""
+
+    def __init__(self, store, name, norm_name, cfg: ModelConfig):
         self.w1 = Linear(store, f"{name}.w1", cfg.d_model, cfg.ffn_hidden)
         self.w2 = Linear(store, f"{name}.w2", cfg.ffn_hidden, cfg.d_model)
-        self.rate = cfg.dropout
+        self.norm = AddNorm(store, norm_name, cfg)
 
     def __call__(self, x, rng=None):
-        return self.w2(ad.dropout(ad.relu(self.w1(x)), self.rate, rng))
+        # One expression, so outside a graph the (..., ffn_hidden) activation
+        # is freed before the join runs.
+        return self.norm(x, self.w2(ad.dropout(ad.relu(self.w1(x)), self.norm.rate, rng)), rng)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -357,16 +369,12 @@ class LocalLayer:
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.attn = MultiHeadAttention(store, f"{name}.attn", cfg.d_model, cfg.heads)
-        self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
-        self.rate = cfg.dropout
+        self.ln1 = AddNorm(store, f"{name}.ln1", cfg)
+        self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln2", cfg)
 
     def __call__(self, x, token_mask, rng=None):
-        a = self.attn(x, self.attn.project_kv(x), key_mask=token_mask)
-        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
-        f = self.ffn(x, rng)
-        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng)))
+        x = self.ln1(x, self.attn(x, self.attn.project_kv(x), key_mask=token_mask), rng)
+        return self.ffn(x, rng)
 
 
 class QueryLayer:
@@ -387,10 +395,8 @@ class QueryLayer:
         # "attn.wv" and "attn.wo" are the checkpoint format's names.
         self.wv = Linear(store, f"{name}.attn.wv", cfg.d_model, cfg.d_model)
         self.wo = Linear(store, f"{name}.attn.wo", cfg.d_model, cfg.d_model)
-        self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
-        self.rate = cfg.dropout
+        self.ln1 = AddNorm(store, f"{name}.ln1", cfg)
+        self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln2", cfg)
 
     def __call__(self, x, query_states, token_mask, rng=None):
         ctx = self.wv(self.pool(query_states))  # (d,)
@@ -398,9 +404,7 @@ class QueryLayer:
         real = real_documents(token_mask)
         ctx = ad.mul(ad.tensor(real[:, None], dtype=x.dtype), ad.reshape(ctx, (1, -1)))
         a = _broadcast_vector(self.wo(ctx), n, t, x.dtype)  # wo per document, not per token
-        o1 = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
-        f = self.ffn(o1, rng)
-        return self.ln2(ad.add(o1, ad.dropout(f, self.rate, rng)))
+        return self.ffn(self.ln1(x, a, rng), rng)
 
 
 class GlobalLayer:
@@ -414,10 +418,8 @@ class GlobalLayer:
         self.pool = MultiHeadPooling(store, f"{name}.pool", cfg.d_model, cfg.heads)
         self.inter = MultiHeadAttention(store, f"{name}.inter", cfg.d_model, cfg.heads)
         self.fold = Linear(store, f"{name}.fold", 2 * cfg.d_model, cfg.d_model)
-        self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
-        self.rate = cfg.dropout
+        self.ln1 = AddNorm(store, f"{name}.ln1", cfg)
+        self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln2", cfg)
 
     def __call__(self, x, token_mask, rng=None):
         doc_mask = real_documents(token_mask)
@@ -429,9 +431,7 @@ class GlobalLayer:
         ctx = self.inter(seq, self.inter.project_kv(seq), key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
         folded = self.fold(ad.concat([x, _broadcast_vector(ctx, n, t, x.dtype)], axis=-1))
-        x = self.ln1(ad.add(x, ad.dropout(folded, self.rate, rng)))
-        f = self.ffn(x, rng)
-        return self.ln2(ad.add(x, ad.dropout(f, self.rate, rng))), doc_vectors
+        return self.ffn(self.ln1(x, folded, rng), rng), doc_vectors
 
 
 class OrderingScores:
@@ -453,11 +453,9 @@ class DecoderLayer:
     def __init__(self, store, name, cfg: ModelConfig):
         self.self_attn = MultiHeadAttention(store, f"{name}.self", cfg.d_model, cfg.heads)
         self.cross_attn = MultiHeadAttention(store, f"{name}.cross", cfg.d_model, cfg.heads)
-        self.ln1 = LayerNorm(store, f"{name}.ln1", cfg.d_model)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", cfg.d_model)
-        self.ffn = FeedForward(store, f"{name}.ffn", cfg)
-        self.ln3 = LayerNorm(store, f"{name}.ln3", cfg.d_model)
-        self.rate = cfg.dropout
+        self.ln1 = AddNorm(store, f"{name}.ln1", cfg)
+        self.ln2 = AddNorm(store, f"{name}.ln2", cfg)
+        self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln3", cfg)
 
     def project_memory(self, memory: Tensor) -> tuple[Tensor, Tensor]:
         """Cross-attention K/V of the encoder memory (..., M, d)."""
@@ -472,12 +470,9 @@ class DecoderLayer:
         kv = self.self_attn.project_kv(x)
         if past_kv is not None:
             kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
-        a = self.self_attn(x, kv, causal=True)
-        x = self.ln1(ad.add(x, ad.dropout(a, self.rate, rng)))
-        c = self.cross_attn(x, memory_kv, key_mask=memory_mask)
-        x = self.ln2(ad.add(x, ad.dropout(c, self.rate, rng)))
-        f = self.ffn(x, rng)
-        return self.ln3(ad.add(x, ad.dropout(f, self.rate, rng))), kv
+        x = self.ln1(x, self.self_attn(x, kv, causal=True), rng)
+        x = self.ln2(x, self.cross_attn(x, memory_kv, key_mask=memory_mask), rng)
+        return self.ffn(x, rng), kv
 
 
 class SummModel:
@@ -512,6 +507,11 @@ class SummModel:
 
     # --- input embedding -----------------------------------------------
 
+    def _embed(self, table: Tensor, ids: np.ndarray, pos: np.ndarray) -> Tensor:
+        """Rows ``ids`` of ``table`` scaled by sqrt(d_model), plus ``pos``."""
+        emb = ad.scale(ad.embedding_lookup(table, ids), math.sqrt(self.config.d_model))
+        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
+
     def embed_inputs(self, inp: ModelInput) -> Tensor:
         """Token embedding plus [inter-document ; intra-document] sinusoid
         concatenation; the inter half is zeroed when ordering is on."""
@@ -526,16 +526,13 @@ class SummModel:
             [np.repeat(inter[:, None, :], t, axis=1), np.repeat(intra[None, :, :], n, axis=0)],
             axis=-1,
         )
-        emb = ad.scale(ad.embedding_lookup(self.embed, inp.doc_ids), math.sqrt(cfg.d_model))
-        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
+        return self._embed(self.embed, inp.doc_ids, pos)
 
     def embed_query(self, query_ids: np.ndarray) -> Tensor:
         if query_ids.size == 0:
             raise ValueError("query encoder requires a non-empty query")
-        cfg = self.config
-        emb = ad.scale(ad.embedding_lookup(self.query_embed, query_ids), math.sqrt(cfg.d_model))
-        pos = sinusoid_table(query_ids.size, cfg.d_model, self.dtype)
-        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
+        pos = sinusoid_table(query_ids.size, self.config.d_model, self.dtype)
+        return self._embed(self.query_embed, query_ids, pos)
 
     # --- encoder ---------------------------------------------------------
 
@@ -581,10 +578,8 @@ class SummModel:
     def embed_target(self, ids: np.ndarray, start: int) -> Tensor:
         """Decoder input: scaled embeddings of ``ids`` (..., S) plus the
         sinusoids of positions ``start`` .. ``start + S - 1``."""
-        cfg = self.config
-        emb = ad.scale(ad.embedding_lookup(self.embed, ids), math.sqrt(cfg.d_model))
-        pos = sinusoid_table(ids.shape[-1], cfg.d_model, self.dtype, start)
-        return ad.add(emb, ad.tensor(pos, dtype=self.dtype))
+        pos = sinusoid_table(ids.shape[-1], self.config.d_model, self.dtype, start)
+        return self._embed(self.embed, ids, pos)
 
     def output_logits(self, x: Tensor) -> Tensor:
         """Vocabulary logits of final decoder states (..., d)."""

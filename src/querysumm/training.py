@@ -10,6 +10,8 @@ which is what makes interrupted runs resumable bit-for-bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -187,10 +189,13 @@ def train(
     opt = AdamNoam(
         model.params, d_model=model.config.d_model, base_lr=cfg.base_lr, warmup=cfg.warmup
     )
+    best_path = os.path.join(cfg.checkpoint_dir, "best.ckpt")
+    latest_path = os.path.join(cfg.checkpoint_dir, "latest.ckpt")
+    best_score = -1.0
     if resume_from or cfg.fine_tune_from:
         # Refused before anything loads: a checkpoint of another vocabulary
         # and, to resume from, one of another model config, without a step
-        # count or without moments.
+        # count, beside a best score that is not a number, or without moments.
         path = resume_from or cfg.fine_tune_from
         arrays, meta, saved_config, saved_vocab = read_checkpoint(path)
         if saved_vocab.id_to_token != vocab.id_to_token:
@@ -206,6 +211,17 @@ def train(
             step = meta.get("step")
             if isinstance(step, bool) or not isinstance(step, int) or step < 0:
                 raise ValueError(f"{path}: step must be an integer >= 0, got {step!r}")
+            if os.path.exists(best_path):
+                # Keep honoring the pre-interruption best instead of clobbering it.
+                best_score = load_meta(best_path).get("val_rouge_l", -1.0)
+                if (
+                    isinstance(best_score, bool)
+                    or not isinstance(best_score, numbers.Real)
+                    or math.isnan(best_score)
+                ):
+                    raise ValueError(
+                        f"{best_path}: val_rouge_l must be a real number, got {best_score!r}"
+                    )
             try:
                 opt.load_state_arrays(arrays, step=step)
             except KeyError as exc:
@@ -227,12 +243,6 @@ def train(
     for _ in range(start_step * cfg.accum_steps):
         next(stream)  # fast-forward a resumed run to its position
 
-    best_path = os.path.join(cfg.checkpoint_dir, "best.ckpt")
-    latest_path = os.path.join(cfg.checkpoint_dir, "latest.ckpt")
-    best_score = -1.0
-    if resume_from and os.path.exists(best_path):
-        # Keep honoring the pre-interruption best instead of clobbering it.
-        best_score = load_meta(best_path).get("val_rouge_l", -1.0)
     result = TrainResult(best_path, latest_path, best_score=best_score, steps_run=start_step)
 
     step = start_step

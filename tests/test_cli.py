@@ -213,19 +213,32 @@ class TestMalformedDatasetLine:
             ("build-qmdscnn", VALID_ARTICLE,
              '{"id": 2, "title": "t", "paragraphs": ["p"], "summary": 5}',
              "article 2 summary must be a string, got int"),
+            ("build-qmdscnn", VALID_ARTICLE,
+             '{"id": [1], "title": "t", "paragraphs": ["p"], "summary": "s"}',
+             "article id must be a string or an integer, got list"),
+            ("build-qmdscnn", VALID_ARTICLE,
+             '{"id": true, "title": "t", "paragraphs": ["p"], "summary": "s"}',
+             "article id must be a string or an integer, got bool"),
+            ("stats", VALID_TRIPLET, '{"query": "q", "documents": ["d"], "summary": "s", "meta": 5}',
+             "triplet meta must be an object, got int"),
+            ("align-hist", VALID_TRIPLET,
+             '{"query": "q", "documents": ["d", "e"], "summary": "s", "meta": {"origins": "ab"}}',
+             "triplet meta origins must be a list, got str"),
         ],
         ids=["missing-field", "broken-json", "non-string-document", "non-object", "string-documents",
              "article-missing-field", "record-missing-field", "non-string-query",
              "non-string-summary", "float-source-index", "bool-source-index",
              "record-non-string-query", "record-non-string-answer", "record-non-string-document",
-             "article-non-string-summary"],
+             "article-non-string-summary", "article-list-id", "article-bool-id",
+             "non-object-meta", "string-origins"],
     )
     def test_error_names_file_and_line(self, tmp_path, monkeypatch, capsys,
                                        command, valid, line2, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.jsonl").write_text(json.dumps(valid) + "\n" + line2 + "\n")
-        flag = {"stats": "--in", "build-qmdscnn": "--corpus", "build-qmdsir": "--records"}
-        out = [] if command == "stats" else ["--out", "out.jsonl"]
+        flag = {"stats": "--in", "align-hist": "--in", "build-qmdscnn": "--corpus",
+                "build-qmdsir": "--records"}
+        out = [] if flag[command] == "--in" else ["--out", "out.jsonl"]
         assert run(command, flag[command], "bad.jsonl", *out) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: bad.jsonl:2: ") and named in err
@@ -516,6 +529,24 @@ class TestModelCommands:
         assert run("train", "--config", str(cfg6), "--resume",
                    str(workdir / "ckpt" / "latest.ckpt")) == 0
 
+    @pytest.mark.parametrize("score", ["high", True, None, float("nan")],
+                             ids=["string", "bool", "null", "nan"])
+    def test_resume_refuses_a_best_score_that_is_not_a_number(self, workdir, capsys, score):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        assert run("train", "--config", str(train_config(workdir, steps=2))) == 0
+        best, latest = workdir / "ckpt" / "best.ckpt", workdir / "ckpt" / "latest.ckpt"
+        arrays, meta = load_arrays(best)
+        meta["val_rouge_l"] = score
+        save_arrays(best, arrays, meta)
+        before = {p: p.read_bytes() for p in (best, latest)}
+        capsys.readouterr()
+        assert run("train", "--config", str(train_config(workdir, steps=4)),
+                   "--resume", str(latest)) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {best}: val_rouge_l must be a real number, got {score!r}\n"
+        )
+        assert {p: p.read_bytes() for p in (best, latest)} == before
+
     def test_transfer(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         cfg_path = transfer_config(workdir)
@@ -635,6 +666,23 @@ class TestModelCommands:
         assert capsys.readouterr().err == (
             f"error: {path}: vocab_max_size must be an integer > 5, got {value!r}\n"
         )
+        assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_misspelled_section_names_the_file_and_key(self, workdir, capsys, command):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        path = train_config(workdir) if command == "train" else transfer_config(workdir)
+        cfg = json.loads(path.read_text())
+        # Either command's reader takes every section of both.
+        path.write_text(json.dumps(dict(cfg, decode={}, finetune={}, sources={})))
+        assert sorted(cli._load_config(path)) == sorted(cli.CONFIG_KEYS)
+        cfg["modle"] = cfg.pop("model")
+        path.write_text(json.dumps(cfg))
+        argv = ["--source", "alpha", "--eval", "eval.jsonl"] if command == "transfer" else []
+        capsys.readouterr()
+        assert run(command, "--config", str(path), *argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unknown top-level keys ['modle']; ")
         assert not (workdir / "ckpt").exists() and not (workdir / "tr").exists()
 
     def test_nonpositive_decode_max_len_names_config_and_section(self, workdir, capsys):

@@ -71,6 +71,11 @@ class TestChunkArticle:
         with pytest.raises(ValueError, match="article art-7 has a blank paragraph 1"):
             Article("art-7", "a title", ["first .", blank, "third ."], "s .")
 
+    @pytest.mark.parametrize("ident", [[1], True, 1.0, None], ids=["list", "bool", "float", "null"])
+    def test_id_must_be_a_string_or_an_integer(self, ident):
+        with pytest.raises(TypeError, match="article id must be a string or an integer, got "):
+            Article(ident, "a title", ["a paragraph ."], "s .")
+
 
 class TestBuildQmdscnn:
     def test_needs_two_articles(self):
@@ -471,6 +476,18 @@ def test_triplet_invariants():
         Triplet("q", ["a"], "s", {"origins": ["x", "y"]})
     with pytest.raises(ValueError):
         IrRecord("q", "a", ["d"], 1)
+
+
+@pytest.mark.parametrize("meta", [5, ["origins"], "meta"], ids=["int", "list", "string"])
+def test_triplet_meta_must_be_an_object(meta):
+    with pytest.raises(TypeError, match="triplet meta must be an object"):
+        Triplet("q", ["a"], "s", meta)
+
+
+def test_triplet_origins_must_be_a_list():
+    # A two-character string would otherwise pass as two origin tags.
+    with pytest.raises(TypeError, match="triplet meta origins must be a list, got str"):
+        Triplet("q", ["a", "b"], "s", {"origins": "ab"})
 
 
 def test_jsonl_golden_lines_and_blank_line_tolerant_reads(tmp_path):

@@ -214,6 +214,32 @@ class TestNBest:
         assert score == pytest.approx(logp / length_penalty(2, 0.4), rel=1e-9)
 
 
+class TestRowsThatDoNotExpand:
+    """A row with every continuation masked finishes its hypothesis as it is;
+    a row whose only finite entry is the end token finishes it with that
+    token.  Either way the n-best is not empty, so ``beam_search`` always has
+    a best hypothesis to return."""
+
+    @staticmethod
+    def only(vocab_size, token):
+        logits = np.full(vocab_size, -np.inf)
+        logits[token] = 0.0
+        return logits
+
+    def test_every_continuation_masked(self):
+        # One token, then only the end token, which min_len masks.
+        model = RiggedModel(8, lambda t: self.only(8, 6 if t == 0 else EOS_ID))
+        cfg = DecodeConfig(beam=3, min_len=3, max_len=5)
+        assert beam_search_nbest(model, dummy_enc(), cfg) == [([6], 0.0)]
+        assert beam_search(model, dummy_enc(), cfg) == [6]
+
+    def test_end_token_as_the_only_best(self):
+        model = RiggedModel(8, lambda t: self.only(8, EOS_ID))
+        cfg = DecodeConfig(beam=3, min_len=0, max_len=5)
+        assert beam_search_nbest(model, dummy_enc(), cfg) == [([], 0.0)]
+        assert beam_search(model, dummy_enc(), cfg) == []
+
+
 def lexsort_best_ids(logp, beam):
     """The selection ``_best_ids`` replaced: a lexsort of the whole row by
     score descending, then id ascending, cut at ``beam`` ids or at the first

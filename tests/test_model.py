@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import dataclass, fields, replace
@@ -10,6 +11,7 @@ from querysumm.autodiff import backward
 from querysumm.checkpoint import load_arrays, save_arrays
 from querysumm.data import Triplet
 from querysumm.model import (
+    FeedForward,
     GlobalLayer,
     LocalLayer,
     ModelConfig,
@@ -285,6 +287,18 @@ class TestLayers:
     def states(self, *shape):
         return ad.tensor(self.rng.standard_normal(shape), np.float64)
 
+    def test_ffn_join_drops_the_hidden_then_the_output(self):
+        # The formula of the one residual join and the order of its draws.
+        cfg = tiny_config(40, d_model=8, heads=2, dropout=0.5)
+        ffn = FeedForward(self.store, "ffn", "ln", cfg)
+        x = self.states(3, 8)
+        out = ffn(x, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        hidden = ad.dropout(ad.relu(ffn.w1(x)), 0.5, rng)
+        summed = ad.add(x, ad.dropout(ffn.w2(hidden), 0.5, rng))
+        expected = ad.layer_norm(summed, ffn.norm.gain, ffn.norm.bias)
+        np.testing.assert_array_equal(out.values, expected.values)
+
     def test_local_attention_is_proper(self, attention_probs):
         layer = LocalLayer(self.store, "local", self.cfg)
         x = self.states(2, 5, 8)
@@ -331,9 +345,7 @@ class TestLayers:
         q = self.states(3, 8)
         out = layer(x, q, np.ones((2, 4), dtype=bool))
         o1 = ad.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
-        expected = ad.layer_norm(
-            ad.add(o1, layer.ffn(o1)), layer.ln2.gain, layer.ln2.bias
-        )
+        expected = layer.ffn(o1)
         np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
 
     def test_query_layer_shape_preserved(self):
@@ -422,8 +434,7 @@ class TestQueryLayerClosedForm:
             k, _ = attn.project_kv(x)
             _, v = attn.project_kv(value)
             a = attn(x, (k, v), key_mask=mask)
-            o1 = layer.ln1(ad.add(x, a))
-            expected = layer.ln2(ad.add(o1, layer.ffn(o1)))
+            expected = layer.ffn(layer.ln1(x, a))
             np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-12)
 
     def test_checkpoint_with_query_key_projections_still_loads(self, tmp_path):
@@ -646,6 +657,20 @@ class TestDecoderAndForward:
             cfg = tiny_config(60, d_model=8, heads=2, **flags)
             counts[name] = SummModel(cfg, seed=0).parameter_count()
         assert counts["baseline"] < counts["merge"] < counts["ordering"] < counts["query"]
+
+    @pytest.mark.parametrize(
+        "dataset, count, digest",
+        [
+            ("qmdscnn", 82, "5fd80018544f9febc9634c9ed533069e4e00528feb93454cc33c6ef1ad1d6a13"),
+            ("wikisum", 68, "d204a326e032d126842ba52c9245619700c754a8fec389a56e4d084cb0b978f7"),
+        ],
+    )
+    def test_joint_parameter_names_are_pinned_in_registration_order(self, dataset, count, digest):
+        # A checkpoint manifest lists the parameters in registration order,
+        # and the gradient check samples its coordinates in that order.
+        names = list(SummModel(tiny_config(60, **joint_flags(dataset)), seed=0).params)
+        assert len(names) == count
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == digest
 
 
 class TestDecoderState:

@@ -176,3 +176,18 @@ def test_every_primitive_has_a_no_graph_test_and_a_gradient_check():
     assert {"attention", "softmax", "tsum"} <= primitives
     assert sorted(primitives - no_graph) == []
     assert sorted(primitives - finite_differences) == []
+
+
+def test_model_joins_every_sub_layer_through_one_layer_norm_call():
+    """``AddNorm`` is the one post-norm residual join; a block that joined a
+    sub-layer by hand would call ``ad.layer_norm`` a second time."""
+    calls = [
+        node
+        for node in ast.walk(ast.parse((SOURCE / "model.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "layer_norm"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ad"
+    ]
+    assert len(calls) == 1
