@@ -446,43 +446,167 @@ def attention(
     return _node(out, (q, k, v), bw)
 
 
+def _normalize(x: np.ndarray, out: np.ndarray | None = None):
+    """``(xhat, inv)`` of ``x`` over the last axis: ``xhat`` is ``x``
+    centred and scaled to unit variance, written into ``out`` (which may be
+    ``x``) or a fresh array, and ``inv`` is the per-row scale."""
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _affine(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    out = xhat * gain.values
+    out += bias.values
+    return out
+
+
+def _normalize_grad(g: np.ndarray, xhat: np.ndarray, inv, gain: Tensor, bias: Tensor):
+    """Gradient through ``xhat * gain + bias`` back to the normalised
+    input: accumulates the gain and bias gradients and returns the input's
+    in a fresh array."""
+    dim = xhat.shape[-1]
+    dxhat = g * gain.values
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
+    _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
+    return dx
+
+
+def _check_norm_params(op: str, x: Tensor, gain: Tensor, bias: Tensor) -> None:
+    dim = x.shape[-1]
+    _shape_check(
+        gain.shape == (dim,) and bias.shape == (dim,), op, x.shape, gain.shape, bias.shape
+    )
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply a
     learned elementwise gain and bias."""
-    dim = a.shape[-1]
-    _shape_check(
-        gain.shape == (dim,) and bias.shape == (dim,),
-        "layer_norm",
-        a.shape,
-        gain.shape,
-        bias.shape,
-    )
-    x = a.values
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xhat *= inv
+    _check_norm_params("layer_norm", a, gain, bias)
+    xhat, inv = _normalize(a.values)
 
     def bw(g):
-        dxhat = g * gain.values
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        _accumulate(a, dx)
-        _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
-        _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
+        _accumulate(a, _normalize_grad(g, xhat, inv, gain, bias))
 
-    return _node(xhat * gain.values + bias.values, (a, gain, bias), bw)
+    return _node(_affine(xhat, gain, bias), (a, gain, bias), bw)
+
+
+def _draw_keep(rng: np.random.Generator | None, shape, rate: float) -> np.ndarray | None:
+    """Dropout's keep mask as bool, one byte an element, or ``None`` when
+    dropout is off (no ``rng``, or rate 0)."""
+    if rng is None or rate == 0.0:
+        return None
+    return rng.random(shape) >= rate
+
+
+def _keep_scale(keep: np.ndarray, dtype, rate: float) -> np.ndarray:
+    """The inverted-dropout multiplier of a bool keep mask: 1/(1-rate) where
+    kept, 0 where dropped."""
+    scale = keep.astype(dtype)
+    scale /= 1.0 - rate
+    return scale
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout, run iff an ``rng`` is given: kept activations are
-    scaled by 1/(1-rate), so without an rng (or at rate 0) it returns ``a``."""
-    if rng is None or rate == 0.0:
+    scaled by 1/(1-rate), so without an rng (or at rate 0) it returns ``a``.
+    The node keeps the bool mask and rebuilds the multiplier in backward."""
+    keep = _draw_keep(rng, a.shape, rate)
+    if keep is None:
         return a
-    keep = (rng.random(a.shape) >= rate).astype(a.values.dtype) / (1.0 - rate)
-    return _node(a.values * keep, (a,), lambda g: _accumulate(a, g * keep))
+    dtype = a.values.dtype
+    out_values = a.values * _keep_scale(keep, dtype, rate)
+    return _node(out_values, (a,), lambda g: _accumulate(a, g * _keep_scale(keep, dtype, rate)))
+
+
+def add_norm(
+    x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float, rng: np.random.Generator | None
+) -> Tensor:
+    """The post-norm residual join ``layer_norm(add(x, dropout(y, rate,
+    rng)), gain, bias)`` as one node, for ``x`` and ``y`` of one shape.
+
+    The node keeps only what its backward reads: the normalised sum
+    ``xhat``, the per-row scale and the bool keep mask.  Values and
+    gradients are bit-identical to the chain's, whose sum and dropped
+    ``y`` nodes each stored their first gradient plus +0.0."""
+    _shape_check(x.shape == y.shape, "add_norm", x.shape, y.shape)
+    _check_norm_params("add_norm", x, gain, bias)
+    keep = _draw_keep(rng, y.shape, rate)
+    if keep is None:
+        s = x.values + y.values
+    else:
+        s = x.values + y.values * _keep_scale(keep, y.values.dtype, rate)
+    xhat, inv = _normalize(s, out=s)
+
+    def bw(g):
+        gs = _normalize_grad(g, xhat, inv, gain, bias)
+        gs += 0.0  # the sum's (and the dropped y's) first-gradient store
+        _accumulate(x, gs)
+        if keep is not None:
+            gs *= _keep_scale(keep, gs.dtype, rate)
+        _accumulate(y, gs)
+
+    return _node(_affine(xhat, gain, bias), (x, y, gain, bias), bw)
+
+
+def feed_forward(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    rate: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """The FFN sub-layer ``linear(dropout(relu(linear(x, w1, b1)), rate,
+    rng), w2, b2)`` as one node.
+
+    The hidden layer is computed once and ReLU and dropout are applied to
+    it in place.  The node keeps that dropped hidden ``h`` and the bool keep
+    mask; ReLU's mask is read back as ``h > 0``, which differs from the
+    pre-ReLU test only where the keep mask has already zeroed the gradient.
+    Values and gradients are bit-identical to the chain's, whose dropped,
+    ReLU and pre-ReLU hidden nodes each stored their first gradient plus
+    +0.0."""
+    _shape_check(
+        x.shape[-1] == w1.shape[0] and w1.shape[1] == w2.shape[0],
+        "feed_forward",
+        x.shape,
+        w1.shape,
+        w2.shape,
+    )
+    h = x.values @ w1.values
+    h += b1.values
+    np.maximum(h, 0, out=h)
+    keep = _draw_keep(rng, h.shape, rate)
+    if keep is not None:
+        h *= _keep_scale(keep, h.dtype, rate)
+    out_values = h @ w2.values
+    out_values += b2.values
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gh = g @ w2.values.T
+        gh += 0.0  # the dropped hidden's first-gradient store
+        _accumulate(w2, h.reshape(-1, h.shape[-1]).T @ g2)
+        _accumulate(b2, g2.sum(axis=0))
+        if keep is not None:
+            gh *= _keep_scale(keep, gh.dtype, rate)
+            gh += 0.0  # the ReLU output's
+        gh *= h > 0
+        gh += 0.0  # the pre-ReLU hidden's
+        _accumulate(x, gh @ w1.values.T)
+        gh2 = gh.reshape(-1, gh.shape[-1])
+        _accumulate(w1, x.values.reshape(-1, x.shape[-1]).T @ gh2)
+        _accumulate(b1, gh2.sum(axis=0))
+
+    return _node(out_values, (x, w1, b1, w2, b2), bw)
 
 
 # --- embeddings and loss ----------------------------------------------------

@@ -23,18 +23,22 @@ import numpy as np
 MAGIC = b"QSUMCKPT"
 
 
+def _raw_bytes(arr: np.ndarray) -> np.ndarray:
+    """The bytes of C-contiguous ``arr`` as a flat uint8 view of its buffer."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write ``arrays`` and ``meta``.  Each array's buffer goes to the file
+    as it is; only an array that is not contiguous or not little-endian is
+    copied first, one at a time."""
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
     entries = []
-    blobs = []
     offset = 0
     for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "dtype": data.dtype.str}
-        )
-        blobs.append(data.tobytes())
-        offset += data.nbytes
+        dtype = arr.dtype.newbyteorder("<")
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": dtype.str})
+        offset += arr.nbytes
     manifest = json.dumps({"meta": meta or {}, "tensors": entries}).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -42,8 +46,9 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(manifest)))
             fh.write(manifest)
-            for blob in blobs:
-                fh.write(blob)
+            for arr in arrays.values():
+                data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+                fh.write(_raw_bytes(data))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -119,21 +124,26 @@ def load_meta(path) -> dict:
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Every tensor and the ``meta`` dict.  Each tensor is read from its
+    offset straight into its own array; the blob is never held whole."""
+    arrays = {}
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh, path)
-        blob = fh.read()
-    arrays = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
-        count = math.prod(shape)
-        start = entry["offset"]
-        end = start + dtype.itemsize * count
-        if end > len(blob):
-            raise ValueError(
-                f"{path} is truncated: {entry['name']} needs bytes {start}..{end}"
-                f" of a {len(blob)}-byte blob"
-            )
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
+        blob_start = fh.tell()
+        blob_len = os.fstat(fh.fileno()).st_size - blob_start
+        for entry in manifest["tensors"]:
+            shape = tuple(entry["shape"])
+            dtype = np.dtype(entry["dtype"])
+            start = entry["offset"]
+            end = start + dtype.itemsize * math.prod(shape)
+            if end > blob_len:
+                raise ValueError(
+                    f"{path} is truncated: {entry['name']} needs bytes {start}..{end}"
+                    f" of a {blob_len}-byte blob"
+                )
+            arr = np.empty(shape, dtype)
+            fh.seek(blob_start + start)
+            if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
+                raise ValueError(f"{path} is truncated: {entry['name']} ends early")
+            arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="), copy=False)
     return arrays, manifest["meta"]

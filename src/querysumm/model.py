@@ -22,7 +22,11 @@ embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 
 Every sub-layer of every block, the FFN included, joins its input through
 one post-norm residual, ``AddNorm``: ``LayerNorm(x + Dropout(Sublayer(x)))``
-(Vaswani et al., 2017).  A block only wires its sub-layers together.
+(Vaswani et al., 2017).  A block only wires its sub-layers together.  The
+join is one autodiff node, ``ad.add_norm``, which keeps the normalised sum,
+its per-row scale and a 1-byte dropout mask; the FFN sub-layer
+``w2(Dropout(relu(w1(x))))`` is one more, ``ad.feed_forward``, which keeps
+the dropped hidden layer and its 1-byte mask.
 """
 
 from __future__ import annotations
@@ -266,11 +270,12 @@ class AddNorm:
         self.rate = cfg.dropout
 
     def __call__(self, x: Tensor, y: Tensor, rng=None) -> Tensor:
-        return ad.layer_norm(ad.add(x, ad.dropout(y, self.rate, rng)), self.gain, self.bias)
+        return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng)
 
 
 class FeedForward:
-    """The FFN sub-layer with its join: ``norm(x, w2(Dropout(relu(w1(x)))))``."""
+    """The FFN sub-layer with its join: ``norm(x, w2(Dropout(relu(w1(x)))))``,
+    the hidden mask drawn before the join's."""
 
     def __init__(self, store, name, norm_name, cfg: ModelConfig):
         self.w1 = Linear(store, f"{name}.w1", cfg.d_model, cfg.ffn_hidden)
@@ -278,9 +283,8 @@ class FeedForward:
         self.norm = AddNorm(store, norm_name, cfg)
 
     def __call__(self, x, rng=None):
-        # One expression, so outside a graph the (..., ffn_hidden) activation
-        # is freed before the join runs.
-        return self.norm(x, self.w2(ad.dropout(ad.relu(self.w1(x)), self.norm.rate, rng)), rng)
+        w1, w2 = self.w1, self.w2
+        return self.norm(x, ad.feed_forward(x, w1.w, w1.b, w2.w, w2.b, self.norm.rate, rng), rng)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

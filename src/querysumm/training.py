@@ -195,7 +195,8 @@ def train(
     if resume_from or cfg.fine_tune_from:
         # Refused before anything loads: a checkpoint of another vocabulary
         # and, to resume from, one of another model config, without a step
-        # count, beside a best score that is not a number, or without moments.
+        # count, from outside a checkpoint_dir that holds a best.ckpt, beside
+        # a best score that is not a number, or without moments.
         path = resume_from or cfg.fine_tune_from
         arrays, meta, saved_config, saved_vocab = read_checkpoint(path)
         if saved_vocab.id_to_token != vocab.id_to_token:
@@ -212,6 +213,13 @@ def train(
             if isinstance(step, bool) or not isinstance(step, int) or step < 0:
                 raise ValueError(f"{path}: step must be an integer >= 0, got {step!r}")
             if os.path.exists(best_path):
+                resume_dir = os.path.realpath(os.path.dirname(path))
+                if resume_dir != os.path.realpath(cfg.checkpoint_dir):
+                    raise ValueError(
+                        f"cannot resume from {path} into {cfg.checkpoint_dir}: {best_path} may"
+                        " be another run's best; resume from its own directory or into one"
+                        " without a best.ckpt"
+                    )
                 # Keep honoring the pre-interruption best instead of clobbering it.
                 best_score = load_meta(best_path).get("val_rouge_l", -1.0)
                 if (

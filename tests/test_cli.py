@@ -547,6 +547,22 @@ class TestModelCommands:
         )
         assert {p: p.read_bytes() for p in (best, latest)} == before
 
+    def test_resume_refuses_another_runs_best_checkpoint(self, workdir, capsys):
+        run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
+        assert run("train", "--config", str(train_config(workdir, steps=2))) == 0
+        best = workdir / "ckpt" / "best.ckpt"
+        other = workdir / "other"
+        other.mkdir()
+        latest = other / "latest.ckpt"
+        latest.write_bytes((workdir / "ckpt" / "latest.ckpt").read_bytes())
+        before = {p: p.read_bytes() for p in (best, latest)}
+        capsys.readouterr()
+        assert run("train", "--config", str(train_config(workdir, steps=4)),
+                   "--resume", str(latest)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(latest) in err and str(best) in err
+        assert {p: p.read_bytes() for p in (best, latest)} == before
+
     def test_transfer(self, workdir, capsys):
         run("build-qmdscnn", "--corpus", "articles.jsonl", "--k", "1", "--out", "triplets.jsonl")
         cfg_path = transfer_config(workdir)

@@ -179,15 +179,17 @@ def test_every_primitive_has_a_no_graph_test_and_a_gradient_check():
 
 
 def test_model_joins_every_sub_layer_through_one_layer_norm_call():
-    """``AddNorm`` is the one post-norm residual join; a block that joined a
-    sub-layer by hand would call ``ad.layer_norm`` a second time."""
-    calls = [
-        node
+    """``AddNorm`` is the one post-norm residual join and ``FeedForward`` the
+    one FFN sub-layer, each one fused node; a block that joined a sub-layer
+    or built an FFN by hand would call ``ad.add_norm`` or ``ad.feed_forward``
+    a second time, or ``ad.layer_norm`` or ``ad.relu`` at all."""
+    calls = Counter(
+        node.func.attr
         for node in ast.walk(ast.parse((SOURCE / "model.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "layer_norm"
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "ad"
-    ]
-    assert len(calls) == 1
+    )
+    assert calls["add_norm"] == 1 and calls["feed_forward"] == 1
+    assert calls["layer_norm"] == 0 and calls["relu"] == 0

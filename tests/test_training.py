@@ -187,6 +187,46 @@ class TestTrainLoop:
         )
         assert resumed.best_score >= first.best_score
 
+    def test_resume_in_same_dir_honours_the_saved_best_score(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        cfg = TrainConfig(steps=1, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1)
+        train(model, cfg, trips, trips[:2], vocab)
+        best = tmp_path / "best.ckpt"
+        arrays, meta = load_arrays(best)
+        meta["val_rouge_l"] = 0.99
+        save_arrays(best, arrays, meta)
+        before = best.read_bytes()
+        (tmp_path / "link").symlink_to(tmp_path)
+        more = TrainConfig(steps=2, checkpoint_dir=str(tmp_path), batch_tokens=128, val_interval=1)
+        resumed = train(
+            model, more, trips, trips[:2], vocab,
+            resume_from=str(tmp_path / "link" / "latest.ckpt"),
+        )
+        assert resumed.steps_run == 2 and resumed.best_score == 0.99
+        assert best.read_bytes() == before
+
+    def test_resume_refuses_another_runs_best_checkpoint(self, tmp_path):
+        trips, vocab, model = setup_uniform()
+        for run_dir in ("a", "b"):
+            cfg = TrainConfig(
+                steps=1, checkpoint_dir=str(tmp_path / run_dir), batch_tokens=128, val_interval=1
+            )
+            train(model, cfg, trips, trips[:2], vocab)
+        latest, best = tmp_path / "a" / "latest.ckpt", tmp_path / "b" / "best.ckpt"
+        before = {p: p.read_bytes() for p in (latest, best)}
+        more = TrainConfig(
+            steps=2, checkpoint_dir=str(tmp_path / "b"), batch_tokens=128, val_interval=1
+        )
+        _, _, fresh = setup_uniform()
+        with pytest.raises(ValueError) as info:
+            train(fresh, more, trips, trips[:2], vocab, resume_from=str(latest))
+        assert str(latest) in str(info.value) and str(best) in str(info.value)
+        assert {p: p.read_bytes() for p in (latest, best)} == before
+        assert all(
+            np.array_equal(p.values, q.values)
+            for p, q in zip(fresh.params.values(), setup_uniform()[2].params.values())
+        )
+
     def test_crash_at_any_checkpoint_write_leaves_a_resumable_latest(
         self, tmp_path, monkeypatch
     ):
