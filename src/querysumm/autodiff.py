@@ -225,25 +225,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(av @ bv, (a, b), bw)
 
 
+def _project(xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+    """``xv @ weight + bias`` in one fresh array."""
+    out = xv @ weight.values
+    if bias is not None:
+        out += bias.values
+    return out
+
+
+def _project_grad(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor | None) -> None:
+    """Accumulate the gradients of ``x @ weight + bias`` whose output
+    gradient is ``g``."""
+    _accumulate(x, g @ weight.values.T)
+    g2 = g.reshape(-1, g.shape[-1])
+    _accumulate(weight, x.values.reshape(-1, x.shape[-1]).T @ g2)
+    if bias is not None:
+        _accumulate(bias, g2.sum(axis=0))
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: ``x @ weight + bias`` with ``weight``
     shaped (in, out)."""
     _shape_check(
         x.shape[-1] == weight.shape[0], "linear", x.shape, weight.shape
     )
-    out_values = x.values @ weight.values
-    if bias is not None:
-        out_values += bias.values
     parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def bw(g):
-        _accumulate(x, g @ weight.values.T)
-        g2 = g.reshape(-1, g.shape[-1])
-        _accumulate(weight, x.values.reshape(-1, x.shape[-1]).T @ g2)
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=0))
-
-    return _node(out_values, parents, bw)
+    out_values = _project(x.values, weight, bias)
+    return _node(out_values, parents, lambda g: _project_grad(g, x, weight, bias))
 
 
 # --- shape plumbing ---------------------------------------------------------
@@ -256,6 +264,19 @@ def reshape(a: Tensor, shape) -> Tensor:
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out_values = a.values.swapaxes(axis1, axis2)
     return _node(out_values, (a,), lambda g: _accumulate(a, g.swapaxes(axis1, axis2)))
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """``a`` broadcast to ``shape`` as a read-only view, without a copy.
+    Backward sums the gradient over the broadcast axes from a C-contiguous
+    copy, so the sums round as they do over a dense gradient."""
+    try:
+        out_values = np.broadcast_to(a.values, shape)
+    except ValueError:
+        _shape_check(False, "broadcast_to", a.shape, shape)
+    return _node(
+        out_values, (a,), lambda g: _accumulate(a, _unbroadcast(np.ascontiguousarray(g), a.shape))
+    )
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -390,9 +411,12 @@ def attention(
 
     Each slice's scores are computed into one reused buffer, so no
     probability tensor outlives its slice.  The node keeps only ``q``, ``k``
-    and ``v``; backward recomputes each slice's probabilities.  Values and
-    gradients are bit-identical to ``matmul(softmax(scale(matmul(q,
-    swapaxes(k, -1, -2)), scale), mask), v)``.
+    and ``v``; backward recomputes each slice's probabilities in a buffer of
+    its own.  The output is laid out with the last leading axis (the heads)
+    inside the query axis, so swapping those two axes back, as the merge of
+    heads does, gives a C-contiguous view.  Values and gradients are
+    bit-identical to ``matmul(softmax(scale(matmul(q, swapaxes(k, -1, -2)),
+    scale), mask), v)``.
     """
     qv, kv, vv = q.values, k.values, v.values
     lead = qv.shape[:-2]
@@ -420,17 +444,21 @@ def attention(
         _shape_check(fits, "attention", scores_shape, blocked.shape)
     ndim = qv.ndim
     kt = kv.swapaxes(-1, -2)
-    buf = np.empty(scores_shape[1:], np.result_type(qv, kv))
-    out = np.empty((*lead, qv.shape[-2], vv.shape[-1]), np.result_type(qv, kv, vv))
+    scores_dtype = np.result_type(qv, kv)
+    dtype = np.result_type(qv, kv, vv)
+    merged = np.empty((*lead[:-1], qv.shape[-2], lead[-1], vv.shape[-1]), dtype)
+    out = merged.swapaxes(-2, -3)
+    buf = np.empty(scores_shape[1:], scores_dtype)
     for i in range(lead[0]):
         p = _attention_probs(qv[i], _block(kt, i, ndim), scale, _block(blocked, i, ndim), buf)
         np.matmul(p, _block(vv, i, ndim), out=out[i])
 
     def bw(g):
         # Gradients of shared K/V sum over the whole batch at the end.
-        gq = np.empty(qv.shape, out.dtype)
-        gkt = np.empty((*lead, *kt.shape[-2:]), out.dtype)
-        gv = np.empty((*lead, *vv.shape[-2:]), out.dtype)
+        buf = np.empty(scores_shape[1:], scores_dtype)
+        gq = np.empty(qv.shape, dtype)
+        gkt = np.empty((*lead, *kt.shape[-2:]), dtype)
+        gv = np.empty((*lead, *vv.shape[-2:]), dtype)
         for i in range(lead[0]):
             k_i, v_i = _block(kv, i, ndim), _block(vv, i, ndim)
             p = _attention_probs(qv[i], k_i.swapaxes(-1, -2), scale, _block(blocked, i, ndim), buf)
@@ -526,87 +554,92 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def add_norm(
-    x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float, rng: np.random.Generator | None
+    x: Tensor,
+    y: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    rate: float,
+    rng: np.random.Generator | None,
+    proj: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
-    """The post-norm residual join ``layer_norm(add(x, dropout(y, rate,
-    rng)), gain, bias)`` as one node, for ``x`` and ``y`` of one shape.
+    """The post-norm residual join ``layer_norm(add(x, dropout(z, rate,
+    rng)), gain, bias)`` as one node, where ``z`` is ``y`` or, given
+    ``proj = (w, b)``, the sub-layer's output projection ``linear(y, w, b)``.
 
     The node keeps only what its backward reads: the normalised sum
-    ``xhat``, the per-row scale and the bool keep mask.  Values and
-    gradients are bit-identical to the chain's, whose sum and dropped
-    ``y`` nodes each stored their first gradient plus +0.0."""
-    _shape_check(x.shape == y.shape, "add_norm", x.shape, y.shape)
-    _check_norm_params("add_norm", x, gain, bias)
-    keep = _draw_keep(rng, y.shape, rate)
-    if keep is None:
-        s = x.values + y.values
+    ``xhat``, the per-row scale and the bool keep mask.  A projection's
+    output is never kept; its backward reads ``y`` and ``w``.  Values and
+    gradients are bit-identical to the chain's."""
+    if proj is None:
+        _shape_check(x.shape == y.shape, "add_norm", x.shape, y.shape)
+        z, parents = y.values, (x, y, gain, bias)
     else:
-        s = x.values + y.values * _keep_scale(keep, y.values.dtype, rate)
+        w, b = proj
+        _shape_check(
+            y.shape[-1] == w.shape[0]
+            and x.shape == (*y.shape[:-1], w.shape[1])
+            and b.shape == (w.shape[1],),
+            "add_norm",
+            x.shape,
+            y.shape,
+            w.shape,
+            b.shape,
+        )
+        z, parents = _project(y.values, w, b), (x, y, gain, bias, w, b)
+    _check_norm_params("add_norm", x, gain, bias)
+    keep = _draw_keep(rng, x.shape, rate)
+    if keep is None:
+        s = x.values + z
+    else:
+        s = x.values + z * _keep_scale(keep, z.dtype, rate)
     xhat, inv = _normalize(s, out=s)
 
     def bw(g):
         gs = _normalize_grad(g, xhat, inv, gain, bias)
-        gs += 0.0  # the sum's (and the dropped y's) first-gradient store
         _accumulate(x, gs)
         if keep is not None:
             gs *= _keep_scale(keep, gs.dtype, rate)
-        _accumulate(y, gs)
+        if proj is None:
+            _accumulate(y, gs)
+        else:
+            _project_grad(gs, y, *proj)
 
-    return _node(_affine(xhat, gain, bias), (x, y, gain, bias), bw)
+    return _node(_affine(xhat, gain, bias), parents, bw)
 
 
 def feed_forward(
-    x: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    rate: float,
-    rng: np.random.Generator | None,
+    x: Tensor, w1: Tensor, b1: Tensor, rate: float, rng: np.random.Generator | None
 ) -> Tensor:
-    """The FFN sub-layer ``linear(dropout(relu(linear(x, w1, b1)), rate,
-    rng), w2, b2)`` as one node.
+    """The FFN hidden layer ``dropout(relu(linear(x, w1, b1)), rate, rng)``
+    as one node.  Its output projection ``w2`` belongs to the join that
+    reads it: ``add_norm``'s ``proj``.
 
     The hidden layer is computed once and ReLU and dropout are applied to
-    it in place.  The node keeps that dropped hidden ``h`` and the bool keep
-    mask; ReLU's mask is read back as ``h > 0``, which differs from the
-    pre-ReLU test only where the keep mask has already zeroed the gradient.
-    Values and gradients are bit-identical to the chain's, whose dropped,
-    ReLU and pre-ReLU hidden nodes each stored their first gradient plus
-    +0.0."""
+    it in place.  That dropped hidden ``h`` is the node's value, and the
+    node keeps besides only the bool keep mask; ReLU's mask is read back as
+    ``h > 0``, which differs from the pre-ReLU test only where the keep mask
+    has already zeroed the gradient.  Values and gradients are bit-identical
+    to the chain's."""
     _shape_check(
-        x.shape[-1] == w1.shape[0] and w1.shape[1] == w2.shape[0],
+        x.shape[-1] == w1.shape[0] and b1.shape == (w1.shape[1],),
         "feed_forward",
         x.shape,
         w1.shape,
-        w2.shape,
+        b1.shape,
     )
-    h = x.values @ w1.values
-    h += b1.values
+    h = _project(x.values, w1, b1)
     np.maximum(h, 0, out=h)
     keep = _draw_keep(rng, h.shape, rate)
     if keep is not None:
         h *= _keep_scale(keep, h.dtype, rate)
-    out_values = h @ w2.values
-    out_values += b2.values
 
     def bw(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        gh = g @ w2.values.T
-        gh += 0.0  # the dropped hidden's first-gradient store
-        _accumulate(w2, h.reshape(-1, h.shape[-1]).T @ g2)
-        _accumulate(b2, g2.sum(axis=0))
+        gh = g * (h > 0)
         if keep is not None:
             gh *= _keep_scale(keep, gh.dtype, rate)
-            gh += 0.0  # the ReLU output's
-        gh *= h > 0
-        gh += 0.0  # the pre-ReLU hidden's
-        _accumulate(x, gh @ w1.values.T)
-        gh2 = gh.reshape(-1, gh.shape[-1])
-        _accumulate(w1, x.values.reshape(-1, x.shape[-1]).T @ gh2)
-        _accumulate(b1, gh2.sum(axis=0))
+        _project_grad(gh, x, w1, b1)
 
-    return _node(out_values, (x, w1, b1, w2, b2), bw)
+    return _node(h, (x, w1, b1), bw)
 
 
 # --- embeddings and loss ----------------------------------------------------

@@ -24,9 +24,13 @@ Every sub-layer of every block, the FFN included, joins its input through
 one post-norm residual, ``AddNorm``: ``LayerNorm(x + Dropout(Sublayer(x)))``
 (Vaswani et al., 2017).  A block only wires its sub-layers together.  The
 join is one autodiff node, ``ad.add_norm``, which keeps the normalised sum,
-its per-row scale and a 1-byte dropout mask; the FFN sub-layer
-``w2(Dropout(relu(w1(x))))`` is one more, ``ad.feed_forward``, which keeps
-the dropped hidden layer and its 1-byte mask.
+its per-row scale and a 1-byte dropout mask.  Every join but the query
+layer's owns its sub-layer's last linear (attention's ``wo``, the FFN's
+``w2``, the global layer's ``fold``) and computes it inside that node, so
+the projected output is never kept for backward; attention's output is
+laid out so that merging its heads is a view.  The FFN hidden layer
+``Dropout(relu(w1(x)))`` is one more node, ``ad.feed_forward``, whose value
+is that dropped hidden layer and which keeps besides only its 1-byte mask.
 """
 
 from __future__ import annotations
@@ -262,15 +266,19 @@ class Linear:
 
 class AddNorm:
     """The post-norm residual join of every sub-layer:
-    ``LayerNorm(x + Dropout(y))`` for a sub-layer output ``y`` of ``x``."""
+    ``LayerNorm(x + Dropout(proj(y)))`` for a sub-layer output ``y`` of
+    ``x``.  The join owns the sub-layer's output projection ``proj``, a
+    ``Linear``, so the projected output is never a graph node; without one
+    it joins ``y`` itself."""
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.gain = store.ones(f"{name}.gain", (cfg.d_model,))
         self.bias = store.zeros(f"{name}.bias", (cfg.d_model,))
         self.rate = cfg.dropout
 
-    def __call__(self, x: Tensor, y: Tensor, rng=None) -> Tensor:
-        return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng)
+    def __call__(self, x: Tensor, y: Tensor, rng=None, proj: Linear | None = None) -> Tensor:
+        wb = None if proj is None else (proj.w, proj.b)
+        return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng, wb)
 
 
 class FeedForward:
@@ -283,8 +291,8 @@ class FeedForward:
         self.norm = AddNorm(store, norm_name, cfg)
 
     def __call__(self, x, rng=None):
-        w1, w2 = self.w1, self.w2
-        return self.norm(x, ad.feed_forward(x, w1.w, w1.b, w2.w, w2.b, self.norm.rate, rng), rng)
+        hidden = ad.feed_forward(x, self.w1.w, self.w1.b, self.norm.rate, rng)
+        return self.norm(x, hidden, rng, self.w2)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -301,7 +309,9 @@ class MultiHeadAttention:
     a size-1 leading axis there is shared by the whole query batch.
     ``key_mask`` is (..., Tk) boolean and ``causal`` lets query i see keys
     up to ``Tk - Tq + i``: the keys end with the queries' own positions,
-    possibly after cached earlier ones.  Returns the projected context.
+    possibly after cached earlier ones.  ``context`` returns the context
+    with heads merged, before the output projection ``wo``, for a join
+    that owns ``wo``; ``__call__`` returns the projected context.
     """
 
     def __init__(self, store, name, d_model, heads):
@@ -319,7 +329,9 @@ class MultiHeadAttention:
         (..., heads, Tk, dk)."""
         return _split_heads(self.wk(source), self.heads), _split_heads(self.wv(source), self.heads)
 
-    def __call__(self, query, kv, key_mask=None, causal=False) -> Tensor:
+    def context(self, query, kv, key_mask=None, causal=False) -> Tensor:
+        """(..., Tq, d_model); ``attention``'s output layout makes the merge
+        of heads a view."""
         q = _split_heads(self.wq(query), self.heads)
         k, v = kv
         tq, tk = q.shape[-2], k.shape[-2]
@@ -331,7 +343,10 @@ class MultiHeadAttention:
             mask = tri if mask is None else mask & tri
         ctx = ad.swapaxes(ad.attention(q, k, v, 1.0 / math.sqrt(self.dk), mask), -2, -3)
         *lead, t, h, dk = ctx.shape
-        return self.wo(ad.reshape(ctx, (*lead, t, h * dk)))
+        return ad.reshape(ctx, (*lead, t, h * dk))
+
+    def __call__(self, query, kv, key_mask=None) -> Tensor:
+        return self.wo(self.context(query, kv, key_mask))
 
 
 class MultiHeadPooling:
@@ -359,12 +374,10 @@ class MultiHeadPooling:
         return self.out(ad.reshape(pooled, (*lead, d)))
 
 
-def _broadcast_vector(vec: Tensor, n: int, t: int, dtype) -> Tensor:
-    """Expand (N, d) to (N, T, d) through a gradient-correct broadcasting
-    multiply."""
-    shaped = ad.reshape(vec, (vec.shape[0], 1, vec.shape[1]))
-    ones = ad.tensor(np.ones((n, t, 1)), dtype=dtype)
-    return ad.mul(ones, shaped)
+def _broadcast_vector(vec: Tensor, t: int) -> Tensor:
+    """Expand (N, d) to (N, T, d) as a view."""
+    n, d = vec.shape
+    return ad.broadcast_to(ad.reshape(vec, (n, 1, d)), (n, t, d))
 
 
 class LocalLayer:
@@ -377,8 +390,8 @@ class LocalLayer:
         self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln2", cfg)
 
     def __call__(self, x, token_mask, rng=None):
-        x = self.ln1(x, self.attn(x, self.attn.project_kv(x), key_mask=token_mask), rng)
-        return self.ffn(x, rng)
+        ctx = self.attn.context(x, self.attn.project_kv(x), key_mask=token_mask)
+        return self.ffn(self.ln1(x, ctx, rng, self.attn.wo), rng)
 
 
 class QueryLayer:
@@ -404,10 +417,9 @@ class QueryLayer:
 
     def __call__(self, x, query_states, token_mask, rng=None):
         ctx = self.wv(self.pool(query_states))  # (d,)
-        n, t, _ = x.shape
         real = real_documents(token_mask)
         ctx = ad.mul(ad.tensor(real[:, None], dtype=x.dtype), ad.reshape(ctx, (1, -1)))
-        a = _broadcast_vector(self.wo(ctx), n, t, x.dtype)  # wo per document, not per token
+        a = _broadcast_vector(self.wo(ctx), x.shape[1])  # wo per document, not per token
         return self.ffn(self.ln1(x, a, rng), rng)
 
 
@@ -434,8 +446,8 @@ class GlobalLayer:
         seq = ad.reshape(doc_vectors, (1, n, d))
         ctx = self.inter(seq, self.inter.project_kv(seq), key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
-        folded = self.fold(ad.concat([x, _broadcast_vector(ctx, n, t, x.dtype)], axis=-1))
-        return self.ffn(self.ln1(x, folded, rng), rng), doc_vectors
+        both = ad.concat([x, _broadcast_vector(ctx, t)], axis=-1)
+        return self.ffn(self.ln1(x, both, rng, self.fold), rng), doc_vectors
 
 
 class OrderingScores:
@@ -474,8 +486,9 @@ class DecoderLayer:
         kv = self.self_attn.project_kv(x)
         if past_kv is not None:
             kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
-        x = self.ln1(x, self.self_attn(x, kv, causal=True), rng)
-        x = self.ln2(x, self.cross_attn(x, memory_kv, key_mask=memory_mask), rng)
+        x = self.ln1(x, self.self_attn.context(x, kv, causal=True), rng, self.self_attn.wo)
+        ctx = self.cross_attn.context(x, memory_kv, key_mask=memory_mask)
+        x = self.ln2(x, ctx, rng, self.cross_attn.wo)
         return self.ffn(x, rng), kv
 
 
@@ -560,9 +573,8 @@ class SummModel:
         branch = token_states
         if cfg.use_ordering:
             r = self.ordering(doc_vectors, real_documents(token_mask))
-            n, t, d = token_states.shape
-            pe = ordering_encoding(r, d)
-            pe_b = _broadcast_vector(pe, n, t, self.dtype)
+            _, t, d = token_states.shape
+            pe_b = _broadcast_vector(ordering_encoding(r, d), t)
             branch = self.ordering_fold(ad.concat([branch, pe_b], axis=-1))
         if cfg.use_hierarchical_merge:
             branch = self.merge(ad.concat([local_states, branch], axis=-1))

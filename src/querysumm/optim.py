@@ -54,7 +54,12 @@ class AdamNoam:
 
     def step(self) -> float:
         """Apply one update; returns the learning rate used.  All or
-        nothing: a non-finite gradient raises before any state changes."""
+        nothing: a non-finite gradient raises before any state changes.
+
+        The moments and parameters are updated in place, and every
+        intermediate goes into one of two scratch buffers per parameter.
+        Each operation rounds as it does in ``(m / bc1) / (sqrt(v / bc2) +
+        eps)`` written with fresh temporaries."""
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise FloatingPointError(f"non-finite gradient for {name}")
@@ -66,14 +71,21 @@ class AdamNoam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.values)
+            a, b = np.empty_like(p.values), np.empty_like(p.values)
             m = self.exp_avg[name]
             v = self.exp_avg_sq[name]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p.values -= (lr * update).astype(p.values.dtype)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(m, bc1, out=b)
+            b /= a
+            b *= lr
+            p.values -= b
         return lr
 
     def zero_grad(self) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from querysumm import autodiff as ad
 from querysumm.autodiff import backward
-from querysumm import checkpoint
+from querysumm import checkpoint, optim
 from querysumm.checkpoint import MAGIC, load_arrays, load_meta, save_arrays
 from querysumm.optim import AdamNoam, grad_check, kaiming_uniform, warmup_lr
 
@@ -114,6 +114,54 @@ class TestAdamNoam:
         opt2.load_state_arrays(arrays, step=meta["step"])
         assert opt2.step_count == 1
         np.testing.assert_allclose(opt2.exp_avg["w"], opt.exp_avg["w"], atol=1e-7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_is_byte_equal_to_the_formula(self, dtype):
+        """Over 3 steps, parameters and both moments are byte-equal to the
+        step written as one expression per line, with a temporary each:
+        a table, a bias, a parameter without a gradient and one that a
+        step leaves without one."""
+        shapes = {"embed": (300, 16), "b": (16,), "idle": (4, 4), "w": (16, 5)}
+
+        def run(step):
+            params = {k: ad.parameter(rng.standard_normal(s), dtype) for k, s in shapes.items()}
+            opt = AdamNoam(params, d_model=16, base_lr=2.0, warmup=2)
+            for i in range(3):
+                for k, p in params.items():
+                    skip = k == "idle" or (k == "w" and i == 1)
+                    p.grad = None if skip else rng.standard_normal(p.shape).astype(dtype)
+                step(opt)
+            return [
+                a.tobytes()
+                for k in shapes
+                for a in (params[k].values, opt.exp_avg[k], opt.exp_avg_sq[k])
+            ]
+
+        rng = np.random.default_rng(8)
+        got = run(AdamNoam.step)
+        rng = np.random.default_rng(8)
+        assert got == run(adam_step_formula)
+
+
+def adam_step_formula(opt):
+    """``AdamNoam.step`` as first written, with fresh temporaries."""
+    opt.step_count += 1
+    lr = opt.lr()
+    bc1 = 1.0 - optim.ADAM_BETA1**opt.step_count
+    bc2 = 1.0 - optim.ADAM_BETA2**opt.step_count
+    for name, p in opt.params.items():
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.values)
+        m = opt.exp_avg[name]
+        v = opt.exp_avg_sq[name]
+        m *= optim.ADAM_BETA1
+        m += (1.0 - optim.ADAM_BETA1) * g
+        v *= optim.ADAM_BETA2
+        v += (1.0 - optim.ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + optim.ADAM_EPS)
+        p.values -= (lr * update).astype(p.values.dtype)
+    return lr
 
 
 class TestGradCheck:

@@ -193,3 +193,44 @@ def test_model_joins_every_sub_layer_through_one_layer_norm_call():
     )
     assert calls["add_norm"] == 1 and calls["feed_forward"] == 1
     assert calls["layer_norm"] == 0 and calls["relu"] == 0
+
+
+def test_every_join_but_the_query_layers_owns_its_projection():
+    """A join that owns its sub-layer's output projection keeps no node for
+    the projected output.  Every call of an ``AddNorm`` attribute in
+    ``model.py`` passes ``proj``, the fourth argument, except
+    ``QueryLayer``'s: its projection runs once per document, before the
+    broadcast over tokens."""
+    joins = []
+    tree = ast.parse((SOURCE / "model.py").read_text(encoding="utf-8"))
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        attrs = {
+            target.attr
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "AddNorm"
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+        }
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in attrs
+                and getattr(node.func.value, "id", None) == "self"
+            ):
+                proj = node.args[3] if len(node.args) > 3 else None
+                proj = next((k.value for k in node.keywords if k.arg == "proj"), proj)
+                passed = proj is not None and not (
+                    isinstance(proj, ast.Constant) and proj.value is None
+                )
+                joins.append((cls.name, node.func.attr, passed))
+    assert sorted(joins) == [
+        ("DecoderLayer", "ln1", True),
+        ("DecoderLayer", "ln2", True),
+        ("FeedForward", "norm", True),
+        ("GlobalLayer", "ln1", True),
+        ("LocalLayer", "ln1", True),
+        ("QueryLayer", "ln1", False),
+    ]
