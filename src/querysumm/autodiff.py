@@ -237,8 +237,14 @@ def _project_grad(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor | None)
     """Accumulate the gradients of ``x @ weight + bias`` whose output
     gradient is ``g``."""
     _accumulate(x, g @ weight.values.T)
+    _weight_grads(g, x.values, weight, bias)
+
+
+def _weight_grads(g: np.ndarray, xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> None:
+    """Accumulate the weight and bias gradients of ``xv @ weight + bias``
+    whose output gradient is ``g``."""
     g2 = g.reshape(-1, g.shape[-1])
-    _accumulate(weight, x.values.reshape(-1, x.shape[-1]).T @ g2)
+    _accumulate(weight, xv.reshape(-1, xv.shape[-1]).T @ g2)
     if bias is not None:
         _accumulate(bias, g2.sum(axis=0))
 
@@ -553,6 +559,31 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return _node(out_values, (a,), lambda g: _accumulate(a, g * _keep_scale(keep, dtype, rate)))
 
 
+def _join(x: Tensor, z: np.ndarray, rate: float, rng: np.random.Generator | None):
+    """Forward of the post-norm residual join of ``x`` and a sub-layer
+    output ``z``, short of the affine: ``(xhat, inv, keep)`` of
+    ``normalize(x + dropout(z))``, the sum normalised in place and ``keep``
+    the join's bool mask or ``None``."""
+    keep = _draw_keep(rng, x.shape, rate)
+    if keep is None:
+        s = x.values + z
+    else:
+        s = x.values + z * _keep_scale(keep, z.dtype, rate)
+    xhat, inv = _normalize(s, out=s)
+    return xhat, inv, keep
+
+
+def _join_grad(g, x: Tensor, xhat, inv, keep, gain: Tensor, bias: Tensor, rate: float):
+    """Backward of ``_join`` plus the affine: accumulates the gain, bias
+    and ``x`` gradients and returns the sub-layer output's in a fresh
+    array."""
+    gs = _normalize_grad(g, xhat, inv, gain, bias)
+    _accumulate(x, gs)
+    if keep is not None:
+        gs *= _keep_scale(keep, gs.dtype, rate)
+    return gs
+
+
 def add_norm(
     x: Tensor,
     y: Tensor,
@@ -587,18 +618,10 @@ def add_norm(
         )
         z, parents = _project(y.values, w, b), (x, y, gain, bias, w, b)
     _check_norm_params("add_norm", x, gain, bias)
-    keep = _draw_keep(rng, x.shape, rate)
-    if keep is None:
-        s = x.values + z
-    else:
-        s = x.values + z * _keep_scale(keep, z.dtype, rate)
-    xhat, inv = _normalize(s, out=s)
+    xhat, inv, keep = _join(x, z, rate, rng)
 
     def bw(g):
-        gs = _normalize_grad(g, xhat, inv, gain, bias)
-        _accumulate(x, gs)
-        if keep is not None:
-            gs *= _keep_scale(keep, gs.dtype, rate)
+        gs = _join_grad(g, x, xhat, inv, keep, gain, bias, rate)
         if proj is None:
             _accumulate(y, gs)
         else:
@@ -607,39 +630,69 @@ def add_norm(
     return _node(_affine(xhat, gain, bias), parents, bw)
 
 
-def feed_forward(
-    x: Tensor, w1: Tensor, b1: Tensor, rate: float, rng: np.random.Generator | None
-) -> Tensor:
-    """The FFN hidden layer ``dropout(relu(linear(x, w1, b1)), rate, rng)``
-    as one node.  Its output projection ``w2`` belongs to the join that
-    reads it: ``add_norm``'s ``proj``.
+def _hidden(xv: np.ndarray, w1: Tensor, b1: Tensor, keep, rate: float) -> np.ndarray:
+    """The FFN hidden layer ``dropout(relu(xv @ w1 + b1))`` under the given
+    keep mask, in one fresh array."""
+    h = _project(xv, w1, b1)
+    np.maximum(h, 0, out=h)
+    if keep is not None:
+        h *= _keep_scale(keep, h.dtype, rate)
+    return h
 
-    The hidden layer is computed once and ReLU and dropout are applied to
-    it in place.  That dropped hidden ``h`` is the node's value, and the
-    node keeps besides only the bool keep mask; ReLU's mask is read back as
-    ``h > 0``, which differs from the pre-ReLU test only where the keep mask
-    has already zeroed the gradient.  Values and gradients are bit-identical
-    to the chain's."""
+
+def feed_forward(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    rate: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """The FFN sub-layer and its post-norm join, ``layer_norm(add(x,
+    dropout(linear(dropout(relu(linear(x, w1, b1)), rate, rng), w2, b2),
+    rate, rng)), gain, bias)``, as one node; the hidden mask is drawn
+    before the join's.
+
+    The node keeps what the join keeps (``xhat``, the per-row scale and
+    the join's bool mask) and the hidden layer's bool mask, but not the
+    (..., ffn_hidden) hidden layer: that is freed once ``w2`` has read it,
+    and backward rebuilds it from ``x`` and the kept mask, one GEMM more.
+    ReLU's mask is read back as ``h > 0`` from the dropped hidden, which
+    differs from the pre-ReLU test only where the keep mask zeroes the
+    gradient anyway.  Values and gradients are bit-identical to the
+    chain's."""
+    hidden = w1.shape[-1]
     _shape_check(
-        x.shape[-1] == w1.shape[0] and b1.shape == (w1.shape[1],),
+        x.shape[-1] == w1.shape[0]
+        and b1.shape == (hidden,)
+        and w2.shape == (hidden, x.shape[-1])
+        and b2.shape == (x.shape[-1],),
         "feed_forward",
         x.shape,
         w1.shape,
         b1.shape,
+        w2.shape,
+        b2.shape,
     )
-    h = _project(x.values, w1, b1)
-    np.maximum(h, 0, out=h)
-    keep = _draw_keep(rng, h.shape, rate)
-    if keep is not None:
-        h *= _keep_scale(keep, h.dtype, rate)
+    _check_norm_params("feed_forward", x, gain, bias)
+    hkeep = _draw_keep(rng, (*x.shape[:-1], hidden), rate)
+    z = _project(_hidden(x.values, w1, b1, hkeep, rate), w2, b2)
+    xhat, inv, keep = _join(x, z, rate, rng)
 
     def bw(g):
-        gh = g * (h > 0)
-        if keep is not None:
-            gh *= _keep_scale(keep, gh.dtype, rate)
+        gs = _join_grad(g, x, xhat, inv, keep, gain, bias, rate)
+        h = _hidden(x.values, w1, b1, hkeep, rate)
+        _weight_grads(gs, h, w2, b2)
+        gh = gs @ w2.values.T
+        gh *= h > 0
+        if hkeep is not None:
+            gh *= _keep_scale(hkeep, gh.dtype, rate)
         _project_grad(gh, x, w1, b1)
 
-    return _node(h, (x, w1, b1), bw)
+    return _node(_affine(xhat, gain, bias), (x, w1, b1, w2, b2, gain, bias), bw)
 
 
 # --- embeddings and loss ----------------------------------------------------

@@ -20,17 +20,20 @@ The decoder is a standard causal transformer layer with cross-attention
 over the flattened encoder memory; output logits reuse the tied input
 embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
 
-Every sub-layer of every block, the FFN included, joins its input through
-one post-norm residual, ``AddNorm``: ``LayerNorm(x + Dropout(Sublayer(x)))``
-(Vaswani et al., 2017).  A block only wires its sub-layers together.  The
-join is one autodiff node, ``ad.add_norm``, which keeps the normalised sum,
-its per-row scale and a 1-byte dropout mask.  Every join but the query
-layer's owns its sub-layer's last linear (attention's ``wo``, the FFN's
-``w2``, the global layer's ``fold``) and computes it inside that node, so
-the projected output is never kept for backward; attention's output is
-laid out so that merging its heads is a view.  The FFN hidden layer
-``Dropout(relu(w1(x)))`` is one more node, ``ad.feed_forward``, whose value
-is that dropped hidden layer and which keeps besides only its 1-byte mask.
+Every sub-layer of every block joins its input through one post-norm
+residual, ``LayerNorm(x + Dropout(Sublayer(x)))`` (Vaswani et al., 2017),
+whose parameters an ``AddNorm`` holds.  A block only wires its sub-layers
+together.  Every join but the FFN's is one autodiff node, ``ad.add_norm``,
+which keeps the normalised sum, its per-row scale and a 1-byte dropout mask.
+Every join but the query layer's owns its sub-layer's last linear
+(attention's ``wo``, the FFN's ``w2``, the global layer's ``fold``) and
+computes it inside its node, so the projected output is never kept for
+backward; attention's
+output is laid out so that merging its heads is a view.  The whole FFN
+sub-layer with its join is one node too, ``ad.feed_forward``: it keeps what
+the join keeps plus the 1-byte mask of the hidden layer
+``Dropout(relu(w1(x)))``, not the hidden layer itself, which backward
+rebuilds from ``x`` and that mask.
 """
 
 from __future__ import annotations
@@ -282,8 +285,12 @@ class AddNorm:
 
 
 class FeedForward:
-    """The FFN sub-layer with its join: ``norm(x, w2(Dropout(relu(w1(x)))))``,
-    the hidden mask drawn before the join's."""
+    """The FFN sub-layer with its join,
+    ``LayerNorm(x + Dropout(w2(Dropout(relu(w1(x))))))``, the hidden mask
+    drawn before the join's.  It is one node, ``ad.feed_forward``, which
+    keeps the join's normalised sum, scale and mask plus the hidden mask,
+    and rebuilds the hidden layer in backward instead of keeping it; the
+    join's parameters are ``norm``'s."""
 
     def __init__(self, store, name, norm_name, cfg: ModelConfig):
         self.w1 = Linear(store, f"{name}.w1", cfg.d_model, cfg.ffn_hidden)
@@ -291,8 +298,8 @@ class FeedForward:
         self.norm = AddNorm(store, norm_name, cfg)
 
     def __call__(self, x, rng=None):
-        hidden = ad.feed_forward(x, self.w1.w, self.w1.b, self.norm.rate, rng)
-        return self.norm(x, hidden, rng, self.w2)
+        w1, w2, norm = self.w1, self.w2, self.norm
+        return ad.feed_forward(x, w1.w, w1.b, w2.w, w2.b, norm.gain, norm.bias, norm.rate, rng)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
