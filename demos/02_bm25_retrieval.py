@@ -19,7 +19,8 @@ for art in articles:
 print(f"indexed {len(chunks)} chunks from {len(articles)} articles")
 
 index = build_index(chunks)
-print(f"n_docs={index.n_docs}, avg_len={index.avg_len:.1f}, "
+avg_len = sum(len(tokens) for tokens, _ in chunks) / len(chunks)
+print(f"chunks={index.norm.size}, avg_len={avg_len:.1f}, "
       f"vocabulary terms={len(index.postings)}")
 # A chunk's id is its position in the indexed list.  Each chunk's article
 # is a code into ``index.articles``, whose keys are in code order.

@@ -42,8 +42,6 @@ class RetrievalIndex:
     norm: np.ndarray  # float64 by chunk id: k1 * (1 - b + b * len / avg_len)
     article_codes: np.ndarray  # int64 by chunk id: the code of the chunk's article
     articles: dict[object, int]  # article id -> code
-    avg_len: float
-    n_docs: int
 
 
 def build_index(chunks: list[tuple[list[str], object]]) -> RetrievalIndex:
@@ -90,8 +88,6 @@ def build_index(chunks: list[tuple[list[str], object]]) -> RetrievalIndex:
         norm=K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * lengths / avg_len),
         article_codes=np.array(codes, dtype=np.int64),
         articles=articles,
-        avg_len=avg_len,
-        n_docs=n_docs,
     )
 
 
@@ -102,7 +98,7 @@ def score(index: RetrievalIndex, query: list[str], chunk_id: int) -> float:
     over query token occurrences, so a term repeated in the query counts
     once per occurrence.
     """
-    if not 0 <= chunk_id < index.n_docs:
+    if not 0 <= chunk_id < index.norm.size:
         raise KeyError(f"unknown chunk id {chunk_id}")
     norm = float(index.norm[chunk_id])
     total = 0.0
@@ -122,7 +118,7 @@ def _accumulate(index: RetrievalIndex, query: list[str]) -> np.ndarray:
     """Every chunk's score by id, from the operands of ``score`` in the
     same order, so each entry equals ``score`` bit for bit.  A term's
     chunk ids are unique, so the fancy-indexed ``+=`` adds once per chunk."""
-    acc = np.zeros(index.n_docs)
+    acc = np.zeros(index.norm.size)
     for term in query:
         p = index.postings.get(term)
         if p is not None:

@@ -23,8 +23,8 @@ path fields (strings) included, so a bad one exits 1:
 these six, a ``vocab_max_size`` that is not an integer > 5, a config that
 is not a JSON object, a ``transfer`` config without ``sources``, or an
 empty validation or ``--finetune`` set; all fail before anything trains.
-``decode`` and ``evaluate`` check their search flags (``--max-len`` >= 1)
-before they load the checkpoint.
+``decode`` and ``evaluate`` check their search flags (``--max-len`` >= 1,
+``--min-len`` >= 0, a finite ``--alpha``) before they load the checkpoint.
 ``build-qmdscnn`` also prints how many triplets got 0..k retrieved chunks,
 and ``build-qmdsir`` how many records each reason rejected.
 """

@@ -10,12 +10,14 @@ repeat one of its existing trigrams.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import log_softmax_values
-from .model import EncodedBatch, SummModel, check_fields
+from .autodiff import log_softmax_values, no_grad
+from .model import EncodedBatch, ModelInput, SummModel, check_fields
 from .text import BOS_ID, EOS_ID, PAD_ID, QSEP_ID
 
 # Never generated: structural ids that cannot appear inside a summary.
@@ -34,6 +36,10 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("beam", "max_len", "max_doc_tokens", "max_docs"))
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.min_len < 0:
+            raise ValueError(f"min_len must be >= 0, got {self.min_len}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
 
@@ -127,3 +133,13 @@ def beam_search(model: SummModel, enc: EncodedBatch, config: DecodeConfig) -> li
     loop runs at least once, a row that cannot expand finishes, and the
     hypotheses still live at ``max_len`` finish too."""
     return beam_search_nbest(model, enc, config)[0][0]
+
+
+def decode_inputs(model: SummModel, inputs: Iterable[ModelInput], config: DecodeConfig):
+    """The one forward-only loop: yield ``beam_search``'s ids per input,
+    encoded and decoded under ``no_grad``, then yielded outside it, so graph
+    building is back on while the consumer runs."""
+    for inp in inputs:
+        with no_grad():
+            ids = beam_search(model, model.encode(inp), config)
+        yield ids

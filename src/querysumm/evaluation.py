@@ -1,8 +1,9 @@
 """Corpus evaluation and the train-transfer-evaluate pipeline.
 
-``evaluate`` decodes every triplet and reports macro-averaged ROUGE.  Two
-modes: ``f1`` reports precision/recall/F1 for R-1/2/L; ``recall250``
-truncates each decode to 250 words and reports recall for R-1/2/L/SU4.
+``evaluate`` decodes every triplet through ``decoding.decode_inputs``, the
+one forward-only loop, and reports macro-averaged ROUGE.  Two modes:
+``f1`` reports precision/recall/F1 for R-1/2/L; ``recall250`` truncates
+each decode to 250 words and reports recall for R-1/2/L/SU4.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import no_grad
 from .data import Triplet
-from .decoding import DecodeConfig, beam_search
+from .decoding import DecodeConfig, decode_inputs
 from .model import SummModel, prepare_input
 from .rouge import rouge_l, rouge_n, rouge_recall_truncated
 from .text import Vocabulary, tokenize
@@ -58,36 +58,27 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _decode_with_config(model, inp, decode_cfg):
-    enc = model.encode(inp)
-    return beam_search(model, enc, decode_cfg)
-
-
 def decode_triplets(
     model: SummModel,
     triplets: list[Triplet],
     vocab: Vocabulary,
     decode_cfg: DecodeConfig,
-    decode_fn=None,
 ):
     """Yield ``(id, token ids)`` per triplet, the id being its
     ``source_id`` or else its position.
 
     Inputs are prepared under the model config with ``decode_cfg``'s
-    document limits where set.  ``decode_fn(model, inp, decode_cfg) ->
-    token id list`` can replace the encode plus beam search (used by oracle
-    tests); it runs under ``no_grad``, so no autodiff graph is built."""
+    document limits where set, one at a time, and decoded by
+    ``decode_inputs``, the one forward-only loop."""
     cfg = model.config
     input_cfg = replace(
         cfg,
         max_doc_tokens=decode_cfg.max_doc_tokens or cfg.max_doc_tokens,
         max_docs=decode_cfg.max_docs or cfg.max_docs,
     )
-    decode_fn = decode_fn or _decode_with_config
-    for i, triplet in enumerate(triplets):
-        inp = prepare_input(triplet, vocab, input_cfg)
-        with no_grad():
-            ids = decode_fn(model, inp, decode_cfg)
+    inputs = (prepare_input(t, vocab, input_cfg) for t in triplets)
+    decoded = decode_inputs(model, inputs, decode_cfg)
+    for i, (triplet, ids) in enumerate(zip(triplets, decoded)):
         yield triplet.meta.get("source_id", i), ids
 
 
@@ -97,19 +88,15 @@ def evaluate(
     vocab: Vocabulary,
     decode_cfg: DecodeConfig,
     mode: str = "f1",
-    decode_fn=None,
 ) -> EvalReport:
-    """Decode every triplet and average ROUGE against its reference summary.
-
-    ``decode_fn`` is passed to ``decode_triplets``.
-    """
+    """Decode every triplet and average ROUGE against its reference summary."""
     if not triplets:
         raise ValueError("cannot evaluate an empty dataset")
     if mode not in ("f1", "recall250"):
         raise ValueError(f"unknown mode {mode!r}")
 
     rows = []
-    decoded = decode_triplets(model, triplets, vocab, decode_cfg, decode_fn)
+    decoded = decode_triplets(model, triplets, vocab, decode_cfg)
     for triplet, (row_id, ids) in zip(triplets, decoded):
         hyp = vocab.decode(ids)
         ref = tokenize(triplet.summary)

@@ -1,5 +1,7 @@
 """Training loop: token-budget batching, gradient accumulation, the warmup
-optimizer, greedy validation decoding scored by ROUGE-L, and checkpointing.
+optimizer, greedy validation decoding through ``decoding.decode_inputs``
+(the forward-only loop ``evaluate`` shares) scored by ROUGE-L, and
+checkpointing.
 
 One optimizer step consumes ``accum_steps`` micro-batches; gradients of the
 per-example summed losses are accumulated and divided once by the total
@@ -13,14 +15,14 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .autodiff import backward, no_grad
+from .autodiff import backward
 from .checkpoint import load_arrays, load_meta, save_arrays
 from .data import Triplet
-from .decoding import DecodeConfig, greedy_decode
+from .decoding import DecodeConfig, decode_inputs
 from .model import ModelConfig, ModelInput, SummModel, check_fields, prepare_input
 from .optim import AdamNoam
 from .rouge import rouge_l
@@ -90,17 +92,14 @@ def pack_batches(sizes: list[int], order: np.ndarray, budget: int) -> list[list[
 
 
 def validate(model: SummModel, val_inputs, val_refs, vocab: Vocabulary, decode_cfg=None) -> float:
-    """Mean ROUGE-L F1 of greedy decodes against the references; encodes
-    and decodes under ``no_grad``."""
+    """Mean ROUGE-L F1 of greedy decodes against the references.  The
+    decodes come from ``decode_inputs`` at beam 1; with the references
+    zipped first, an input beyond the last reference is never decoded."""
     cfg = decode_cfg or DecodeConfig(
         beam=1, alpha=0.0, min_len=1, max_len=model.config.max_summary_tokens
     )
-    scores = []
-    for inp, ref_tokens in zip(val_inputs, val_refs):
-        with no_grad():
-            ids = greedy_decode(model, model.encode(inp), cfg)
-        hyp = vocab.decode(ids)
-        scores.append(rouge_l(hyp, ref_tokens).f1)
+    decoded = decode_inputs(model, val_inputs, replace(cfg, beam=1))
+    scores = [rouge_l(vocab.decode(ids), ref).f1 for ref, ids in zip(val_refs, decoded)]
     return float(np.mean(scores)) if scores else 0.0
 
 

@@ -108,8 +108,10 @@ def two_doc_index():
 class TestBuildIndex:
     def test_statistics(self):
         idx = two_doc_index()
-        assert idx.n_docs == 2
-        assert idx.avg_len == pytest.approx(2.5)
+        # Lengths 3 and 2 around an average of 2.5.
+        assert idx.norm.tolist() == pytest.approx(
+            [K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * n / 2.5) for n in (3, 2)]
+        )
         assert idx.postings["b"].positions.tolist() == [0, 1]
         assert idx.postings["b"].tf.tolist() == [1, 1]
         assert idx.postings["a"].positions.tolist() == [0]
@@ -119,8 +121,8 @@ class TestBuildIndex:
 
     def test_single_chunk(self):
         idx = build_index([(["x", "y", "z"], "a")])
-        assert idx.avg_len == 3.0
-        assert idx.n_docs == 1
+        # The one chunk has the average length, so its normaliser is k1.
+        assert idx.norm.tolist() == [K1_DEFAULT]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty chunk list"):
@@ -152,7 +154,6 @@ class TestBuildIndex:
             df = len(holders)
             assert p.idf == math.log(1.0 + (len(chunks) - df + 0.5) / (df + 0.5))
         avg_len = sum(len(tokens) for tokens, _ in chunks) / len(chunks)
-        assert idx.avg_len == avg_len
         expected_norm = [
             K1_DEFAULT * (1.0 - B_DEFAULT + B_DEFAULT * len(tokens) / avg_len)
             for tokens, _ in chunks

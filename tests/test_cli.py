@@ -714,15 +714,24 @@ class TestModelCommands:
         assert not (workdir / "tr").exists()
 
     @pytest.mark.parametrize("command", ["decode", "evaluate"])
-    def test_nonpositive_max_len_flag_fails_before_the_checkpoint_loads(
-        self, workdir, capsys, command
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--min-len", "0", "--max-len", "0"], "max_len must be >= 1, got 0"),
+            (["--alpha", "nan"], "alpha must be finite, got nan"),
+            (["--alpha", "inf"], "alpha must be finite, got inf"),
+            (["--min-len", "-3"], "min_len must be >= 0, got -3"),
+        ],
+        ids=["max_len", "alpha_nan", "alpha_inf", "min_len"],
+    )
+    def test_bad_search_flag_fails_before_the_checkpoint_loads(
+        self, workdir, capsys, command, flags, message
     ):
         # The checkpoint does not exist, so only the flag check can answer.
-        argv = ["--ckpt", "missing.ckpt", "--in", "missing.jsonl"]
-        argv += ["--min-len", "0", "--max-len", "0"]
+        argv = ["--ckpt", "missing.ckpt", "--in", "missing.jsonl", *flags]
         argv += ["--out", "decodes.jsonl"] if command == "decode" else []
         assert run(command, *argv) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: max_len must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "decodes.jsonl").exists()
 
     def test_empty_validation_set_names_the_field(self, workdir, capsys):

@@ -90,6 +90,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^max_len must be >= 1, got {max_len}$"):
             DecodeConfig(min_len=min_len, max_len=max_len)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha(self, alpha):
+        # A nan alpha scores every hypothesis nan and an infinite one every
+        # hypothesis -0.0, so the pick would be arbitrary.
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            DecodeConfig(alpha=alpha)
+
+    def test_negative_min_len(self):
+        with pytest.raises(ValueError, match="^min_len must be >= 0, got -3$"):
+            DecodeConfig(min_len=-3)
+        assert DecodeConfig(min_len=0).min_len == 0
+
     @pytest.mark.parametrize("field", ["max_doc_tokens", "max_docs"])
     def test_input_limits_none_or_positive(self, field):
         for value in (0, -1):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from querysumm import autodiff as ad
+from querysumm import decoding, training
 from querysumm.decoding import DecodeConfig, beam_search
 from querysumm.evaluation import (
     TransferSpec,
+    decode_triplets,
     evaluate,
     interleave,
     transfer_pipeline,
 )
-from querysumm.model import SummModel
+from querysumm.model import SummModel, prepare_input
 from querysumm.rouge import rouge_recall_truncated
 from querysumm.text import build_vocab, tokenize
 from querysumm.training import TrainConfig
@@ -17,13 +19,14 @@ from querysumm.training import TrainConfig
 from conftest import corpus_tokens, handmade_triplet, tiny_config
 
 
-def oracle_decoder(vocab):
-    """Teacher-forced oracle: always emits the reference summary."""
-
-    def decode(model, inp, cfg):
-        return list(inp.target_ids)
-
-    return decode
+def target_decoder(trips, vocab, model, repeat=1, limit=None):
+    """Teacher-forced oracle to stand in for ``decoding.beam_search``, which
+    ``decode_inputs`` calls once per input: the n-th call emits the n-th
+    triplet's target ids, ``repeat`` times over and cut to ``limit``."""
+    targets = iter(
+        [list(prepare_input(t, vocab, model.config).target_ids) * repeat for t in trips]
+    )
+    return lambda m, enc, cfg: next(targets)[:limit]
 
 
 def setup_eval(n=4):
@@ -34,27 +37,22 @@ def setup_eval(n=4):
 
 
 class TestEvaluate:
-    def test_oracle_decoder_scores_one(self):
+    def test_oracle_decoder_scores_one(self, monkeypatch):
         trips, vocab, model = setup_eval()
-        report = evaluate(
-            model, trips, vocab, DecodeConfig(beam=1, max_len=12),
-            mode="f1", decode_fn=oracle_decoder(vocab),
-        )
+        monkeypatch.setattr(decoding, "beam_search", target_decoder(trips, vocab, model))
+        report = evaluate(model, trips, vocab, DecodeConfig(beam=1, max_len=12), mode="f1")
         for metric in ("rouge-1", "rouge-2", "rouge-l"):
             p, r, f1 = report.averages[metric]
             assert f1 == pytest.approx(1.0)
 
-    def test_recall250_equals_truncated_f1_recall(self):
+    def test_recall250_equals_truncated_f1_recall(self, monkeypatch):
         # A 300-token decode scored in recall mode must match the recall of
         # its manually pre-truncated 250-token prefix.
         trips, vocab, model = setup_eval(n=2)
-
-        def long_decoder(m, inp, cfg):
-            return (list(inp.target_ids) * 100)[:300]
-
+        long_decoder = target_decoder(trips, vocab, model, repeat=100, limit=300)
+        monkeypatch.setattr(decoding, "beam_search", long_decoder)
         report = evaluate(
-            model, trips, vocab, DecodeConfig(beam=1, max_len=400),
-            mode="recall250", decode_fn=long_decoder,
+            model, trips, vocab, DecodeConfig(beam=1, max_len=400), mode="recall250"
         )
         for i, t in enumerate(trips):
             decoded_tokens = report.rows[i]["summary"].split()
@@ -90,41 +88,39 @@ class TestEvaluate:
         assert a.averages == b.averages
         assert [r["summary"] for r in a.rows] == [r["summary"] for r in b.rows]
 
-    def test_decode_time_limits_reach_input_not_model(self):
+    def test_decode_time_limits_reach_input_not_model(self, monkeypatch):
         trips = [handmade_triplet(n_docs=5, doc_tokens=30, tag=f"e{i}") for i in range(2)]
         vocab = build_vocab(corpus_tokens(trips), 64)
         model = SummModel(tiny_config(len(vocab), d_model=16, heads=2), seed=0)
         config = model.config
         seen = []
 
-        def check_decoder(m, inp, cfg):
+        def check_decoder(m, enc, cfg):
             assert m.config is config
             assert (config.max_docs, config.max_doc_tokens) == (3, 24)
-            seen.append(inp.doc_ids.shape)
-            return list(inp.target_ids)
+            seen.append(enc.token_states.shape[:2])
+            return []
 
+        monkeypatch.setattr(decoding, "beam_search", check_decoder)
         evaluate(
-            model, trips, vocab, DecodeConfig(beam=1, max_doc_tokens=7, max_docs=2),
-            mode="f1", decode_fn=check_decoder,
+            model, trips, vocab, DecodeConfig(beam=1, max_doc_tokens=7, max_docs=2), mode="f1"
         )
         assert seen == [(2, 7), (2, 7)]
 
-    def test_decodes_build_no_graph(self):
+    def test_decodes_build_no_graph(self, monkeypatch):
         trips, vocab, model = setup_eval(n=2)
+        x = model.params["embed"]
         seen = []
 
-        def graph_free_decoder(m, inp, cfg):
-            enc = m.encode(inp)
+        def graph_free_decoder(m, enc, cfg):
             assert enc.memory.parents == () and not enc.memory.requires_grad
-            seen.append(inp.doc_ids.shape)
+            assert not ad.add(x, x).requires_grad
+            seen.append(enc.token_states.shape)
             return beam_search(m, enc, cfg)
 
-        evaluate(
-            model, trips, vocab, DecodeConfig(beam=2, max_len=4),
-            mode="f1", decode_fn=graph_free_decoder,
-        )
+        monkeypatch.setattr(decoding, "beam_search", graph_free_decoder)
+        evaluate(model, trips, vocab, DecodeConfig(beam=2, max_len=4), mode="f1")
         assert len(seen) == 2
-        x = model.params["embed"]
         assert ad.add(x, x).requires_grad  # graph building is back on
 
     def test_empty_dataset_and_bad_mode(self):
@@ -133,6 +129,45 @@ class TestEvaluate:
             evaluate(model, [], vocab, DecodeConfig(beam=1), mode="f1")
         with pytest.raises(ValueError):
             evaluate(model, trips, vocab, DecodeConfig(beam=1), mode="nope")
+
+
+class TestOneDecodeLoop:
+    """Validation, ``evaluate`` and ``querysumm decode`` decode through
+    ``decoding.decode_inputs``."""
+
+    def test_validate_is_the_mean_of_evaluates_beam_one_rouge_l(self):
+        trips, vocab, _ = setup_eval()
+        # Seed 4's greedy decodes share words with the references.
+        model = SummModel(tiny_config(len(vocab), d_model=16, heads=2), seed=4)
+        inputs = [prepare_input(t, vocab, model.config) for t in trips]
+        refs = [tokenize(t.summary) for t in trips]
+        score = training.validate(model, inputs, refs, vocab)
+        cfg = DecodeConfig(beam=1, alpha=0.0, min_len=1, max_len=model.config.max_summary_tokens)
+        report = evaluate(model, trips, vocab, cfg, mode="f1")
+        assert score > 0.0
+        assert score == np.mean([row["rouge-l"][2] for row in report.rows])
+
+    def test_graph_building_is_on_between_two_decodes(self):
+        trips, vocab, model = setup_eval(n=2)
+        x = model.params["embed"]
+        decoded = decode_triplets(model, trips, vocab, DecodeConfig(beam=2, max_len=4))
+        for _ in trips:
+            next(decoded)
+            assert ad.add(x, x).requires_grad
+        assert next(decoded, None) is None
+
+    def test_validate_decodes_no_input_beyond_the_last_reference(self, monkeypatch):
+        trips, vocab, model = setup_eval(n=3)
+        inputs = [prepare_input(t, vocab, model.config) for t in trips]
+        calls = []
+
+        def counted(m, enc, cfg):
+            calls.append(cfg.beam)
+            return beam_search(m, enc, cfg)
+
+        monkeypatch.setattr(decoding, "beam_search", counted)
+        training.validate(model, inputs, [tokenize(trips[0].summary)], vocab)
+        assert calls == [1]
 
 
 class TestInterleave:

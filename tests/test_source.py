@@ -71,8 +71,6 @@ def test_every_definition_has_a_caller():
 
 # (file, function, parameter) whose default no caller overrides.
 DEFAULT_ALLOWED = {
-    # Tests substitute a fake decoder.
-    ("evaluation.py", "evaluate", "decode_fn"),
     # Tests drive the CLI through it; the console script passes nothing.
     ("cli.py", "main", "argv"),
 }
@@ -135,6 +133,22 @@ def test_every_defaulted_parameter_is_passed():
         if not any(_passes(c, param, index) for c in calls.get(call_name, ()))
     }
     assert sorted(never_passed) == sorted(DEFAULT_ALLOWED)
+
+
+def test_training_and_evaluation_decode_only_through_decode_inputs():
+    """Validation, ``evaluate`` and ``querysumm decode`` share one
+    forward-only loop, ``decoding.decode_inputs``; a call of ``no_grad``
+    or of a search function in ``training.py`` or ``evaluation.py`` would
+    be a second one."""
+    banned = {"no_grad", "beam_search", "beam_search_nbest", "greedy_decode"}
+    found = []
+    for name in ("training.py", "evaluation.py"):
+        for node in ast.walk(ast.parse((SOURCE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in banned:
+                    found.append((name, called, node.lineno))
+    assert found == []
 
 
 def _functions(path):
