@@ -233,11 +233,34 @@ def _project(xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
     return out
 
 
-def _project_grad(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor | None) -> None:
+def _parts(x) -> tuple:
+    """A projection's input as a tuple of tensors: ``x`` itself, or the
+    list of parts that it reads as their concatenation on the last axis."""
+    return (x,) if isinstance(x, Tensor) else tuple(x)
+
+
+def _joined(x, op: str = "linear") -> np.ndarray:
+    """The values a projection reads from its input ``x``: a tensor's own,
+    or a fresh last-axis concatenation of its parts."""
+    if isinstance(x, Tensor):
+        return x.values
+    try:
+        return np.concatenate([p.values for p in x], axis=-1)
+    except ValueError:
+        _shape_check(False, op, *(p.shape for p in x))
+
+
+def _project_grad(g: np.ndarray, x, weight: Tensor, bias: Tensor | None) -> None:
     """Accumulate the gradients of ``x @ weight + bias`` whose output
-    gradient is ``g``."""
-    _accumulate(x, g @ weight.values.T)
-    _weight_grads(g, x.values, weight, bias)
+    gradient is ``g``.  Parts of a concatenated ``x`` each take their slice
+    of the input gradient, in order, as the concat's backward handed them;
+    the concatenation is rebuilt for the weight gradient."""
+    gx = g @ weight.values.T
+    end = 0
+    for part in _parts(x):
+        start, end = end, end + part.shape[-1]
+        _accumulate(part, gx if part is x else gx[..., start:end])
+    _weight_grads(g, _joined(x), weight, bias)
 
 
 def _weight_grads(g: np.ndarray, xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> None:
@@ -249,15 +272,19 @@ def _weight_grads(g: np.ndarray, xv: np.ndarray, weight: Tensor, bias: Tensor | 
         _accumulate(bias, g2.sum(axis=0))
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: ``x @ weight + bias`` with ``weight``
-    shaped (in, out)."""
-    _shape_check(
-        x.shape[-1] == weight.shape[0], "linear", x.shape, weight.shape
-    )
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out_values = _project(x.values, weight, bias)
-    return _node(out_values, parents, lambda g: _project_grad(g, x, weight, bias))
+    shaped (in, out).
+
+    ``x`` is a tensor or a list of parts read as their concatenation on the
+    last axis.  The concatenation exists only while the GEMM reads it: the
+    node keeps the parts, which the graph holds anyway, and backward
+    rebuilds it for the weight gradient.  Values and gradients are
+    bit-identical to ``linear(concat(parts, -1), weight, bias)``."""
+    xv = _joined(x)
+    _shape_check(xv.shape[-1] == weight.shape[0], "linear", xv.shape, weight.shape)
+    parents = (*_parts(x), weight) if bias is None else (*_parts(x), weight, bias)
+    return _node(_project(xv, weight, bias), parents, lambda g: _project_grad(g, x, weight, bias))
 
 
 # --- shape plumbing ---------------------------------------------------------
@@ -403,8 +430,42 @@ def _attention_probs(q, kt, scale: float, blocked, out: np.ndarray) -> np.ndarra
     return _softmax_inplace(scores)
 
 
+def _heads(x, heads: int) -> np.ndarray:
+    """An attention operand's values, (..., heads, T, d): a tensor's own,
+    or a projection ``(source, w, b)`` computed by ``_project`` and split
+    into heads as a view."""
+    if isinstance(x, Tensor):
+        return x.values
+    source, w, b = x
+    _shape_check(
+        source.values.ndim >= 2
+        and source.shape[-1] == w.shape[0]
+        and w.shape[-1] % heads == 0
+        and (b is None or b.shape == (w.shape[-1],)),
+        "attention",
+        source.shape,
+        w.shape,
+        *(() if b is None else (b.shape,)),
+    )
+    y = _project(source.values, w, b)
+    return y.reshape(*y.shape[:-1], heads, -1).swapaxes(-2, -3)
+
+
+def _heads_inside(lead: tuple, t: int, d: int, dtype) -> np.ndarray:
+    """An empty (*lead, t, d) array laid out with the last leading axis (the
+    heads) inside ``t``, so that swapping those two axes back, as the merge
+    of heads does, gives a C-contiguous view."""
+    return np.empty((*lead[:-1], t, lead[-1], d), dtype).swapaxes(-2, -3)
+
+
+def _relay(a: Tensor) -> Tensor:
+    """``a`` again as a node of its own: backward hands its gradient on to
+    ``a`` when it reaches the node, not when the consumer runs."""
+    return _node(a.values, (a,), lambda g: _accumulate(a, g))
+
+
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None
+    q, k, v, scale: float, mask: np.ndarray | None = None, heads: int = 1
 ) -> Tensor:
     """Scaled dot-product attention, ``softmax(scale * q @ kᵀ, mask) @ v``,
     one slice of the first axis at a time.
@@ -415,16 +476,30 @@ def attention(
     and broadcasts to the scores (B, ..., Tq, Tk); masked keys get
     probability exactly 0 and a row with none left attends to nothing.
 
+    Each of ``q``, ``k`` and ``v`` is a tensor or a projection
+    ``(source, w, b)`` (``b`` may be ``None``) of a source (..., T, d_in),
+    which the node computes and splits into ``heads`` heads itself, as
+    ``swapaxes(reshape(linear(source, w, b), (..., T, heads, -1)), -2, -3)``.
+
     Each slice's scores are computed into one reused buffer, so no
-    probability tensor outlives its slice.  The node keeps only ``q``, ``k``
-    and ``v``; backward recomputes each slice's probabilities in a buffer of
-    its own.  The output is laid out with the last leading axis (the heads)
-    inside the query axis, so swapping those two axes back, as the merge of
-    heads does, gives a C-contiguous view.  Values and gradients are
-    bit-identical to ``matmul(softmax(scale(matmul(q, swapaxes(k, -1, -2)),
-    scale), mask), v)``.
+    probability tensor outlives its slice.  The node keeps the tensors and
+    the projections' sources and weights, which the graph holds anyway, but
+    no projected q, k or v: backward rebuilds them with the same
+    ``_project`` calls, then recomputes each slice's probabilities in a
+    buffer of its own.  A projection's source takes its gradient as the
+    projection's own node would have.  Where the three do not share one
+    source, a k or v source is reached through a ``_relay``, so it receives
+    that gradient after whatever q's source feeds, as it did from a
+    projection node.  The output is laid out with the last leading axis
+    (the heads) inside the query axis, so swapping those two axes back, as
+    the merge of heads does, gives a C-contiguous view.  Values and
+    gradients are bit-identical to ``matmul(softmax(scale(matmul(q,
+    swapaxes(k, -1, -2)), scale), mask), v)`` over those projections.
     """
-    qv, kv, vv = q.values, k.values, v.values
+    projections = [x for x in (q, k, v) if not isinstance(x, Tensor)]
+    if len(projections) < 3 or len({id(x[0]) for x in projections}) > 1:
+        k, v = (x if isinstance(x, Tensor) else (_relay(x[0]), *x[1:]) for x in (k, v))
+    qv, kv, vv = (_heads(x, heads) for x in (q, k, v))
     lead = qv.shape[:-2]
     _shape_check(
         qv.ndim == kv.ndim == vv.ndim >= 3
@@ -449,22 +524,22 @@ def attention(
             fits = False
         _shape_check(fits, "attention", scores_shape, blocked.shape)
     ndim = qv.ndim
-    kt = kv.swapaxes(-1, -2)
     scores_dtype = np.result_type(qv, kv)
     dtype = np.result_type(qv, kv, vv)
-    merged = np.empty((*lead[:-1], qv.shape[-2], lead[-1], vv.shape[-1]), dtype)
-    out = merged.swapaxes(-2, -3)
+    out = _heads_inside(lead, qv.shape[-2], vv.shape[-1], dtype)
     buf = np.empty(scores_shape[1:], scores_dtype)
     for i in range(lead[0]):
-        p = _attention_probs(qv[i], _block(kt, i, ndim), scale, _block(blocked, i, ndim), buf)
+        kt_i = _block(kv, i, ndim).swapaxes(-1, -2)
+        p = _attention_probs(qv[i], kt_i, scale, _block(blocked, i, ndim), buf)
         np.matmul(p, _block(vv, i, ndim), out=out[i])
 
     def bw(g):
+        qv, kv, vv = (_heads(x, heads) for x in (q, k, v))
         # Gradients of shared K/V sum over the whole batch at the end.
         buf = np.empty(scores_shape[1:], scores_dtype)
-        gq = np.empty(qv.shape, dtype)
-        gkt = np.empty((*lead, *kt.shape[-2:]), dtype)
-        gv = np.empty((*lead, *vv.shape[-2:]), dtype)
+        gq = _heads_inside(lead, qv.shape[-2], qv.shape[-1], dtype)
+        gkt = np.empty((*lead, kv.shape[-1], kv.shape[-2]), dtype)
+        gv = _heads_inside(lead, vv.shape[-2], vv.shape[-1], dtype)
         for i in range(lead[0]):
             k_i, v_i = _block(kv, i, ndim), _block(vv, i, ndim)
             p = _attention_probs(qv[i], k_i.swapaxes(-1, -2), scale, _block(blocked, i, ndim), buf)
@@ -473,11 +548,23 @@ def attention(
             d *= scale
             np.matmul(d, k_i, out=gq[i])
             np.matmul(qv[i].swapaxes(-1, -2), d, out=gkt[i])
-        _accumulate(v, _unbroadcast(gv, vv.shape))
-        _accumulate(q, gq)
-        _accumulate(k, _unbroadcast(gkt, kt.shape).swapaxes(-1, -2))
+        gk = _unbroadcast(gkt, kv.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+        gv = _unbroadcast(gv, vv.shape)
+        # Tensors take their gradients in the order the chain's matmuls
+        # handed them; projections pass theirs on in the order the chain's
+        # projection nodes ran.
+        for x, gx in ((v, gv), (q, gq), (k, gk)):
+            if isinstance(x, Tensor):
+                _accumulate(x, gx)
+        for x, gx in ((q, gq), (k, gk), (v, gv)):
+            if not isinstance(x, Tensor):
+                merged = np.ascontiguousarray(gx.swapaxes(-2, -3))
+                _project_grad(merged.reshape(*merged.shape[:-2], -1), *x)
 
-    return _node(out, (q, k, v), bw)
+    parents = []
+    for x in (q, k, v):
+        parents += [x] if isinstance(x, Tensor) else [t for t in x if t is not None]
+    return _node(out, parents, bw)
 
 
 def _normalize(x: np.ndarray, out: np.ndarray | None = None):
@@ -586,7 +673,7 @@ def _join_grad(g, x: Tensor, xhat, inv, keep, gain: Tensor, bias: Tensor, rate: 
 
 def add_norm(
     x: Tensor,
-    y: Tensor,
+    y,
     gain: Tensor,
     bias: Tensor,
     rate: float,
@@ -595,7 +682,8 @@ def add_norm(
 ) -> Tensor:
     """The post-norm residual join ``layer_norm(add(x, dropout(z, rate,
     rng)), gain, bias)`` as one node, where ``z`` is ``y`` or, given
-    ``proj = (w, b)``, the sub-layer's output projection ``linear(y, w, b)``.
+    ``proj = (w, b)``, the sub-layer's output projection ``linear(y, w, b)``,
+    whose ``y`` may be a list of parts as ``linear``'s input may.
 
     The node keeps only what its backward reads: the normalised sum
     ``xhat``, the per-row scale and the bool keep mask.  A projection's
@@ -606,17 +694,19 @@ def add_norm(
         z, parents = y.values, (x, y, gain, bias)
     else:
         w, b = proj
+        yv = _joined(y, "add_norm")
         _shape_check(
-            y.shape[-1] == w.shape[0]
-            and x.shape == (*y.shape[:-1], w.shape[1])
+            yv.shape[-1] == w.shape[0]
+            and x.shape == (*yv.shape[:-1], w.shape[1])
             and b.shape == (w.shape[1],),
             "add_norm",
             x.shape,
-            y.shape,
+            yv.shape,
             w.shape,
             b.shape,
         )
-        z, parents = _project(y.values, w, b), (x, y, gain, bias, w, b)
+        z, parents = _project(yv, w, b), (x, *_parts(y), gain, bias, w, b)
+        del yv  # a concatenation of parts lives only while the GEMM reads it
     _check_norm_params("add_norm", x, gain, bias)
     xhat, inv, keep = _join(x, z, rate, rng)
 

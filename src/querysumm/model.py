@@ -28,12 +28,15 @@ which keeps the normalised sum, its per-row scale and a 1-byte dropout mask.
 Every join but the query layer's owns its sub-layer's last linear
 (attention's ``wo``, the FFN's ``w2``, the global layer's ``fold``) and
 computes it inside its node, so the projected output is never kept for
-backward; attention's
-output is laid out so that merging its heads is a view.  The whole FFN
-sub-layer with its join is one node too, ``ad.feed_forward``: it keeps what
-the join keeps plus the 1-byte mask of the hidden layer
-``Dropout(relu(w1(x)))``, not the hidden layer itself, which backward
-rebuilds from ``x`` and that mask.
+backward.  In the same way every attention owns its input projections: one
+``ad.attention`` node computes q, k and v from its sources and keeps the
+sources, not the projections, which backward rebuilds; its output is laid
+out so that merging its heads is a view.  A projection of a concatenation
+(the global layer's ``fold``, ``ordering_fold``, ``merge``) reads the
+parts, so no concat is kept either.  The whole FFN sub-layer with its join
+is one node too, ``ad.feed_forward``: it keeps what the join keeps plus
+the 1-byte mask of the hidden layer ``Dropout(relu(w1(x)))``, not the
+hidden layer itself, which backward rebuilds from ``x`` and that mask.
 """
 
 from __future__ import annotations
@@ -263,7 +266,9 @@ class Linear:
         self.w = store.kaiming(f"{name}.w", (d_in, d_out), fan_in=d_in)
         self.b = store.zeros(f"{name}.b", (d_out,)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x) -> Tensor:
+        """``x`` is a tensor or a list of parts read as their last-axis
+        concatenation, which ``ad.linear`` never keeps."""
         return ad.linear(x, self.w, self.b)
 
 
@@ -279,7 +284,7 @@ class AddNorm:
         self.bias = store.zeros(f"{name}.bias", (cfg.d_model,))
         self.rate = cfg.dropout
 
-    def __call__(self, x: Tensor, y: Tensor, rng=None, proj: Linear | None = None) -> Tensor:
+    def __call__(self, x: Tensor, y, rng=None, proj: Linear | None = None) -> Tensor:
         wb = None if proj is None else (proj.w, proj.b)
         return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng, wb)
 
@@ -311,14 +316,18 @@ def _split_heads(x: Tensor, heads: int) -> Tensor:
 class MultiHeadAttention:
     """Scaled dot-product attention, heads split from d_model.
 
-    ``project_kv`` turns a source (..., Tk, d_model) into the keys and
-    values that ``__call__`` attends over with queries (..., Tq, d_model);
-    a size-1 leading axis there is shared by the whole query batch.
-    ``key_mask`` is (..., Tk) boolean and ``causal`` lets query i see keys
-    up to ``Tk - Tq + i``: the keys end with the queries' own positions,
-    possibly after cached earlier ones.  ``context`` returns the context
-    with heads merged, before the output projection ``wo``, for a join
-    that owns ``wo``; ``__call__`` returns the projected context.
+    ``project_kv`` turns a source (..., Tk, d_model) into the key and value
+    projections that ``__call__`` attends over with queries
+    (..., Tq, d_model).  The attention node computes them, and the query
+    projection, itself, so a graph keeps the source and the weights but no
+    projected q, k or v.  ``cached_kv`` computes the keys and values
+    instead, for decoding to keep; a size-1 leading axis there is shared by
+    the whole query batch.  ``key_mask`` is (..., Tk) boolean and
+    ``causal`` lets query i see keys up to ``Tk - Tq + i``: the keys end
+    with the queries' own positions, possibly after cached earlier ones.
+    ``context`` returns the context with heads merged, before the output
+    projection ``wo``, for a join that owns ``wo``; ``__call__`` returns
+    the projected context.
     """
 
     def __init__(self, store, name, d_model, heads):
@@ -331,24 +340,34 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.wv", d_model, d_model)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model)
 
-    def project_kv(self, source: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of ``source`` split into heads, each
-        (..., heads, Tk, dk)."""
-        return _split_heads(self.wk(source), self.heads), _split_heads(self.wv(source), self.heads)
+    def project_kv(self, source: Tensor) -> tuple[tuple, tuple]:
+        """The key and value projections ``(source, w, b)`` of ``source``,
+        for the attention node to compute."""
+        return (source, self.wk.w, self.wk.b), (source, self.wv.w, self.wv.b)
+
+    def cached_kv(self, source: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of ``source`` as C-contiguous (..., heads, Tk,
+        dk) constants, for decoding to keep and attend over at every step;
+        call it under ``ad.no_grad``."""
+        heads = (_split_heads(proj(source), self.heads).values for proj in (self.wk, self.wv))
+        return tuple(ad.tensor(np.ascontiguousarray(h), source.dtype) for h in heads)
 
     def context(self, query, kv, key_mask=None, causal=False) -> Tensor:
-        """(..., Tq, d_model); ``attention``'s output layout makes the merge
+        """(..., Tq, d_model) from ``kv``, the pair ``project_kv`` or
+        ``cached_kv`` returns; ``attention``'s output layout makes the merge
         of heads a view."""
-        q = _split_heads(self.wq(query), self.heads)
         k, v = kv
-        tq, tk = q.shape[-2], k.shape[-2]
+        tq = query.shape[-2]
+        tk = (k if isinstance(k, Tensor) else k[0]).shape[-2]
         mask = None
         if key_mask is not None:
             mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
         if causal:
             tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
-        ctx = ad.swapaxes(ad.attention(q, k, v, 1.0 / math.sqrt(self.dk), mask), -2, -3)
+        q = (query, self.wq.w, self.wq.b)
+        ctx = ad.attention(q, k, v, 1.0 / math.sqrt(self.dk), mask, self.heads)
+        ctx = ad.swapaxes(ctx, -2, -3)
         *lead, t, h, dk = ctx.shape
         return ad.reshape(ctx, (*lead, t, h * dk))
 
@@ -433,9 +452,10 @@ class QueryLayer:
 class GlobalLayer:
     """Cross-document layer: pool each document to a vector, run
     inter-document attention over the vectors, then fold each document's
-    context back into its token states via a concat + projection, residual
-    and FFN.  Inter-document attention sees only real documents, those with
-    a real token in ``token_mask``."""
+    context back into its token states via a projection of their
+    concatenation (which the join owns and never keeps), residual and FFN.
+    Inter-document attention sees only real documents, those with a real
+    token in ``token_mask``."""
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.pool = MultiHeadPooling(store, f"{name}.pool", cfg.d_model, cfg.heads)
@@ -453,7 +473,7 @@ class GlobalLayer:
         seq = ad.reshape(doc_vectors, (1, n, d))
         ctx = self.inter(seq, self.inter.project_kv(seq), key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
-        both = ad.concat([x, _broadcast_vector(ctx, t)], axis=-1)
+        both = [x, _broadcast_vector(ctx, t)]
         return self.ffn(self.ln1(x, both, rng, self.fold), rng), doc_vectors
 
 
@@ -480,23 +500,22 @@ class DecoderLayer:
         self.ln2 = AddNorm(store, f"{name}.ln2", cfg)
         self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln3", cfg)
 
-    def project_memory(self, memory: Tensor) -> tuple[Tensor, Tensor]:
-        """Cross-attention K/V of the encoder memory (..., M, d)."""
+    def project_memory(self, memory: Tensor) -> tuple[tuple, tuple]:
+        """Cross-attention K/V projections of the encoder memory (..., M, d)."""
         return self.cross_attn.project_kv(memory)
 
-    def __call__(self, x, memory_kv, memory_mask, past_kv=None, rng=None):
-        """Run new positions x (..., S, d): causal self-attention, then
-        cross-attention against ``memory_kv`` from ``project_memory``, then
-        the FFN.  ``past_kv`` holds the self-attention K/V of the P positions
-        before x, (..., heads, P, dk).  Returns the output and the
-        self-attention K/V of all P + S positions."""
-        kv = self.self_attn.project_kv(x)
-        if past_kv is not None:
-            kv = tuple(ad.concat([past, new], axis=-2) for past, new in zip(past_kv, kv))
-        x = self.ln1(x, self.self_attn.context(x, kv, causal=True), rng, self.self_attn.wo)
-        ctx = self.cross_attn.context(x, memory_kv, key_mask=memory_mask)
-        x = self.ln2(x, ctx, rng, self.cross_attn.wo)
-        return self.ffn(x, rng), kv
+    def __call__(self, x, memory_kv, memory_mask, rng=None, self_kv=None):
+        """Run positions x (..., S, d): causal self-attention, then
+        cross-attention against ``memory_kv`` (``project_memory``'s, or a
+        decoding cache's), then the FFN.  x's queries attend over
+        ``self_kv``: by default x's own K/V projections; incremental
+        decoding passes its cache (``cached_kv``), whose positions end with
+        x's own."""
+        sa, ca = self.self_attn, self.cross_attn
+        kv = sa.project_kv(x) if self_kv is None else self_kv
+        x = self.ln1(x, sa.context(x, kv, causal=True), rng, sa.wo)
+        x = self.ln2(x, ca.context(x, memory_kv, key_mask=memory_mask), rng, ca.wo)
+        return self.ffn(x, rng)
 
 
 class SummModel:
@@ -582,9 +601,9 @@ class SummModel:
             r = self.ordering(doc_vectors, real_documents(token_mask))
             _, t, d = token_states.shape
             pe_b = _broadcast_vector(ordering_encoding(r, d), t)
-            branch = self.ordering_fold(ad.concat([branch, pe_b], axis=-1))
+            branch = self.ordering_fold([branch, pe_b])
         if cfg.use_hierarchical_merge:
-            branch = self.merge(ad.concat([local_states, branch], axis=-1))
+            branch = self.merge([local_states, branch])
 
         n, t, d = token_states.shape
         memory = ad.reshape(branch, (n * t, d))
@@ -621,7 +640,7 @@ class SummModel:
             raise ValueError("decoder prefix must start with the sequence-start token")
         x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng)
         for layer in self.decoder:
-            x, _ = layer(x, layer.project_memory(memory), memory_mask, rng=rng)
+            x = layer(x, layer.project_memory(memory), memory_mask, rng)
         return self.output_logits(x)
 
     def start_decoding(self, enc: EncodedBatch) -> DecoderState:
@@ -669,8 +688,9 @@ class DecoderState:
     """Incremental decoding of one encoded example, forward only.
 
     Each decoder layer's cross-attention K/V is projected from the memory
-    once, as (1, heads, M, dk), and shared by every hypothesis.  Each step
-    feeds B live hypotheses one token each as a (B, 1, d) pass; the layers'
+    once, as (1, heads, M, dk), copied C-contiguous so that each head's
+    keys are dense rows, and shared by every hypothesis.  Each step feeds B
+    live hypotheses one token each as a (B, 1, d) pass; the layers'
     self-attention K/V of the positions so far are cached per hypothesis
     row.  Everything runs under ``ad.no_grad``, so the K/V are constants and
     no graph is built, even over a memory that has one.  Step logits match
@@ -683,21 +703,35 @@ class DecoderState:
         self.memory_mask = enc.memory_mask
         with ad.no_grad():
             memory = ad.reshape(enc.memory, (1, *enc.memory.shape))
-            self.memory_kv = [layer.project_memory(memory) for layer in model.decoder]
+            self.memory_kv = [layer.cross_attn.cached_kv(memory) for layer in model.decoder]
         self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(model.decoder)
         self.length = 0  # positions decoded so far
 
+    def _live(self) -> int:
+        """Hypotheses in the cache: the rows of the last step."""
+        return self.self_kv[0][0].shape[0] if self.length else 0
+
     def step(self, last_ids) -> np.ndarray:
         """Advance every hypothesis by its latest token (the sequence-start
-        id on the first step); returns next-token logits (B, vocab)."""
+        id on the first step); returns next-token logits (B, vocab).  After
+        the first step B must be the number of cached hypotheses."""
         ids = np.asarray(last_ids, dtype=np.int64).reshape(-1, 1)
+        if ids.shape[0] == 0 or (self.length and ids.shape[0] != self._live()):
+            raise ValueError(
+                f"step needs one id per live hypothesis: got {ids.shape[0]} ids "
+                f"for {self._live()} cached hypotheses"
+            )
         if self.length == 0 and (ids != BOS_ID).any():
             raise ValueError("decoder prefix must start with the sequence-start token")
         with ad.no_grad():
             x = self.model.embed_target(ids, self.length)
             for i, layer in enumerate(self.model.decoder):
-                x, kv = layer(x, self.memory_kv[i], self.memory_mask, past_kv=self.self_kv[i])
+                kv = layer.self_attn.cached_kv(x)
+                if self.self_kv[i] is not None:
+                    past = self.self_kv[i]
+                    kv = tuple(ad.concat([p, new], axis=-2) for p, new in zip(past, kv))
                 self.self_kv[i] = kv
+                x = layer(x, self.memory_kv[i], self.memory_mask, self_kv=kv)
             logits = self.model.output_logits(x)
         self.length += 1
         return logits.values[:, 0, :]
@@ -706,6 +740,10 @@ class DecoderState:
         """Keep cache row ``index[j]`` as hypothesis j, e.g. the parent of
         each hypothesis that survives beam pruning."""
         index = np.asarray(index, dtype=np.int64)
+        live = self._live()
+        outside = index[(index < 0) | (index >= live)]
+        if outside.size:
+            raise ValueError(f"reorder: index {outside[0]} is outside the {live} live hypotheses")
         self.self_kv = [
             tuple(ad.tensor(t.values[index], dtype=t.dtype) for t in kv) for kv in self.self_kv
         ]

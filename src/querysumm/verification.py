@@ -126,7 +126,7 @@ def _merge(rng, cfg, store):
     merge = Linear(store, "merge", 2 * cfg.d_model, cfg.d_model)
     local = _states(rng, (2, 4, cfg.d_model))
     global_ = _states(rng, (2, 4, cfg.d_model))
-    return lambda: merge(ad.concat([local, global_], axis=-1))
+    return lambda: merge([local, global_])
 
 
 def _decoder(rng, cfg, store):
@@ -134,7 +134,7 @@ def _decoder(rng, cfg, store):
     x = _states(rng, (3, cfg.d_model))
     memory = _states(rng, (6, cfg.d_model))
     memory_mask = np.array([True] * 5 + [False])
-    return lambda: layer(x, layer.project_memory(memory), memory_mask)[0]
+    return lambda: layer(x, layer.project_memory(memory), memory_mask)
 
 
 def _toy_input(rng, cfg) -> ModelInput:

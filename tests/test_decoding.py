@@ -429,10 +429,12 @@ class TestWorkPerDecode:
         for beam in (1, 3):
             memory_k, positions = [], []
             for layer in model.decoder:
+                # Each position's self-attention key is projected once, for
+                # the cache; its query is projected inside the attention.
                 layer.cross_attn.wk = CountingLinear(layer.cross_attn.wk)
-                layer.self_attn.wq = CountingLinear(layer.self_attn.wq)
+                layer.self_attn.wk = CountingLinear(layer.self_attn.wk)
                 memory_k.append(layer.cross_attn.wk)
-                positions.append(layer.self_attn.wq)
+                positions.append(layer.self_attn.wk)
             # The end token is banned until ``max_len``, where the decode
             # stops, so every decode is exactly ``length`` tokens long.
             cfg = DecodeConfig(beam=beam, min_len=length, max_len=length)
@@ -442,4 +444,4 @@ class TestWorkPerDecode:
             if beam == 1:
                 assert [c.rows for c in positions] == [length] * len(model.decoder)
             for layer, k, q in zip(model.decoder, memory_k, positions):
-                layer.cross_attn.wk, layer.self_attn.wq = k.linear, q.linear
+                layer.cross_attn.wk, layer.self_attn.wk = k.linear, q.linear

@@ -22,6 +22,7 @@ from querysumm.model import (
     ParamStore,
     QueryLayer,
     SummModel,
+    _split_heads,
     check_fields,
     joint_flags,
     ordering_encoding,
@@ -47,12 +48,14 @@ def attention_probs(monkeypatch):
     probs = []
     attention = ad.attention
 
-    def record(q, k, v, scale, mask=None):
-        tk = k.shape[-2]
-        eye = ad.tensor(np.eye(tk).reshape((1,) * (k.values.ndim - 2) + (tk, tk)), k.dtype)
+    def record(q, k, v, scale, mask=None, heads=1):
+        # A tensor key is (..., heads, Tk, dk), a projection's source (..., Tk, d).
+        keys = k if isinstance(k, ad.Tensor) else k[0]
+        tk, ndim = keys.shape[-2], keys.values.ndim + (not isinstance(k, ad.Tensor))
+        eye = ad.tensor(np.eye(tk).reshape((1,) * (ndim - 2) + (tk, tk)), keys.dtype)
         with ad.no_grad():
-            probs.append(attention(q, k, eye, scale, mask).values)
-        return attention(q, k, v, scale, mask)
+            probs.append(attention(q, k, eye, scale, mask, heads).values)
+        return attention(q, k, v, scale, mask, heads)
 
     monkeypatch.setattr(ad, "attention", record)
     return probs
@@ -719,6 +722,51 @@ class TestDecoderState:
         model, enc = self.model_and_encoding(np.float64)
         with pytest.raises(ValueError):
             model.start_decoding(enc).step([5])
+
+    def test_step_refuses_ids_that_are_not_one_per_live_hypothesis(self):
+        model, enc = self.model_and_encoding(np.float64)
+        state = model.start_decoding(enc)
+        with pytest.raises(ValueError, match="got 0 ids for 0 cached hypotheses"):
+            state.step([])
+        state.step([BOS_ID] * 3)
+        for ids in ([9, 9], [9] * 4, []):
+            with pytest.raises(ValueError, match=f"got {len(ids)} ids for 3 cached hypotheses"):
+                state.step(ids)
+        assert state.step([9, 9, 9]).shape == (3, 60) and state.length == 2
+
+    def test_reorder_refuses_an_index_outside_the_live_rows(self):
+        model, enc = self.model_and_encoding(np.float64)
+        state = model.start_decoding(enc)
+        with pytest.raises(ValueError, match="index 0 is outside the 0 live hypotheses"):
+            state.reorder([0])
+        state.step([BOS_ID] * 2)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"index {bad} is outside the 2 live hypotheses"):
+                state.reorder([0, bad])
+        state.reorder([1, 1, 0])
+        assert state.step([9, 9, 9]).shape == (3, 60)
+
+    def test_memory_keys_and_values_are_contiguous_copies(self):
+        """Each head's memory keys are dense rows, not a view with a row
+        stride of ``heads * dk``; the step logits are those of the views."""
+        model, enc = self.model_and_encoding(np.float32)
+        state = model.start_decoding(enc)
+        for k, v in state.memory_kv:
+            assert k.values.flags.c_contiguous and v.values.flags.c_contiguous
+        logits = state.step([BOS_ID])
+        with ad.no_grad():
+            memory = ad.reshape(enc.memory, (1, *enc.memory.shape))
+            views = [
+                tuple(
+                    _split_heads(proj(memory), layer.cross_attn.heads)
+                    for proj in (layer.cross_attn.wk, layer.cross_attn.wv)
+                )
+                for layer in model.decoder
+            ]
+        assert not views[0][0].values.flags.c_contiguous
+        on_views = model.start_decoding(enc)
+        on_views.memory_kv = views
+        assert on_views.step([BOS_ID]).tobytes() == logits.tobytes()
 
 
 class TestGraphFreeEncode:

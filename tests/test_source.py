@@ -254,3 +254,83 @@ def test_every_join_but_the_query_layers_owns_its_projection():
         ("LocalLayer", "ln1", True),
         ("QueryLayer", "ln1", False),
     ]
+
+
+def _calls_by_scope(path, match):
+    """(class, function, call, enclosing ``with`` items) of every call in
+    ``path`` that ``match`` accepts; class is ``None`` for a module
+    function."""
+    found = []
+
+    def visit(node, cls, fn, withs):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None, ())
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name, ())
+            elif isinstance(child, ast.With):
+                items = tuple(ast.unparse(item.context_expr) for item in child.items)
+                visit(child, cls, fn, withs + items)
+            else:
+                if isinstance(child, ast.Call) and match(child):
+                    found.append((cls, fn, child, withs))
+                visit(child, cls, fn, withs)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, None, ())
+    return found
+
+
+def _is_call_of(name, owner=None):
+    def match(call):
+        f = call.func
+        return (
+            isinstance(f, ast.Attribute)
+            and f.attr == name
+            and (owner is None or getattr(f.value, "id", None) == owner)
+        )
+
+    return match
+
+
+def test_no_concat_in_the_model_feeds_a_projection():
+    """A projection of a concatenation takes the parts, ``ad.linear``'s and
+    ``ad.add_norm``'s list input, so the (..., 2d) concat is never a graph
+    node.  The two concats ``model.py`` keeps feed no projection:
+    ``ordering_encoding`` interleaves sines and cosines for a reshape, and
+    ``DecoderState.step`` extends the decoding cache under ``no_grad``."""
+    concats = _calls_by_scope(SOURCE / "model.py", _is_call_of("concat", "ad"))
+    assert sorted((cls or "", fn) for cls, fn, _, _ in concats) == [
+        ("", "ordering_encoding"),
+        ("DecoderState", "step"),
+    ]
+
+
+def test_every_attention_in_a_graph_computes_its_projections():
+    """``model.py`` builds attention in one place, ``MultiHeadAttention.
+    context``, which passes the query projection ``(query, w, b)``, and
+    the only keys and values it does not hand over as projections are
+    ``cached_kv``'s, which decoding makes under ``no_grad``.  So every
+    attention node in a graph computes its q, k and v itself and keeps
+    none of them."""
+    path = SOURCE / "model.py"
+    attention = _calls_by_scope(path, _is_call_of("attention", "ad"))
+    assert [(cls, fn) for cls, fn, _, _ in attention] == [("MultiHeadAttention", "context")]
+    context = next(
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "context"
+    )
+    q_arg = attention[0][2].args[0].id
+    assigned = [
+        node.value
+        for node in ast.walk(context)
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == q_arg
+    ]
+    assert len(assigned) == 1 and isinstance(assigned[0], ast.Tuple)
+    cached = _calls_by_scope(path, _is_call_of("cached_kv"))
+    assert cached and all("ad.no_grad()" in withs for _, _, _, withs in cached)
+    split = _calls_by_scope(path, lambda call: getattr(call.func, "id", None) == "_split_heads")
+    assert sorted((cls, fn) for cls, fn, _, _ in split) == [
+        ("MultiHeadAttention", "cached_kv"),
+        ("MultiHeadPooling", "__call__"),
+    ]
