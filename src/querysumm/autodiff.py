@@ -527,11 +527,17 @@ def attention(
     scores_dtype = np.result_type(qv, kv)
     dtype = np.result_type(qv, kv, vv)
     out = _heads_inside(lead, qv.shape[-2], vv.shape[-1], dtype)
-    buf = np.empty(scores_shape[1:], scores_dtype)
-    for i in range(lead[0]):
-        kt_i = _block(kv, i, ndim).swapaxes(-1, -2)
-        p = _attention_probs(qv[i], kt_i, scale, _block(blocked, i, ndim), buf)
-        np.matmul(p, _block(vv, i, ndim), out=out[i])
+    if qv.shape[-2] > 1:
+        buf = np.empty(scores_shape[1:], scores_dtype)
+        for i in range(lead[0]):
+            kt_i = _block(kv, i, ndim).swapaxes(-1, -2)
+            p = _attention_probs(qv[i], kt_i, scale, _block(blocked, i, ndim), buf)
+            np.matmul(p, _block(vv, i, ndim), out=out[i])
+    else:
+        # One incremental step: the whole batch's scores are one small block.
+        scores = np.empty(scores_shape, scores_dtype)
+        p = _attention_probs(qv, kv.swapaxes(-1, -2), scale, blocked, scores)
+        np.matmul(p, vv, out=out)
 
     def bw(g):
         qv, kv, vv = (_heads(x, heads) for x in (q, k, v))

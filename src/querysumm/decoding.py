@@ -48,26 +48,54 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def _banned_by_trigram(tokens: list[int]) -> set[int]:
-    """Continuations that would repeat a trigram already in ``tokens``."""
-    if len(tokens) < 2:
-        return set()
-    seen = {tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
-    a, b = tokens[-2], tokens[-1]
-    return {w for (x, y, w) in seen if (x, y) == (a, b)}
+def _add_trigram(continuations: dict, a: int, b: int, w: int) -> None:
+    """Record that ``w`` followed the bigram ``(a, b)``.  The value is
+    replaced, never changed in place, so a shallow copy of the map can be
+    extended without touching the original."""
+    continuations[a, b] = continuations.get((a, b), ()) + (w,)
 
 
-def _masked_logprobs(logits: np.ndarray, tokens: list[int], config) -> np.ndarray:
-    """Next-token log-probabilities of one hypothesis with every banned
-    continuation at -inf."""
+def _extend_trigrams(maps: list[dict], parents: list[int], active) -> list[dict]:
+    """Each kept hypothesis's trigram map: its parent's, plus the trigram
+    that its newest token closes.  A parent's last kept child takes the map
+    over; its earlier children copy it before that, so no map changes under
+    another hypothesis."""
+    last = {parent: j for j, parent in enumerate(parents)}
+    out = []
+    for j, (parent, (tokens, _)) in enumerate(zip(parents, active)):
+        m = maps[parent] if last[parent] == j else dict(maps[parent])
+        if len(tokens) >= 3:
+            _add_trigram(m, *tokens[-3:])
+        out.append(m)
+    return out
+
+
+def _masked_logprobs(logits: np.ndarray, active, trigrams, config) -> np.ndarray:
+    """Next-token log-probabilities (B, vocab) of the B live hypotheses,
+    which all have the same length, with every banned continuation at -inf.
+    ``trigrams`` holds each hypothesis's map from a bigram to the tokens
+    that followed it, or is ``None`` when trigrams are not blocked.
+
+    A NaN or +inf logit raises ``FloatingPointError``: its row would mask
+    to nothing and the hypothesis would finish as it is.  -inf is a logit
+    of probability 0."""
+    length = len(active[0][0])
+    if not (logits < np.inf).all():
+        raise FloatingPointError(
+            f"decoding step {length + 1}: the model's logits are NaN or +inf"
+        )
     logp = log_softmax_values(logits).astype(np.float64)
-    logp[list(STRUCTURAL_IDS)] = -np.inf
-    if len(tokens) < config.min_len:
-        logp[EOS_ID] = -np.inf
-    if config.block_trigrams:
-        banned = _banned_by_trigram(tokens)
-        if banned:
-            logp[list(banned)] = -np.inf
+    logp[:, list(STRUCTURAL_IDS)] = -np.inf
+    if length < config.min_len:
+        logp[:, EOS_ID] = -np.inf
+    if trigrams is not None and length >= 2:
+        rows, ids = [], []
+        for row, ((tokens, _), m) in enumerate(zip(active, trigrams)):
+            banned = m.get((tokens[-2], tokens[-1]), ())
+            rows += [row] * len(banned)
+            ids += banned
+        if rows:
+            logp[rows, ids] = -np.inf
     return logp
 
 
@@ -99,18 +127,19 @@ def beam_search_nbest(
     advances them all; the cache then follows the survivors of pruning."""
     state = model.start_decoding(enc)
     active: list[tuple[list[int], float]] = [([], 0.0)]
+    trigrams = [{}] if config.block_trigrams else None
     finished: list[tuple[list[int], float]] = []
     while active and len(active[0][0]) < config.max_len:
         logits = state.step([tokens[-1] if tokens else BOS_ID for tokens, _ in active])
+        logp = _masked_logprobs(logits, active, trigrams, config)
         expansions: list[tuple[list[int], float, int]] = []  # + row of the parent
         for row, (tokens, score) in enumerate(active):
-            logp = _masked_logprobs(logits[row], tokens, config)
-            best = _best_ids(logp, config.beam)
+            best = _best_ids(logp[row], config.beam)
             if not best.size:
                 finished.append((tokens, score))
                 continue
             for v in best:
-                lp_v = logp[v]
+                lp_v = logp[row, v]
                 if v == EOS_ID:
                     finished.append((tokens, score + float(lp_v)))
                 else:
@@ -118,7 +147,10 @@ def beam_search_nbest(
         expansions.sort(key=lambda e: (-e[1], e[0]))
         kept = expansions[: config.beam]
         active = [(tokens, score) for tokens, score, _ in kept]
-        state.reorder([row for _, _, row in kept])
+        parents = [row for _, _, row in kept]
+        if trigrams is not None:
+            trigrams = _extend_trigrams(trigrams, parents, active)
+        state.reorder(parents)
     finished.extend(active)  # cut off at max_len
     ranked = [
         (tokens, score / length_penalty(len(tokens), config.alpha))

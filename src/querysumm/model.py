@@ -744,6 +744,8 @@ class DecoderState:
         outside = index[(index < 0) | (index >= live)]
         if outside.size:
             raise ValueError(f"reorder: index {outside[0]} is outside the {live} live hypotheses")
+        if index.size == live and (index == np.arange(live)).all():
+            return  # every row stays where it is, as greedy decoding keeps it
         self.self_kv = [
             tuple(ad.tensor(t.values[index], dtype=t.dtype) for t in kv) for kv in self.self_kv
         ]

@@ -6,7 +6,6 @@ from querysumm import decoding
 from querysumm.decoding import (
     STRUCTURAL_IDS,
     DecodeConfig,
-    _banned_by_trigram,
     _best_ids,
     beam_search,
     beam_search_nbest,
@@ -323,21 +322,37 @@ class TestBestIdsAgainstLexsort:
         assert got == want
 
 
+def banned_by_trigram(tokens):
+    """Continuations that would repeat a trigram already in ``tokens``, by
+    brute force: the oracle of the incremental trigram maps."""
+    if len(tokens) < 2:
+        return set()
+    seen = {tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
+    a, b = tokens[-2], tokens[-1]
+    return {w for (x, y, w) in seen if (x, y) == (a, b)}
+
+
+def row_masked_logprobs(logits, tokens, config):
+    """One hypothesis's masked next-token log-probabilities, computed on its
+    own row: the oracle of the batched ``_masked_logprobs``."""
+    logp = log_softmax_values(logits).astype(np.float64)
+    logp[list(STRUCTURAL_IDS)] = -np.inf
+    if len(tokens) < config.min_len:
+        logp[EOS_ID] = -np.inf
+    if config.block_trigrams:
+        banned = banned_by_trigram(tokens)
+        if banned:
+            logp[list(banned)] = -np.inf
+    return logp
+
+
 def reference_beam_search_nbest(model, enc, config):
     """Full-recompute beam search: every hypothesis reruns ``decode_logits``
     on its whole prefix at every step.  The oracle of the incremental one."""
 
     def masked_logprobs(tokens):
         logits = model.decode_logits([BOS_ID] + tokens, enc.memory, enc.memory_mask)
-        logp = log_softmax_values(logits.values[-1]).astype(np.float64)
-        logp[list(STRUCTURAL_IDS)] = -np.inf
-        if len(tokens) < config.min_len:
-            logp[EOS_ID] = -np.inf
-        if config.block_trigrams:
-            banned = _banned_by_trigram(tokens)
-            if banned:
-                logp[list(banned)] = -np.inf
-        return logp
+        return row_masked_logprobs(logits.values[-1], tokens, config)
 
     active, finished = [([], 0.0)], []
     while active:
