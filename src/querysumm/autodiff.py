@@ -468,7 +468,8 @@ def attention(
     q, k, v, scale: float, mask: np.ndarray | None = None, heads: int = 1
 ) -> Tensor:
     """Scaled dot-product attention, ``softmax(scale * q @ kᵀ, mask) @ v``,
-    one slice of the first axis at a time.
+    one slice of the first axis at a time, or, for one query per row (an
+    incremental decoding step, Tq == 1), the whole batch at once.
 
     ``q`` is (B, ..., Tq, dk), ``k`` (B, ..., Tk, dk) and ``v``
     (B, ..., Tk, dv); each leading dim of ``k`` and ``v`` equals ``q``'s or
@@ -482,7 +483,13 @@ def attention(
     ``swapaxes(reshape(linear(source, w, b), (..., T, heads, -1)), -2, -3)``.
 
     Each slice's scores are computed into one reused buffer, so no
-    probability tensor outlives its slice.  The node keeps the tensors and
+    probability tensor outlives its slice.  With Tq == 1 the scores of all
+    slices are one small block instead.  When the batch shares K/V (their
+    first axis and the mask's are 1, as over a decoder memory that a beam
+    shares), the B queries are the rows of one ``(..., B, dk) @ (..., dk,
+    Tk)`` GEMM per head rather than B GEMVs; that changes the summation
+    order, so those values differ from the slice loop's by rounding (about
+    1e-16 relative in float64).  The node keeps the tensors and
     the projections' sources and weights, which the graph holds anyway, but
     no projected q, k or v: backward rebuilds them with the same
     ``_project`` calls, then recomputes each slice's probabilities in a
@@ -494,7 +501,8 @@ def attention(
     (the heads) inside the query axis, so swapping those two axes back, as
     the merge of heads does, gives a C-contiguous view.  Values and
     gradients are bit-identical to ``matmul(softmax(scale(matmul(q,
-    swapaxes(k, -1, -2)), scale), mask), v)`` over those projections.
+    swapaxes(k, -1, -2)), scale), mask), v)`` over those projections,
+    except the values of that shared-K/V case.
     """
     projections = [x for x in (q, k, v) if not isinstance(x, Tensor)]
     if len(projections) < 3 or len({id(x[0]) for x in projections}) > 1:
@@ -533,6 +541,16 @@ def attention(
             kt_i = _block(kv, i, ndim).swapaxes(-1, -2)
             p = _attention_probs(qv[i], kt_i, scale, _block(blocked, i, ndim), buf)
             np.matmul(p, _block(vv, i, ndim), out=out[i])
+    elif lead[0] > 1 and kv.shape[0] == vv.shape[0] == 1 and (
+        blocked is None or blocked.ndim < ndim or blocked.shape[0] == 1
+    ):
+        # One incremental step over K/V and a mask that the batch shares:
+        # the batch's queries are the rows of one GEMM per head.
+        rows = np.empty((*lead[1:], lead[0], kv.shape[-2]), scores_dtype)
+        q_rows = np.moveaxis(qv[..., 0, :], 0, -2)
+        kt = kv[0].swapaxes(-1, -2)
+        p = _attention_probs(q_rows, kt, scale, _block(blocked, 0, ndim), rows)
+        np.matmul(p, vv[0], out=np.moveaxis(out[..., 0, :], 0, -2))
     else:
         # One incremental step: the whole batch's scores are one small block.
         scores = np.empty(scores_shape, scores_dtype)

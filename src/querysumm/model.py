@@ -362,7 +362,7 @@ class MultiHeadAttention:
         mask = None
         if key_mask is not None:
             mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
-        if causal:
+        if causal and tq > 1:  # one query sees every key
             tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
         q = (query, self.wq.w, self.wq.b)
@@ -692,10 +692,11 @@ class DecoderState:
     keys are dense rows, and shared by every hypothesis.  Each step feeds B
     live hypotheses one token each as a (B, 1, d) pass; the layers'
     self-attention K/V of the positions so far are cached per hypothesis
-    row.  Everything runs under ``ad.no_grad``, so the K/V are constants and
-    no graph is built, even over a memory that has one.  Step logits match
-    the matching rows of ``SummModel.decode_logits`` up to floating-point
-    summation order.
+    row.  Attention takes the B one-query rows as one block, and over the
+    shared memory K/V as the rows of one GEMM per head.  Everything runs
+    under ``ad.no_grad``, so the K/V are constants and no graph is built,
+    even over a memory that has one.  Step logits match the matching rows
+    of ``SummModel.decode_logits`` up to floating-point summation order.
     """
 
     def __init__(self, model: SummModel, enc: EncodedBatch):
@@ -738,14 +739,15 @@ class DecoderState:
 
     def reorder(self, index) -> None:
         """Keep cache row ``index[j]`` as hypothesis j, e.g. the parent of
-        each hypothesis that survives beam pruning."""
+        each hypothesis that survives beam pruning.  The identity index
+        keeps the cache arrays as they are."""
         index = np.asarray(index, dtype=np.int64)
         live = self._live()
         outside = index[(index < 0) | (index >= live)]
         if outside.size:
             raise ValueError(f"reorder: index {outside[0]} is outside the {live} live hypotheses")
         if index.size == live and (index == np.arange(live)).all():
-            return  # every row stays where it is, as greedy decoding keeps it
+            return
         self.self_kv = [
             tuple(ad.tensor(t.values[index], dtype=t.dtype) for t in kv) for kv in self.self_kv
         ]

@@ -693,6 +693,100 @@ class TestHotPathOracles:
             assert g.tobytes() == w.tobytes(), name
 
 
+def per_slice_attention(q, k, v, scale, mask):
+    """``softmax(scale * q @ kᵀ, mask) @ v`` in numpy, one slice of the
+    first axis at a time, as the forward ran before one incremental step
+    was computed as a block: the oracle of the one-query paths.  ``k`` and
+    ``v`` with a size-1 first axis are shared by every slice."""
+    lead = q.shape[:-2]
+    blocked = ~np.broadcast_to(mask, (*lead, q.shape[-2], k.shape[-2]))
+    out = np.empty((*lead, q.shape[-2], v.shape[-1]), np.result_type(q, k, v))
+    for i in range(lead[0]):
+        k_i, v_i = (x[i if x.shape[0] > 1 else 0] for x in (k, v))
+        scores = np.matmul(q[i], k_i.swapaxes(-1, -2))
+        scores *= scale
+        np.copyto(scores, -np.inf, where=blocked[i])
+        out[i] = np.matmul(ad._softmax_inplace(scores), v_i)
+    return out
+
+
+class TestOneQueryAttention:
+    """An incremental decoding step attends with one query per hypothesis
+    (Tq == 1).  Attention computes the whole batch's scores as one block,
+    byte-equal to the slice loop.  Over K/V that the batch shares, as the
+    decoder memory is, the batch's queries are the rows of one GEMM per
+    head instead, which changes the summation order."""
+
+    H, TK, DK, DV = 3, 40, 8, 6
+
+    def operands(self, dtype, batch, shared):
+        rng = np.random.default_rng(batch + 10 * shared)
+        kv_batch = 1 if shared else batch
+        q = rng.standard_normal((batch, self.H, 1, self.DK)).astype(dtype)
+        k = rng.standard_normal((kv_batch, self.H, self.TK, self.DK)).astype(dtype)
+        v = rng.standard_normal((kv_batch, self.H, self.TK, self.DV)).astype(dtype)
+        mask = rng.random((kv_batch, 1, 1, self.TK)) > 0.3
+        mask[..., 0] = True
+        return q, k, v, mask
+
+    def attend(self, q, k, v, mask, monkeypatch):
+        """The output built with and without a graph, and the queries each
+        softmax block was computed from."""
+        blocks = []
+
+        def spy(q_block, *rest):
+            blocks.append(q_block.shape)
+            return probs(q_block, *rest)
+
+        probs = ad._attention_probs
+        monkeypatch.setattr(ad, "_attention_probs", spy)
+        dtype = q.dtype
+        with_graph = ad.attention(ad.parameter(q, dtype), ad.tensor(k, dtype), ad.tensor(v, dtype),
+                                  0.5, mask)
+        with ad.no_grad():
+            const = ad.attention(*(ad.tensor(x, dtype) for x in (q, k, v)), 0.5, mask)
+        assert with_graph.values.tobytes() == const.values.tobytes()
+        batch = q.shape[0]
+        # The heads-inside layout of every attention output.
+        layout = np.empty((batch, 1, self.H, self.DV), dtype).swapaxes(1, 2)
+        assert const.values.strides == layout.strides
+        return const.values, blocks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 4, 15])
+    def test_a_step_over_per_row_keys_equals_the_slice_loop_bytes(self, dtype, batch, monkeypatch):
+        q, k, v, mask = self.operands(dtype, batch, shared=False)
+        got, blocks = self.attend(q, k, v, mask, monkeypatch)
+        want = per_slice_attention(q, k, v, 0.5, mask)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert blocks == [q.shape] * 2  # one block per call
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("batch", [4, 15])
+    def test_a_step_over_shared_keys_folds_within_tolerance(self, dtype, atol, batch, monkeypatch):
+        q, k, v, mask = self.operands(dtype, batch, shared=True)
+        got, blocks = self.attend(q, k, v, mask, monkeypatch)
+        want = per_slice_attention(q, k, v, 0.5, mask)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        assert blocks == [(self.H, batch, self.DK)] * 2  # heads × (queries as rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_query_over_shared_keys_is_not_folded(self, dtype, monkeypatch):
+        q, k, v, mask = self.operands(dtype, 1, shared=True)
+        got, blocks = self.attend(q, k, v, mask, monkeypatch)
+        assert got.tobytes() == per_slice_attention(q, k, v, 0.5, mask).tobytes()
+        assert blocks == [q.shape] * 2
+
+    def test_a_mask_per_row_is_not_folded(self, monkeypatch):
+        q, k, v, _ = self.operands(np.float64, 4, shared=True)
+        mask = np.random.default_rng(3).random((4, 1, 1, self.TK)) > 0.3
+        mask[..., 0] = True
+        got, blocks = self.attend(q, k, v, mask, monkeypatch)
+        assert got.tobytes() == per_slice_attention(q, k, v, 0.5, mask).tobytes()
+        assert blocks == [q.shape] * 2
+
+
 # --- oracles for the fused sub-layer primitives -----------------------------
 
 

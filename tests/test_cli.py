@@ -6,6 +6,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from querysumm import autodiff as ad
@@ -408,6 +409,20 @@ class TestMalformedManifest:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "short.ckpt" in err and "vocab_size" in err
         assert not os.path.exists("decodes.jsonl")
+
+    def test_nan_weight_exits_1_instead_of_decoding_to_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("ok.ckpt")
+        arrays, meta = load_arrays("ok.ckpt")
+        arrays["decoder.0.ffn.w1.w"][0, 0] = np.nan
+        save_arrays("nan.ckpt", arrays, meta)
+        one_triplet_file("triplets.jsonl")
+        assert run("decode", "--ckpt", "nan.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: decoding step 1: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edit, message",

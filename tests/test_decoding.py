@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from querysumm import autodiff as ad
 from querysumm.autodiff import log_softmax_values
 from querysumm import decoding
 from querysumm.decoding import (
     STRUCTURAL_IDS,
     DecodeConfig,
+    _add_trigram,
     _best_ids,
+    _extend_trigrams,
+    _masked_logprobs,
     beam_search,
     beam_search_nbest,
     greedy_decode,
@@ -404,13 +408,16 @@ class TestIncrementalAgainstFullRecompute:
 
         monkeypatch.setattr(DecoderState, "reorder", spy)
         lengths = set()
+        cases = [(beam, True) for beam in (1, 2, 3, 4)] + [(15, True), (15, False)]
         for seed in range(4):
             model, enc = real_model_and_encoding(seed)
-            for beam in (1, 2, 3, 4):
-                cfg = DecodeConfig(beam=beam, alpha=0.4, min_len=1, max_len=8, block_trigrams=True)
+            for beam, block in cases:
+                cfg = DecodeConfig(
+                    beam=beam, alpha=0.4, min_len=1, max_len=8, block_trigrams=block
+                )
                 got = beam_search_nbest(model, enc, cfg)
                 want = reference_beam_search_nbest(model, enc, cfg)
-                assert [t for t, _ in got] == [t for t, _ in want], (seed, beam)
+                assert [t for t, _ in got] == [t for t, _ in want], (seed, beam, block)
                 np.testing.assert_allclose(
                     [s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12
                 )
@@ -460,3 +467,153 @@ class TestWorkPerDecode:
                 assert [c.rows for c in positions] == [length] * len(model.decoder)
             for layer, k, q in zip(model.decoder, memory_k, positions):
                 layer.cross_attn.wk, layer.self_attn.wk = k.linear, q.linear
+
+
+def trigram_map(tokens):
+    """A hypothesis's map from a bigram to its continuations, built by
+    adding each of its trigrams in turn."""
+    m = {}
+    for i in range(len(tokens) - 2):
+        _add_trigram(m, *tokens[i : i + 3])
+    return m
+
+
+def brute_force_map(tokens):
+    """Every bigram of ``tokens`` with the continuations that followed it."""
+    out = {}
+    for i in range(len(tokens) - 2):
+        out.setdefault(tuple(tokens[i : i + 2]), set()).add(tokens[i + 2])
+    return out
+
+
+class TestBatchedMasking:
+    """``_masked_logprobs`` masks every live row in one (B, vocab) array;
+    each row must be byte-equal to the row-by-row oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_row_equals_the_row_oracle_bytes(self, dtype):
+        rng = np.random.default_rng(0)
+        banned_rows = 0
+        for trial in range(80):
+            batch, length = int(rng.integers(1, 16)), int(rng.integers(0, 12))
+            # Four token ids, so bigrams recur and bans are common.
+            active = [(rng.integers(5, 9, size=length).tolist(), 0.0) for _ in range(batch)]
+            cfg = DecodeConfig(
+                beam=batch, min_len=int(rng.integers(0, 14)), max_len=20,
+                block_trigrams=bool(trial % 2),
+            )
+            logits = (3 * rng.standard_normal((batch, 12))).astype(dtype)
+            logits[rng.random((batch, 12)) < 0.1] = -np.inf  # probability 0
+            trigrams = [trigram_map(t) for t, _ in active] if cfg.block_trigrams else None
+            got = _masked_logprobs(logits, active, trigrams, cfg)
+            assert got.shape == (batch, 12) and got.dtype == np.float64
+            for row, (tokens, _) in enumerate(active):
+                want = row_masked_logprobs(logits[row], tokens, cfg)
+                assert got[row].tobytes() == want.tobytes(), (trial, row)
+                banned_rows += bool(cfg.block_trigrams and banned_by_trigram(tokens))
+        assert banned_rows > 20
+
+    def test_nan_or_positive_infinite_logits_raise_naming_the_step(self):
+        cfg = DecodeConfig(beam=2)
+        active = [([7, 8], 0.0), ([8, 7], 0.0)]
+        for bad in (np.nan, np.inf):
+            logits = np.zeros((2, 12))
+            logits[1, 4] = bad
+            with pytest.raises(FloatingPointError, match="^decoding step 3: "):
+                _masked_logprobs(logits, active, None, cfg)
+
+
+class TestIncrementalTrigramMaps:
+    def test_maps_equal_the_brute_force_through_reorders(self):
+        """Random survivors drop and duplicate hypotheses; after every step
+        each map holds exactly its hypothesis's trigrams, and no map was
+        changed under a hypothesis that shares it."""
+        rng = np.random.default_rng(1)
+        duplicated = dropped = False
+        for trial in range(20):
+            active, maps = [([], 0.0)], [{}]
+            for step in range(30):
+                live = len(active)
+                parents = rng.integers(0, live, size=int(rng.integers(1, 7))).tolist()
+                duplicated |= len(set(parents)) < len(parents)
+                dropped |= len(set(parents)) < live
+                active = [(active[p][0] + [int(rng.integers(5, 9))], 0.0) for p in parents]
+                maps = _extend_trigrams(maps, parents, active)
+                for (tokens, _), m in zip(active, maps):
+                    assert {k: set(v) for k, v in m.items()} == brute_force_map(tokens)
+                    assert set(m.get(tuple(tokens[-2:]), ())) == banned_by_trigram(tokens)
+                    # One entry per trigram: no sibling's was added to it.
+                    assert sum(map(len, m.values())) == max(len(tokens) - 2, 0)
+        assert duplicated and dropped
+
+
+class TestDecodeWorkCounts:
+    """Work per decode step, counted rather than timed."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        """The number of ids each ``DecoderState.step`` was given."""
+        live = []
+        step = DecoderState.step
+
+        def spy(state, last_ids):
+            live.append(len(last_ids))
+            return step(state, last_ids)
+
+        monkeypatch.setattr(DecoderState, "step", spy)
+        return live
+
+    @pytest.mark.parametrize("beam", [1, 4, 15])
+    def test_each_attention_runs_one_softmax_per_step_whatever_the_beam(self, beam, monkeypatch):
+        model, enc = real_model_and_encoding(0, vocab_size=40)
+        live = self.count_steps(monkeypatch)
+        calls = []
+        softmax = ad._softmax_inplace
+        monkeypatch.setattr(ad, "_softmax_inplace", lambda x: calls.append(x.shape) or softmax(x))
+        cfg = DecodeConfig(beam=beam, min_len=6, max_len=6, block_trigrams=True)
+        assert len(beam_search(model, enc, cfg)) == 6
+        assert len(live) == 6 and max(live) == beam
+        # Self- and cross-attention of each decoder layer, once a step.
+        assert len(calls) == 6 * 2 * len(model.decoder)
+
+    @pytest.mark.parametrize("length", [5, 50])
+    def test_each_live_hypothesis_adds_one_trigram_per_step(self, length, monkeypatch):
+        model, enc = real_model_and_encoding(0, vocab_size=40)
+        live = self.count_steps(monkeypatch)
+        added = []  # the steps run so far, per trigram added
+
+        def spy(m, a, b, w):
+            added.append(len(live))
+            _add_trigram(m, a, b, w)
+
+        monkeypatch.setattr(decoding, "_add_trigram", spy)
+        cfg = DecodeConfig(beam=4, min_len=length, max_len=length, block_trigrams=True)
+        assert len(beam_search(model, enc, cfg)) == length
+        # After step t the hypotheses that will be live at step t + 1, of
+        # length t + 1, each add the trigram their newest token closes.
+        for t in range(length - 1):
+            assert added.count(t + 1) == (live[t + 1] if t + 1 >= 3 else 0), t
+        assert max(live) == 4
+
+
+class TestNonFiniteLogits:
+    """A model with a NaN weight fails instead of decoding every input to
+    nothing."""
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_a_nan_weight_raises_at_the_first_step(self, beam):
+        model, enc = real_model_and_encoding(0)
+        model.params["decoder.1.ffn.w1.w"].values[0, 0] = np.nan
+        cfg = DecodeConfig(beam=beam, max_len=5)
+        with pytest.raises(FloatingPointError, match="^decoding step 1: "):
+            beam_search_nbest(model, enc, cfg)
+
+    def test_a_nan_logit_raises_at_its_step(self):
+        def row(t):
+            logits = np.zeros(12)
+            logits[9] = np.nan if t == 2 else 1.0
+            return logits
+
+        cfg = DecodeConfig(beam=3, max_len=6)
+        with pytest.raises(FloatingPointError, match="^decoding step 3: "):
+            beam_search_nbest(RiggedModel(12, row), dummy_enc(), cfg)

@@ -746,6 +746,22 @@ class TestDecoderState:
         state.reorder([1, 1, 0])
         assert state.step([9, 9, 9]).shape == (3, 60)
 
+    def test_reorder_by_the_identity_keeps_the_cache_arrays(self):
+        model, enc = self.model_and_encoding(np.float64)
+        state = model.start_decoding(enc)
+        state.step([BOS_ID] * 3)
+
+        def cache():
+            return [t.values for kv in state.self_kv for t in kv]
+
+        for index in ([2, 1, 0], [0, 0, 1, 2], [3, 1], [0]):
+            before = cache()
+            state.reorder(list(range(len(before[0]))))
+            assert all(a is b for a, b in zip(cache(), before))
+            state.reorder(index)  # a gather into new arrays
+            assert all(a is not b for a, b in zip(cache(), before))
+            assert all(np.array_equal(a, b[index]) for a, b in zip(cache(), before))
+
     def test_memory_keys_and_values_are_contiguous_copies(self):
         """Each head's memory keys are dense rows, not a view with a row
         stride of ``heads * dk``; the step logits are those of the views."""
