@@ -601,8 +601,10 @@ def _normalize(x: np.ndarray, out: np.ndarray | None = None):
     return xhat, inv
 
 
-def _affine(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
-    out = xhat * gain.values
+def _affine(xhat: np.ndarray, gain: Tensor, bias: Tensor, out: np.ndarray | None = None):
+    """``xhat * gain + bias`` in ``out`` (which may be ``xhat``) or a fresh
+    array."""
+    out = np.multiply(xhat, gain.values, out=out)
     out += bias.values
     return out
 
@@ -612,13 +614,14 @@ def _normalize_grad(g: np.ndarray, xhat: np.ndarray, inv, gain: Tensor, bias: Te
     input: accumulates the gain and bias gradients and returns the input's
     in a fresh array."""
     dim = xhat.shape[-1]
-    dxhat = g * gain.values
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
+    dx = g * gain.values
+    mean = dx.mean(axis=-1, keepdims=True)
+    t = np.multiply(dx, xhat)
+    np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+    dx -= mean
+    dx -= t
+    dx *= inv
+    _accumulate(gain, np.multiply(g, xhat, out=t).reshape(-1, dim).sum(axis=0))
     _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
     return dx
 
@@ -643,56 +646,54 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _draw_keep(rng: np.random.Generator | None, shape, rate: float) -> np.ndarray | None:
-    """Dropout's keep mask as bool, one byte an element, or ``None`` when
-    dropout is off (no ``rng``, or rate 0)."""
+    """Dropout's keep mask packed by ``np.packbits``, one bit an element,
+    or ``None`` when dropout is off (no ``rng``, or rate 0)."""
     if rng is None or rate == 0.0:
         return None
-    return rng.random(shape) >= rate
+    return np.packbits(rng.random(shape) >= rate)
 
 
-def _keep_scale(keep: np.ndarray, dtype, rate: float) -> np.ndarray:
-    """The inverted-dropout multiplier of a bool keep mask: 1/(1-rate) where
-    kept, 0 where dropped."""
-    scale = keep.astype(dtype)
-    scale /= 1.0 - rate
-    return scale
+def _drop(x: np.ndarray, keep: np.ndarray, rate: float, out: np.ndarray | None = None):
+    """Inverted dropout of ``x`` under the packed mask ``keep``: ``x`` times
+    the mask, then times 1/(1-rate) in ``x``'s dtype, written into ``out``
+    (which may be ``x``) or a fresh array."""
+    mask = np.unpackbits(keep, count=x.size).reshape(x.shape).view(bool)
+    out = np.multiply(x, mask, out=out)
+    out *= x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+    return out
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout, run iff an ``rng`` is given: kept activations are
     scaled by 1/(1-rate), so without an rng (or at rate 0) it returns ``a``.
-    The node keeps the bool mask and rebuilds the multiplier in backward."""
+    The node keeps the mask as packed bits."""
     keep = _draw_keep(rng, a.shape, rate)
     if keep is None:
         return a
-    dtype = a.values.dtype
-    out_values = a.values * _keep_scale(keep, dtype, rate)
-    return _node(out_values, (a,), lambda g: _accumulate(a, g * _keep_scale(keep, dtype, rate)))
+    return _node(_drop(a.values, keep, rate), (a,), lambda g: _accumulate(a, _drop(g, keep, rate)))
 
 
-def _join(x: Tensor, z: np.ndarray, rate: float, rng: np.random.Generator | None):
+def _join(x: Tensor, z: np.ndarray, keep, rate: float):
     """Forward of the post-norm residual join of ``x`` and a sub-layer
-    output ``z``, short of the affine: ``(xhat, inv, keep)`` of
-    ``normalize(x + dropout(z))``, the sum normalised in place and ``keep``
-    the join's bool mask or ``None``."""
-    keep = _draw_keep(rng, x.shape, rate)
+    output ``z``, short of the affine: ``(xhat, inv)`` of ``normalize(x +
+    dropout(z))`` under the packed mask ``keep`` (or none), the sum
+    normalised in place.  Backward reruns it on the same inputs to get
+    both back, so no join node keeps them."""
     if keep is None:
         s = x.values + z
     else:
-        s = x.values + z * _keep_scale(keep, z.dtype, rate)
-    xhat, inv = _normalize(s, out=s)
-    return xhat, inv, keep
+        s = _drop(z, keep, rate)
+        s += x.values
+    return _normalize(s, out=s)
 
 
-def _join_grad(g, x: Tensor, xhat, inv, keep, gain: Tensor, bias: Tensor, rate: float):
-    """Backward of ``_join`` plus the affine: accumulates the gain, bias
-    and ``x`` gradients and returns the sub-layer output's in a fresh
-    array."""
-    gs = _normalize_grad(g, xhat, inv, gain, bias)
+def _join_grad(g, x: Tensor, z, keep, gain: Tensor, bias: Tensor, rate: float):
+    """Backward of ``_join`` plus the affine, rebuilding the normalised sum
+    from ``x``, ``z`` and ``keep``: accumulates the gain, bias and ``x``
+    gradients and returns the sub-layer output's in a fresh array."""
+    gs = _normalize_grad(g, *_join(x, z, keep, rate), gain, bias)
     _accumulate(x, gs)
-    if keep is not None:
-        gs *= _keep_scale(keep, gs.dtype, rate)
-    return gs
+    return gs if keep is None else _drop(gs, keep, rate, out=gs)
 
 
 def add_norm(
@@ -709,9 +710,9 @@ def add_norm(
     ``proj = (w, b)``, the sub-layer's output projection ``linear(y, w, b)``,
     whose ``y`` may be a list of parts as ``linear``'s input may.
 
-    The node keeps only what its backward reads: the normalised sum
-    ``xhat``, the per-row scale and the bool keep mask.  A projection's
-    output is never kept; its backward reads ``y`` and ``w``.  Values and
+    The node keeps only the packed keep mask beyond its inputs, which the
+    graph holds anyway: backward rebuilds ``z`` (with a projection, one
+    GEMM) and from it the normalised sum and per-row scale.  Values and
     gradients are bit-identical to the chain's."""
     if proj is None:
         _shape_check(x.shape == y.shape, "add_norm", x.shape, y.shape)
@@ -732,26 +733,26 @@ def add_norm(
         z, parents = _project(yv, w, b), (x, *_parts(y), gain, bias, w, b)
         del yv  # a concatenation of parts lives only while the GEMM reads it
     _check_norm_params("add_norm", x, gain, bias)
-    xhat, inv, keep = _join(x, z, rate, rng)
+    keep = _draw_keep(rng, x.shape, rate)
+    xhat = _join(x, z, keep, rate)[0]
+    out_values = _affine(xhat, gain, bias, out=xhat)
 
     def bw(g):
-        gs = _join_grad(g, x, xhat, inv, keep, gain, bias, rate)
         if proj is None:
-            _accumulate(y, gs)
+            _accumulate(y, _join_grad(g, x, y.values, keep, gain, bias, rate))
         else:
+            gs = _join_grad(g, x, _project(_joined(y), *proj), keep, gain, bias, rate)
             _project_grad(gs, y, *proj)
 
-    return _node(_affine(xhat, gain, bias), parents, bw)
+    return _node(out_values, parents, bw)
 
 
 def _hidden(xv: np.ndarray, w1: Tensor, b1: Tensor, keep, rate: float) -> np.ndarray:
     """The FFN hidden layer ``dropout(relu(xv @ w1 + b1))`` under the given
-    keep mask, in one fresh array."""
+    packed mask, in one fresh array."""
     h = _project(xv, w1, b1)
     np.maximum(h, 0, out=h)
-    if keep is not None:
-        h *= _keep_scale(keep, h.dtype, rate)
-    return h
+    return h if keep is None else _drop(h, keep, rate, out=h)
 
 
 def feed_forward(
@@ -770,14 +771,14 @@ def feed_forward(
     rate, rng)), gain, bias)``, as one node; the hidden mask is drawn
     before the join's.
 
-    The node keeps what the join keeps (``xhat``, the per-row scale and
-    the join's bool mask) and the hidden layer's bool mask, but not the
-    (..., ffn_hidden) hidden layer: that is freed once ``w2`` has read it,
-    and backward rebuilds it from ``x`` and the kept mask, one GEMM more.
-    ReLU's mask is read back as ``h > 0`` from the dropped hidden, which
-    differs from the pre-ReLU test only where the keep mask zeroes the
-    gradient anyway.  Values and gradients are bit-identical to the
-    chain's."""
+    The node keeps the two packed masks beyond its inputs, not the
+    (..., ffn_hidden) hidden layer, which is freed once ``w2`` has read it,
+    nor the join's normalised sum: backward rebuilds the hidden layer from
+    ``x`` and its mask, one GEMM more, then ``z = h @ w2 + b2`` and the
+    join from it, a second.  ReLU's mask is read back as ``h > 0`` from the
+    dropped hidden, which differs from the pre-ReLU test only where the
+    keep mask zeroes the gradient anyway.  Values and gradients are
+    bit-identical to the chain's."""
     hidden = w1.shape[-1]
     _shape_check(
         x.shape[-1] == w1.shape[0]
@@ -794,19 +795,21 @@ def feed_forward(
     _check_norm_params("feed_forward", x, gain, bias)
     hkeep = _draw_keep(rng, (*x.shape[:-1], hidden), rate)
     z = _project(_hidden(x.values, w1, b1, hkeep, rate), w2, b2)
-    xhat, inv, keep = _join(x, z, rate, rng)
+    keep = _draw_keep(rng, x.shape, rate)
+    xhat = _join(x, z, keep, rate)[0]
+    out_values = _affine(xhat, gain, bias, out=xhat)
 
     def bw(g):
-        gs = _join_grad(g, x, xhat, inv, keep, gain, bias, rate)
         h = _hidden(x.values, w1, b1, hkeep, rate)
+        gs = _join_grad(g, x, _project(h, w2, b2), keep, gain, bias, rate)
         _weight_grads(gs, h, w2, b2)
         gh = gs @ w2.values.T
         gh *= h > 0
         if hkeep is not None:
-            gh *= _keep_scale(hkeep, gh.dtype, rate)
+            _drop(gh, hkeep, rate, out=gh)
         _project_grad(gh, x, w1, b1)
 
-    return _node(_affine(xhat, gain, bias), (x, w1, b1, w2, b2, gain, bias), bw)
+    return _node(out_values, (x, w1, b1, w2, b2, gain, bias), bw)
 
 
 # --- embeddings and loss ----------------------------------------------------

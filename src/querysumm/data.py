@@ -18,6 +18,7 @@ alignment histogram, and corpus statistics.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -453,10 +454,20 @@ def load_records(path, cls) -> list:
 
 
 def write_jsonl(rows, path) -> None:
-    """One ``json.dumps`` line per row, non-ASCII kept as UTF-8."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    """One ``json.dumps`` line per row, non-ASCII kept as UTF-8.  The rows
+    go to ``path + ".tmp"``, which replaces ``path`` only once every row is
+    written, so a failure while ``rows`` is produced leaves ``path`` as it
+    was and no temporary file behind."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_records(records, path) -> None:

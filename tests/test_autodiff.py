@@ -1202,10 +1202,10 @@ class TestFusedSubLayerMemory:
     N, D, H = 64, 16, 64
 
     def test_feed_forward_keeps_no_float_array_of_the_hidden_width(self):
-        """The node keeps the join's output, ``xhat``, scale and mask and
-        the hidden layer's bool mask, so of the hidden width (256) only one
-        byte a unit.  The chain kept 4 float arrays of that width (pre-ReLU,
-        ReLU, mask, dropped), and a node that returned the hidden kept one."""
+        """The node keeps its output and the two masks as packed bits, so
+        of the hidden width (256) only one bit a unit, and no normalised
+        sum.  The chain kept 4 float arrays of that width (pre-ReLU, ReLU,
+        mask, dropped), and a node that returned the hidden kept one."""
         rng = np.random.default_rng(15)
         n, d, width = self.N, self.D, 256
         shapes = ((n, d), (d, width), (width,), (width, d), (d,))
@@ -1216,14 +1216,15 @@ class TestFusedSubLayerMemory:
             lambda: ad.feed_forward(x, w1, b1, w2, b2, gain, bias, 0.3, drop)
         )
         assert out.requires_grad
-        kept = 2 * 4 * n * d + 4 * n + n * d + n * width  # output, xhat, scale, both masks
+        kept = 4 * n * d + (n * d + n * width) // 8  # output, both masks
         # One float array of the hidden width alone would be 4 * n * width.
         assert held <= kept + 4096 < 4 * n * width, (held, kept)
 
     @pytest.mark.parametrize("width", [None, H])
-    def test_add_norm_keeps_xhat_the_scale_and_a_byte_mask(self, width):
-        """Also with an output projection from ``width`` features, whose
-        output the node never keeps."""
+    def test_add_norm_keeps_its_output_and_a_bit_mask(self, width):
+        """No normalised sum or per-row scale either, which backward
+        rebuilds; also with an output projection from ``width`` features,
+        whose output the node never keeps."""
         rng = np.random.default_rng(17)
         x = ad.parameter(rng.standard_normal((self.N, self.D)))
         y = ad.parameter(rng.standard_normal((self.N, width or self.D)))
@@ -1236,7 +1237,7 @@ class TestFusedSubLayerMemory:
         out, _, held = _traced(lambda: ad.add_norm(x, y, gain, bias, 0.3, drop, proj))
         assert out.requires_grad
         size = self.N * self.D
-        kept = 4 * size + size + 4 * self.N + out.values.nbytes  # xhat, mask, scale, output
+        kept = size // 8 + out.values.nbytes  # mask, output
         # The chain keeps its mask, dropped y, sum, xhat and output as
         # floats, and with a projection its output too.
         assert held <= kept + 4096 < (5 + bool(width)) * 4 * size, (held, kept)
@@ -1291,7 +1292,7 @@ class TestFusedSubLayerMemory:
         gain = ad.parameter(np.ones(d))
         drop = np.random.default_rng(22)
         out, _, held = _traced(lambda: ad.add_norm(a, [a, c], gain, bias, 0.3, drop, (w, bias)))
-        kept = 4 * n * d + n * d + 4 * n + out.values.nbytes  # xhat, mask, scale, output
+        kept = n * d // 8 + out.values.nbytes  # mask, output
         assert held <= kept + 4096 < kept + concat, (held, kept)
 
     def test_training_graph_bytes_per_input_token_are_pinned(self, small_triplets, small_vocab):

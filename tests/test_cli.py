@@ -424,6 +424,30 @@ class TestMalformedManifest:
         err = capsys.readouterr().err
         assert err.startswith("error: decoding step 1: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("existing", [None, b'{"id": "old", "summary": "caf\xc3\xa9"}\n'])
+    def test_failed_decode_leaves_the_out_file_as_it_was(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        """The rows go to a temporary file that replaces ``--out`` only
+        after the last row: a decode that fails writes no ``--out`` where
+        none was, leaves an existing one byte-identical, and leaves no
+        temporary file."""
+        monkeypatch.chdir(tmp_path)
+        untrained_checkpoint("ok.ckpt")
+        arrays, meta = load_arrays("ok.ckpt")
+        arrays["decoder.0.ffn.w1.w"][0, 0] = np.nan
+        save_arrays("nan.ckpt", arrays, meta)
+        one_triplet_file("triplets.jsonl")
+        if existing is not None:
+            (tmp_path / "decodes.jsonl").write_bytes(existing)
+        before = sorted(os.listdir(tmp_path))
+        assert run("decode", "--ckpt", "nan.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: decoding step 1: ")
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing is not None:
+            assert (tmp_path / "decodes.jsonl").read_bytes() == existing
+
     @pytest.mark.parametrize(
         "edit, message",
         [
