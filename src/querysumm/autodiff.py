@@ -647,10 +647,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def _draw_keep(rng: np.random.Generator | None, shape, rate: float) -> np.ndarray | None:
     """Dropout's keep mask packed by ``np.packbits``, one bit an element,
-    or ``None`` when dropout is off (no ``rng``, or rate 0)."""
+    or ``None`` when dropout is off (no ``rng``, or rate 0).  An element is
+    kept iff its 32-bit draw is at least ``round(rate * 2**32)`` (2**32,
+    which keeps nothing, above rate 1 - 2**-33), so the drop rate is within
+    2**-33 of ``rate``.  The draws are the halves of the generator's raw
+    64-bit outputs, low half first, read little-endian so that the mask
+    does not depend on byte order."""
     if rng is None or rate == 0.0:
         return None
-    return np.packbits(rng.random(shape) >= rate)
+    size = int(np.prod(shape))
+    raw = rng.bit_generator.random_raw((size + 1) // 2)
+    return np.packbits(raw.astype("<u8", copy=False).view("<u4")[:size] >= round(rate * 2**32))
 
 
 def _drop(x: np.ndarray, keep: np.ndarray, rate: float, out: np.ndarray | None = None):
@@ -674,11 +681,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def _join(x: Tensor, z: np.ndarray, keep, rate: float):
-    """Forward of the post-norm residual join of ``x`` and a sub-layer
-    output ``z``, short of the affine: ``(xhat, inv)`` of ``normalize(x +
-    dropout(z))`` under the packed mask ``keep`` (or none), the sum
-    normalised in place.  Backward reruns it on the same inputs to get
-    both back, so no join node keeps them."""
+    """The post-norm residual join of ``x`` and a sub-layer output ``z``
+    short of the affine: ``(xhat, inv)`` of ``normalize(x + dropout(z))``
+    under the packed mask ``keep`` (or none), the sum normalised in place.
+    Backward reruns it on the same inputs instead of keeping them."""
     if keep is None:
         s = x.values + z
     else:

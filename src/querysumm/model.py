@@ -24,7 +24,8 @@ Every sub-layer of every block joins its input through one post-norm
 residual, ``LayerNorm(x + Dropout(Sublayer(x)))`` (Vaswani et al., 2017),
 whose parameters an ``AddNorm`` holds.  A block only wires its sub-layers
 together.  Every join but the FFN's is one autodiff node, ``ad.add_norm``,
-which keeps the normalised sum, its per-row scale and a 1-byte dropout mask.
+which keeps only its dropout mask, packed to one bit an element: backward
+rebuilds the normalised sum.
 Every join but the query layer's owns its sub-layer's last linear
 (attention's ``wo``, the FFN's ``w2``, the global layer's ``fold``) and
 computes it inside its node, so the projected output is never kept for
@@ -35,7 +36,7 @@ out so that merging its heads is a view.  A projection of a concatenation
 (the global layer's ``fold``, ``ordering_fold``, ``merge``) reads the
 parts, so no concat is kept either.  The whole FFN sub-layer with its join
 is one node too, ``ad.feed_forward``: it keeps what the join keeps plus
-the 1-byte mask of the hidden layer ``Dropout(relu(w1(x)))``, not the
+the packed mask of the hidden layer ``Dropout(relu(w1(x)))``, not the
 hidden layer itself, which backward rebuilds from ``x`` and that mask.
 """
 
@@ -293,9 +294,9 @@ class FeedForward:
     """The FFN sub-layer with its join,
     ``LayerNorm(x + Dropout(w2(Dropout(relu(w1(x))))))``, the hidden mask
     drawn before the join's.  It is one node, ``ad.feed_forward``, which
-    keeps the join's normalised sum, scale and mask plus the hidden mask,
-    and rebuilds the hidden layer in backward instead of keeping it; the
-    join's parameters are ``norm``'s."""
+    keeps the join's mask and the hidden mask, and rebuilds the hidden
+    layer and the join's normalised sum in backward instead of keeping
+    them; the join's parameters are ``norm``'s."""
 
     def __init__(self, store, name, norm_name, cfg: ModelConfig):
         self.w1 = Linear(store, f"{name}.w1", cfg.d_model, cfg.ffn_hidden)

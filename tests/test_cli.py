@@ -272,11 +272,40 @@ def untrained_checkpoint(path, use_query_encoder=False, **meta_edits):
     return vocab
 
 
+def nan_weight_checkpoint(path):
+    """``untrained_checkpoint``'s weights with one NaN decoder weight."""
+    untrained_checkpoint(path)
+    arrays, meta = load_arrays(path)
+    arrays["decoder.0.ffn.w1.w"][0, 0] = np.nan
+    save_arrays(path, arrays, meta)
+
+
 def one_triplet_file(path):
     save_records([Triplet("alpha query", ["alpha beta"], "beta", {"source_id": "q1"})], path)
 
 
 class TestJsonlOutputs:
+    @pytest.mark.parametrize("existing", [None, b'{"id": "old", "summary": "caf\xc3\xa9"}\n'])
+    def test_failed_decode_leaves_the_out_file_as_it_was(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        """The rows go to a temporary file that replaces ``--out`` only
+        after the last row: a decode that fails writes no ``--out`` where
+        none was, leaves an existing one byte-identical, and leaves no
+        temporary file."""
+        monkeypatch.chdir(tmp_path)
+        nan_weight_checkpoint("nan.ckpt")
+        one_triplet_file("triplets.jsonl")
+        if existing is not None:
+            (tmp_path / "decodes.jsonl").write_bytes(existing)
+        before = sorted(os.listdir(tmp_path))
+        assert run("decode", "--ckpt", "nan.ckpt", "--in", "triplets.jsonl",
+                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: decoding step 1: ")
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing is not None:
+            assert (tmp_path / "decodes.jsonl").read_bytes() == existing
+
     def test_decode_golden_lines(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         vocab = untrained_checkpoint("model.ckpt")
@@ -414,39 +443,12 @@ class TestMalformedManifest:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        untrained_checkpoint("ok.ckpt")
-        arrays, meta = load_arrays("ok.ckpt")
-        arrays["decoder.0.ffn.w1.w"][0, 0] = np.nan
-        save_arrays("nan.ckpt", arrays, meta)
+        nan_weight_checkpoint("nan.ckpt")
         one_triplet_file("triplets.jsonl")
         assert run("decode", "--ckpt", "nan.ckpt", "--in", "triplets.jsonl",
                    "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: decoding step 1: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("existing", [None, b'{"id": "old", "summary": "caf\xc3\xa9"}\n'])
-    def test_failed_decode_leaves_the_out_file_as_it_was(
-        self, tmp_path, monkeypatch, capsys, existing
-    ):
-        """The rows go to a temporary file that replaces ``--out`` only
-        after the last row: a decode that fails writes no ``--out`` where
-        none was, leaves an existing one byte-identical, and leaves no
-        temporary file."""
-        monkeypatch.chdir(tmp_path)
-        untrained_checkpoint("ok.ckpt")
-        arrays, meta = load_arrays("ok.ckpt")
-        arrays["decoder.0.ffn.w1.w"][0, 0] = np.nan
-        save_arrays("nan.ckpt", arrays, meta)
-        one_triplet_file("triplets.jsonl")
-        if existing is not None:
-            (tmp_path / "decodes.jsonl").write_bytes(existing)
-        before = sorted(os.listdir(tmp_path))
-        assert run("decode", "--ckpt", "nan.ckpt", "--in", "triplets.jsonl",
-                   "--out", "decodes.jsonl") == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: decoding step 1: ")
-        assert sorted(os.listdir(tmp_path)) == before
-        if existing is not None:
-            assert (tmp_path / "decodes.jsonl").read_bytes() == existing
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -334,3 +334,12 @@ def test_every_attention_in_a_graph_computes_its_projections():
         ("MultiHeadAttention", "cached_kv"),
         ("MultiHeadPooling", "__call__"),
     ]
+
+
+def test_dropout_draws_raw_bits_and_builds_no_float_multiplier():
+    """Masks come from 32-bit halves of the generator's raw outputs, not
+    float64 uniforms, and ``_drop`` applies them without a float
+    multiplier array."""
+    source = (SOURCE / "autodiff.py").read_text(encoding="utf-8")
+    for banned in ("_keep_scale", "rng.random("):
+        assert banned not in source, banned
