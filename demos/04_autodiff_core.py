@@ -35,7 +35,7 @@ target = rng.standard_normal((5, 4))
 
 
 def loss_fn():
-    diff = ad.sub(ad.linear(inputs, w, b), ad.tensor(target, np.float64))
+    diff = ad.add(ad.linear(inputs, w, b), ad.scale(ad.tensor(target, np.float64), -1.0))
     return ad.tsum(ad.mul(diff, diff))
 
 
@@ -57,7 +57,8 @@ w_hat = ad.parameter(kaiming_uniform((3, 1), fan_in=3, rng=1), np.float64)
 opt = AdamNoam({"w": w_hat}, d_model=16, base_lr=3.0, warmup=50)
 for step in range(300):
     opt.zero_grad()
-    diff = ad.sub(ad.linear(ad.tensor(X, np.float64), w_hat), ad.tensor(Y, np.float64))
+    fit = ad.linear(ad.tensor(X, np.float64), w_hat)
+    diff = ad.add(fit, ad.scale(ad.tensor(Y, np.float64), -1.0))
     loss = ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / len(X))
     backward(loss)
     opt.step()

@@ -200,10 +200,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.values * c, (a,), lambda g: _accumulate(a, g * c))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of operands of equal rank.  Each leading (batch) dim
     of ``b`` must equal ``a``'s or be 1, in which case that slice of ``b``
@@ -233,34 +229,75 @@ def _project(xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
     return out
 
 
-def _parts(x) -> tuple:
-    """A projection's input as a tuple of tensors: ``x`` itself, or the
-    list of parts that it reads as their concatenation on the last axis."""
-    return (x,) if isinstance(x, Tensor) else tuple(x)
+def _parts(source) -> tuple:
+    """A projection's source as a tuple of tensors: ``source`` itself, or
+    the list of parts that it reads as their concatenation on the last
+    axis."""
+    return (source,) if isinstance(source, Tensor) else tuple(source)
 
 
-def _joined(x, op: str = "linear") -> np.ndarray:
-    """The values a projection reads from its input ``x``: a tensor's own,
-    or a fresh last-axis concatenation of its parts."""
+def _joined(source) -> np.ndarray:
+    """The values a projection reads from its source: a tensor's own, or a
+    fresh last-axis concatenation of its parts."""
+    if isinstance(source, Tensor):
+        return source.values
+    return np.concatenate([p.values for p in source], axis=-1)
+
+
+def _operand(x, op: str) -> np.ndarray:
+    """The values of operand ``x``, which a fused node reads.
+
+    An operand is a tensor or a projection ``(source, w, b)``, ``source @ w
+    + b`` with ``w`` shaped (in, out) and ``b`` (out,) or ``None``, which
+    the node computes itself and never keeps.  ``source`` is a tensor or a
+    list of parts read as their concatenation on the last axis, which
+    exists only while the GEMM reads it.  A projection's values are one
+    fresh array, computed after its one shape check, named for ``op``.
+    ``_operand_parents`` lists an operand's tensors and ``_project_grad``
+    hands a gradient back through it."""
     if isinstance(x, Tensor):
         return x.values
-    try:
-        return np.concatenate([p.values for p in x], axis=-1)
-    except ValueError:
-        _shape_check(False, op, *(p.shape for p in x))
+    source, w, b = x
+    parts = _parts(source)
+    _shape_check(
+        len(parts) >= 1
+        and all(p.shape[:-1] == parts[0].shape[:-1] for p in parts)
+        and w.values.ndim == 2
+        and sum(p.shape[-1] for p in parts) == w.shape[0]
+        and (b is None or b.shape == (w.shape[1],)),
+        op,
+        *(p.shape for p in parts),
+        w.shape,
+        *(() if b is None else (b.shape,)),
+    )
+    return _project(_joined(source), w, b)
 
 
-def _project_grad(g: np.ndarray, x, weight: Tensor, bias: Tensor | None) -> None:
-    """Accumulate the gradients of ``x @ weight + bias`` whose output
-    gradient is ``g``.  Parts of a concatenated ``x`` each take their slice
-    of the input gradient, in order, as the concat's backward handed them;
-    the concatenation is rebuilt for the weight gradient."""
-    gx = g @ weight.values.T
+def _operand_parents(x) -> tuple:
+    """The tensors operand ``x`` reads: itself, or the source's parts, the
+    weight and the bias if any."""
+    if isinstance(x, Tensor):
+        return (x,)
+    source, w, b = x
+    return (*_parts(source), w) if b is None else (*_parts(source), w, b)
+
+
+def _project_grad(g: np.ndarray, x) -> None:
+    """Hand ``g``, the gradient of operand ``x``'s values, back through it.
+    A tensor takes ``g``.  A projection's source parts each take their
+    slice of the input gradient, in order, as a concat's backward handed
+    them, then the weight and the bias take theirs from the concatenation,
+    which is rebuilt for the purpose."""
+    if isinstance(x, Tensor):
+        _accumulate(x, g)
+        return
+    source, w, b = x
+    gx = g @ w.values.T
     end = 0
-    for part in _parts(x):
+    for part in _parts(source):
         start, end = end, end + part.shape[-1]
-        _accumulate(part, gx if part is x else gx[..., start:end])
-    _weight_grads(g, _joined(x), weight, bias)
+        _accumulate(part, gx if part is source else gx[..., start:end])
+    _weight_grads(g, _joined(source), w, b)
 
 
 def _weight_grads(g: np.ndarray, xv: np.ndarray, weight: Tensor, bias: Tensor | None) -> None:
@@ -273,18 +310,13 @@ def _weight_grads(g: np.ndarray, xv: np.ndarray, weight: Tensor, bias: Tensor | 
 
 
 def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map on the last axis: ``x @ weight + bias`` with ``weight``
-    shaped (in, out).
-
-    ``x`` is a tensor or a list of parts read as their concatenation on the
-    last axis.  The concatenation exists only while the GEMM reads it: the
-    node keeps the parts, which the graph holds anyway, and backward
-    rebuilds it for the weight gradient.  Values and gradients are
-    bit-identical to ``linear(concat(parts, -1), weight, bias)``."""
-    xv = _joined(x)
-    _shape_check(xv.shape[-1] == weight.shape[0], "linear", xv.shape, weight.shape)
-    parents = (*_parts(x), weight) if bias is None else (*_parts(x), weight, bias)
-    return _node(_project(xv, weight, bias), parents, lambda g: _project_grad(g, x, weight, bias))
+    """Affine map on the last axis, ``x @ weight + bias`` with ``weight``
+    shaped (in, out): the projection operand ``(x, weight, bias)`` as a
+    node.  So ``x`` may be a list of parts, which the node keeps instead
+    of their concatenation.  Values and gradients are bit-identical to
+    ``linear(concat(parts, -1), weight, bias)``."""
+    op = (x, weight, bias)
+    return _node(_operand(op, "linear"), _operand_parents(op), lambda g: _project_grad(g, op))
 
 
 # --- shape plumbing ---------------------------------------------------------
@@ -430,24 +462,10 @@ def _attention_probs(q, kt, scale: float, blocked, out: np.ndarray) -> np.ndarra
     return _softmax_inplace(scores)
 
 
-def _heads(x, heads: int) -> np.ndarray:
-    """An attention operand's values, (..., heads, T, d): a tensor's own,
-    or a projection ``(source, w, b)`` computed by ``_project`` and split
-    into heads as a view."""
-    if isinstance(x, Tensor):
-        return x.values
-    source, w, b = x
-    _shape_check(
-        source.values.ndim >= 2
-        and source.shape[-1] == w.shape[0]
-        and w.shape[-1] % heads == 0
-        and (b is None or b.shape == (w.shape[-1],)),
-        "attention",
-        source.shape,
-        w.shape,
-        *(() if b is None else (b.shape,)),
-    )
-    y = _project(source.values, w, b)
+def _heads(y: np.ndarray, heads: int) -> np.ndarray:
+    """A projection's values (..., T, d) split into ``heads`` heads,
+    (..., heads, T, d / heads), as a view."""
+    _shape_check(y.ndim >= 2 and y.shape[-1] % heads == 0, "attention", y.shape)
     return y.reshape(*y.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
@@ -477,10 +495,11 @@ def attention(
     and broadcasts to the scores (B, ..., Tq, Tk); masked keys get
     probability exactly 0 and a row with none left attends to nothing.
 
-    Each of ``q``, ``k`` and ``v`` is a tensor or a projection
-    ``(source, w, b)`` (``b`` may be ``None``) of a source (..., T, d_in),
-    which the node computes and splits into ``heads`` heads itself, as
-    ``swapaxes(reshape(linear(source, w, b), (..., T, heads, -1)), -2, -3)``.
+    Each of ``q``, ``k`` and ``v`` is a tensor or a projection operand
+    ``(source, w, b)`` of a source tensor (..., T, d_in), not a list of
+    parts, which the node computes and splits into ``heads`` heads itself,
+    as ``swapaxes(reshape(linear(source, w, b), (..., T, heads, -1)), -2,
+    -3)``.
 
     Each slice's scores are computed into one reused buffer, so no
     probability tensor outlives its slice.  With Tq == 1 the scores of all
@@ -492,7 +511,7 @@ def attention(
     1e-16 relative in float64).  The node keeps the tensors and
     the projections' sources and weights, which the graph holds anyway, but
     no projected q, k or v: backward rebuilds them with the same
-    ``_project`` calls, then recomputes each slice's probabilities in a
+    ``_operand`` calls, then recomputes each slice's probabilities in a
     buffer of its own.  A projection's source takes its gradient as the
     projection's own node would have.  Where the three do not share one
     source, a k or v source is reached through a ``_relay``, so it receives
@@ -505,9 +524,15 @@ def attention(
     except the values of that shared-K/V case.
     """
     projections = [x for x in (q, k, v) if not isinstance(x, Tensor)]
+    if not all(isinstance(x[0], Tensor) for x in projections):
+        raise ShapeError("attention: a projection's source is a tensor, not a list of parts")
     if len(projections) < 3 or len({id(x[0]) for x in projections}) > 1:
         k, v = (x if isinstance(x, Tensor) else (_relay(x[0]), *x[1:]) for x in (k, v))
-    qv, kv, vv = (_heads(x, heads) for x in (q, k, v))
+
+    def split(x):
+        return x.values if isinstance(x, Tensor) else _heads(_operand(x, "attention"), heads)
+
+    qv, kv, vv = (split(x) for x in (q, k, v))
     lead = qv.shape[:-2]
     _shape_check(
         qv.ndim == kv.ndim == vv.ndim >= 3
@@ -558,7 +583,7 @@ def attention(
         np.matmul(p, vv, out=out)
 
     def bw(g):
-        qv, kv, vv = (_heads(x, heads) for x in (q, k, v))
+        qv, kv, vv = (split(x) for x in (q, k, v))
         # Gradients of shared K/V sum over the whole batch at the end.
         buf = np.empty(scores_shape[1:], scores_dtype)
         gq = _heads_inside(lead, qv.shape[-2], qv.shape[-1], dtype)
@@ -583,12 +608,9 @@ def attention(
         for x, gx in ((q, gq), (k, gk), (v, gv)):
             if not isinstance(x, Tensor):
                 merged = np.ascontiguousarray(gx.swapaxes(-2, -3))
-                _project_grad(merged.reshape(*merged.shape[:-2], -1), *x)
+                _project_grad(merged.reshape(*merged.shape[:-2], -1), x)
 
-    parents = []
-    for x in (q, k, v):
-        parents += [x] if isinstance(x, Tensor) else [t for t in x if t is not None]
-    return _node(out, parents, bw)
+    return _node(out, [t for x in (q, k, v) for t in _operand_parents(x)], bw)
 
 
 def _normalize(x: np.ndarray, out: np.ndarray | None = None):
@@ -703,60 +725,33 @@ def _join_grad(g, x: Tensor, z, keep, gain: Tensor, bias: Tensor, rate: float):
 
 
 def add_norm(
-    x: Tensor,
-    y,
-    gain: Tensor,
-    bias: Tensor,
-    rate: float,
-    rng: np.random.Generator | None,
-    proj: tuple[Tensor, Tensor] | None = None,
+    x: Tensor, y, gain: Tensor, bias: Tensor, rate: float, rng: np.random.Generator | None
 ) -> Tensor:
     """The post-norm residual join ``layer_norm(add(x, dropout(z, rate,
-    rng)), gain, bias)`` as one node, where ``z`` is ``y`` or, given
-    ``proj = (w, b)``, the sub-layer's output projection ``linear(y, w, b)``,
-    whose ``y`` may be a list of parts as ``linear``'s input may.
+    rng)), gain, bias)`` as one node, where ``z`` is the values of operand
+    ``y``: a tensor, or the sub-layer's output projection ``(source, w,
+    b)``, which the node computes and never keeps.
 
     The node keeps only the packed keep mask beyond its inputs, which the
-    graph holds anyway: backward rebuilds ``z`` (with a projection, one
+    graph holds anyway: backward rebuilds ``z`` (for a projection, one
     GEMM) and from it the normalised sum and per-row scale.  Values and
     gradients are bit-identical to the chain's."""
-    if proj is None:
-        _shape_check(x.shape == y.shape, "add_norm", x.shape, y.shape)
-        z, parents = y.values, (x, y, gain, bias)
-    else:
-        w, b = proj
-        yv = _joined(y, "add_norm")
-        _shape_check(
-            yv.shape[-1] == w.shape[0]
-            and x.shape == (*yv.shape[:-1], w.shape[1])
-            and b.shape == (w.shape[1],),
-            "add_norm",
-            x.shape,
-            yv.shape,
-            w.shape,
-            b.shape,
-        )
-        z, parents = _project(yv, w, b), (x, *_parts(y), gain, bias, w, b)
-        del yv  # a concatenation of parts lives only while the GEMM reads it
+    z = _operand(y, "add_norm")
+    _shape_check(x.shape == z.shape, "add_norm", x.shape, z.shape)
     _check_norm_params("add_norm", x, gain, bias)
     keep = _draw_keep(rng, x.shape, rate)
     xhat = _join(x, z, keep, rate)[0]
     out_values = _affine(xhat, gain, bias, out=xhat)
 
     def bw(g):
-        if proj is None:
-            _accumulate(y, _join_grad(g, x, y.values, keep, gain, bias, rate))
-        else:
-            gs = _join_grad(g, x, _project(_joined(y), *proj), keep, gain, bias, rate)
-            _project_grad(gs, y, *proj)
+        _project_grad(_join_grad(g, x, _operand(y, "add_norm"), keep, gain, bias, rate), y)
 
-    return _node(out_values, parents, bw)
+    return _node(out_values, (x, *_operand_parents(y), gain, bias), bw)
 
 
-def _hidden(xv: np.ndarray, w1: Tensor, b1: Tensor, keep, rate: float) -> np.ndarray:
-    """The FFN hidden layer ``dropout(relu(xv @ w1 + b1))`` under the given
-    packed mask, in one fresh array."""
-    h = _project(xv, w1, b1)
+def _hidden(h: np.ndarray, keep, rate: float) -> np.ndarray:
+    """The FFN hidden layer ``dropout(relu(h))`` of the first projection's
+    output ``h`` under the given packed mask, computed in ``h``."""
     np.maximum(h, 0, out=h)
     return h if keep is None else _drop(h, keep, rate, out=h)
 
@@ -780,42 +775,39 @@ def feed_forward(
     The node keeps the two packed masks beyond its inputs, not the
     (..., ffn_hidden) hidden layer, which is freed once ``w2`` has read it,
     nor the join's normalised sum: backward rebuilds the hidden layer from
-    ``x`` and its mask, one GEMM more, then ``z = h @ w2 + b2`` and the
-    join from it, a second.  ReLU's mask is read back as ``h > 0`` from the
-    dropped hidden, which differs from the pre-ReLU test only where the
-    keep mask zeroes the gradient anyway.  Values and gradients are
-    bit-identical to the chain's."""
-    hidden = w1.shape[-1]
+    the projection operand ``(x, w1, b1)`` and its mask, one GEMM more,
+    then ``z = h @ w2 + b2`` and the join from it, a second.  ReLU's mask
+    is read back as ``h > 0`` from the dropped hidden, which differs from
+    the pre-ReLU test only where the keep mask zeroes the gradient anyway.
+    Values and gradients are bit-identical to the chain's."""
+    first = (x, w1, b1)
+    h = _operand(first, "feed_forward")
     _shape_check(
-        x.shape[-1] == w1.shape[0]
-        and b1.shape == (hidden,)
-        and w2.shape == (hidden, x.shape[-1])
-        and b2.shape == (x.shape[-1],),
+        w2.shape == (h.shape[-1], x.shape[-1]) and b2.shape == (x.shape[-1],),
         "feed_forward",
-        x.shape,
-        w1.shape,
-        b1.shape,
+        h.shape,
         w2.shape,
         b2.shape,
     )
     _check_norm_params("feed_forward", x, gain, bias)
-    hkeep = _draw_keep(rng, (*x.shape[:-1], hidden), rate)
-    z = _project(_hidden(x.values, w1, b1, hkeep, rate), w2, b2)
+    hkeep = _draw_keep(rng, h.shape, rate)
+    z = _project(_hidden(h, hkeep, rate), w2, b2)
+    del h  # the hidden layer lives only while w2 reads it
     keep = _draw_keep(rng, x.shape, rate)
     xhat = _join(x, z, keep, rate)[0]
     out_values = _affine(xhat, gain, bias, out=xhat)
 
     def bw(g):
-        h = _hidden(x.values, w1, b1, hkeep, rate)
+        h = _hidden(_operand(first, "feed_forward"), hkeep, rate)
         gs = _join_grad(g, x, _project(h, w2, b2), keep, gain, bias, rate)
         _weight_grads(gs, h, w2, b2)
         gh = gs @ w2.values.T
         gh *= h > 0
         if hkeep is not None:
             _drop(gh, hkeep, rate, out=gh)
-        _project_grad(gh, x, w1, b1)
+        _project_grad(gh, first)
 
-    return _node(out_values, (x, w1, b1, w2, b2, gain, bias), bw)
+    return _node(out_values, (*_operand_parents(first), w2, b2, gain, bias), bw)
 
 
 # --- embeddings and loss ----------------------------------------------------

@@ -26,18 +26,21 @@ whose parameters an ``AddNorm`` holds.  A block only wires its sub-layers
 together.  Every join but the FFN's is one autodiff node, ``ad.add_norm``,
 which keeps only its dropout mask, packed to one bit an element: backward
 rebuilds the normalised sum.
-Every join but the query layer's owns its sub-layer's last linear
-(attention's ``wo``, the FFN's ``w2``, the global layer's ``fold``) and
-computes it inside its node, so the projected output is never kept for
-backward.  In the same way every attention owns its input projections: one
-``ad.attention`` node computes q, k and v from its sources and keeps the
-sources, not the projections, which backward rebuilds; its output is laid
-out so that merging its heads is a view.  A projection of a concatenation
-(the global layer's ``fold``, ``ordering_fold``, ``merge``) reads the
-parts, so no concat is kept either.  The whole FFN sub-layer with its join
-is one node too, ``ad.feed_forward``: it keeps what the join keeps plus
-the packed mask of the hidden layer ``Dropout(relu(w1(x)))``, not the
-hidden layer itself, which backward rebuilds from ``x`` and that mask.
+
+A projection that a fused node computes itself is handed to it as the
+projection operand ``(x, w, b)``, which only ``Linear.of`` builds.  The
+node keeps ``x`` and the weights, not the projected output, which
+backward rebuilds; ``x`` may be a list of parts read as their
+concatenation (the global layer's ``fold``, ``ordering_fold``,
+``merge``), so no concat is kept either.  Every join but the query
+layer's joins such an operand of its sub-layer's last linear (attention's
+``wo``, the global layer's ``fold``).  Every attention is one
+``ad.attention`` node over the operands of its q, k and v projections; its
+output is laid out so that merging its heads is a view.  The whole FFN
+sub-layer with its join is one node too, ``ad.feed_forward``: it keeps
+what the join keeps plus the packed mask of the hidden layer
+``Dropout(relu(w1(x)))``, not the hidden layer itself, which backward
+rebuilds from ``x`` and that mask, nor ``w2``'s output.
 """
 
 from __future__ import annotations
@@ -267,27 +270,30 @@ class Linear:
         self.w = store.kaiming(f"{name}.w", (d_in, d_out), fan_in=d_in)
         self.b = store.zeros(f"{name}.b", (d_out,)) if bias else None
 
+    def of(self, x) -> tuple:
+        """The projection operand ``(x, w, b)`` of ``x``, for a fused node
+        to compute; ``x`` is a tensor or a list of parts read as their
+        last-axis concatenation, which no node keeps."""
+        return x, self.w, self.b
+
     def __call__(self, x) -> Tensor:
-        """``x`` is a tensor or a list of parts read as their last-axis
-        concatenation, which ``ad.linear`` never keeps."""
-        return ad.linear(x, self.w, self.b)
+        return ad.linear(*self.of(x))
 
 
 class AddNorm:
     """The post-norm residual join of every sub-layer:
-    ``LayerNorm(x + Dropout(proj(y)))`` for a sub-layer output ``y`` of
-    ``x``.  The join owns the sub-layer's output projection ``proj``, a
-    ``Linear``, so the projected output is never a graph node; without one
-    it joins ``y`` itself."""
+    ``LayerNorm(x + Dropout(y))`` for a sub-layer output ``y`` of ``x``.
+    ``y`` is a tensor or, where the join owns the sub-layer's output
+    projection, that ``Linear``'s operand ``proj.of(out)``, so the
+    projected output is never a graph node."""
 
     def __init__(self, store, name, cfg: ModelConfig):
         self.gain = store.ones(f"{name}.gain", (cfg.d_model,))
         self.bias = store.zeros(f"{name}.bias", (cfg.d_model,))
         self.rate = cfg.dropout
 
-    def __call__(self, x: Tensor, y, rng=None, proj: Linear | None = None) -> Tensor:
-        wb = None if proj is None else (proj.w, proj.b)
-        return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng, wb)
+    def __call__(self, x: Tensor, y, rng=None) -> Tensor:
+        return ad.add_norm(x, y, self.gain, self.bias, self.rate, rng)
 
 
 class FeedForward:
@@ -342,9 +348,9 @@ class MultiHeadAttention:
         self.wo = Linear(store, f"{name}.wo", d_model, d_model)
 
     def project_kv(self, source: Tensor) -> tuple[tuple, tuple]:
-        """The key and value projections ``(source, w, b)`` of ``source``,
-        for the attention node to compute."""
-        return (source, self.wk.w, self.wk.b), (source, self.wv.w, self.wv.b)
+        """The key and value projection operands of ``source``, for the
+        attention node to compute."""
+        return self.wk.of(source), self.wv.of(source)
 
     def cached_kv(self, source: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of ``source`` as C-contiguous (..., heads, Tk,
@@ -366,8 +372,7 @@ class MultiHeadAttention:
         if causal and tq > 1:  # one query sees every key
             tri = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
             mask = tri if mask is None else mask & tri
-        q = (query, self.wq.w, self.wq.b)
-        ctx = ad.attention(q, k, v, 1.0 / math.sqrt(self.dk), mask, self.heads)
+        ctx = ad.attention(self.wq.of(query), k, v, 1.0 / math.sqrt(self.dk), mask, self.heads)
         ctx = ad.swapaxes(ctx, -2, -3)
         *lead, t, h, dk = ctx.shape
         return ad.reshape(ctx, (*lead, t, h * dk))
@@ -418,7 +423,7 @@ class LocalLayer:
 
     def __call__(self, x, token_mask, rng=None):
         ctx = self.attn.context(x, self.attn.project_kv(x), key_mask=token_mask)
-        return self.ffn(self.ln1(x, ctx, rng, self.attn.wo), rng)
+        return self.ffn(self.ln1(x, self.attn.wo.of(ctx), rng), rng)
 
 
 class QueryLayer:
@@ -475,7 +480,7 @@ class GlobalLayer:
         ctx = self.inter(seq, self.inter.project_kv(seq), key_mask=doc_mask[None, :])
         ctx = ad.reshape(ctx, (n, d))
         both = [x, _broadcast_vector(ctx, t)]
-        return self.ffn(self.ln1(x, both, rng, self.fold), rng), doc_vectors
+        return self.ffn(self.ln1(x, self.fold.of(both), rng), rng), doc_vectors
 
 
 class OrderingScores:
@@ -501,21 +506,17 @@ class DecoderLayer:
         self.ln2 = AddNorm(store, f"{name}.ln2", cfg)
         self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln3", cfg)
 
-    def project_memory(self, memory: Tensor) -> tuple[tuple, tuple]:
-        """Cross-attention K/V projections of the encoder memory (..., M, d)."""
-        return self.cross_attn.project_kv(memory)
-
     def __call__(self, x, memory_kv, memory_mask, rng=None, self_kv=None):
         """Run positions x (..., S, d): causal self-attention, then
-        cross-attention against ``memory_kv`` (``project_memory``'s, or a
-        decoding cache's), then the FFN.  x's queries attend over
-        ``self_kv``: by default x's own K/V projections; incremental
-        decoding passes its cache (``cached_kv``), whose positions end with
-        x's own."""
+        cross-attention against ``memory_kv`` (``cross_attn.project_kv``'s
+        of the encoder memory, or a decoding cache's), then the FFN.  x's
+        queries attend over ``self_kv``: by default x's own K/V
+        projections; incremental decoding passes its cache
+        (``cached_kv``), whose positions end with x's own."""
         sa, ca = self.self_attn, self.cross_attn
         kv = sa.project_kv(x) if self_kv is None else self_kv
-        x = self.ln1(x, sa.context(x, kv, causal=True), rng, sa.wo)
-        x = self.ln2(x, ca.context(x, memory_kv, key_mask=memory_mask), rng, ca.wo)
+        x = self.ln1(x, sa.wo.of(sa.context(x, kv, causal=True)), rng)
+        x = self.ln2(x, ca.wo.of(ca.context(x, memory_kv, key_mask=memory_mask)), rng)
         return self.ffn(x, rng)
 
 
@@ -641,7 +642,7 @@ class SummModel:
             raise ValueError("decoder prefix must start with the sequence-start token")
         x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng)
         for layer in self.decoder:
-            x = layer(x, layer.project_memory(memory), memory_mask, rng)
+            x = layer(x, layer.cross_attn.project_kv(memory), memory_mask, rng)
         return self.output_logits(x)
 
     def start_decoding(self, enc: EncodedBatch) -> DecoderState:

@@ -134,7 +134,7 @@ def _decoder(rng, cfg, store):
     x = _states(rng, (3, cfg.d_model))
     memory = _states(rng, (6, cfg.d_model))
     memory_mask = np.array([True] * 5 + [False])
-    return lambda: layer(x, layer.project_memory(memory), memory_mask)
+    return lambda: layer(x, layer.cross_attn.project_kv(memory), memory_mask)
 
 
 def _toy_input(rng, cfg) -> ModelInput:

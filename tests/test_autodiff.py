@@ -110,8 +110,18 @@ class TestForwardValues:
             ad.attention((x, w, ad.tensor(np.zeros(4))), (x, w, None), (x, w, None), 1.0, heads=2)
         with pytest.raises(ShapeError, match="linear"):  # parts of 2 and 3 rows
             ad.linear([a, ad.tensor(np.zeros((3, 3)))], ad.tensor(np.zeros((6, 1))))
+        with pytest.raises(ShapeError, match="linear"):  # no parts
+            ad.linear([], ad.tensor(np.zeros((0, 1))))
+        w34 = ad.tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="linear"):  # a bias of 1 for 4 outputs
+            ad.linear(a, w34, ad.tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match="linear"):  # a bias per row, not per output
+            ad.linear(a, w34, ad.tensor(np.zeros((2, 4))))
+        half = ad.tensor(np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeError, match="attention"):  # a source of parts
+            ad.attention(([half, half], w, None), (x, w, None), (x, w, None), 1.0, heads=2)
         with pytest.raises(ShapeError, match="add_norm"):
-            ad.add_norm(a, [a, b], a, a, 0.1, None, (ad.tensor(np.zeros((8, 3))), a))
+            ad.add_norm(a, ([a, b], ad.tensor(np.zeros((8, 3))), a), a, a, 0.1, None)
 
 
 class TestBackward:
@@ -201,11 +211,11 @@ class TestBackward:
         pj_y = rand(extra, 4, 8)
         pj = {**an, "y": pj_y, "w": ff_w2, "pb": ff_b2}
         checks["add_norm_proj"] = grad_check(
-            lambda: wsum(ad.add_norm(an_x, pj_y, an_g, an_b, 0.3, None, (ff_w2, ff_b2)), wln), pj
+            lambda: wsum(ad.add_norm(an_x, (pj_y, ff_w2, ff_b2), an_g, an_b, 0.3, None), wln), pj
         )
         checks["add_norm_proj_dropout"] = grad_check(
             lambda: wsum(
-                ad.add_norm(an_x, pj_y, an_g, an_b, 0.3, np.random.default_rng(31), (ff_w2, ff_b2)),
+                ad.add_norm(an_x, (pj_y, ff_w2, ff_b2), an_g, an_b, 0.3, np.random.default_rng(31)),
                 wln,
             ),
             pj,
@@ -302,13 +312,41 @@ class TestBackward:
         wparts = rand(pr, 9, 6)
         checks["add_norm_proj_parts"] = grad_check(
             lambda: wsum(
-                ad.add_norm(an_x, [an_y, lp], an_g, an_b, 0.3, None, (wparts, ff_b2)), wln
+                ad.add_norm(an_x, ([an_y, lp], wparts, ff_b2), an_g, an_b, 0.3, None), wln
             ),
             {"x": an_x, "y": an_y, "a": lp, "w": wparts, "g": an_g, "b": an_b},
         )
 
         for name, err in checks.items():
             assert err < 1e-4, f"{name}: rel err {err:.3e}"
+
+    def test_projection_weights_may_be_nodes(self):
+        """A projection operand's weight and bias reach the graph through
+        its node's parents, so they may be nodes themselves: through a
+        ``mul`` by 1 every leaf takes the gradient bytes it takes when the
+        nodes read it directly."""
+        rng = np.random.default_rng(31)
+        shapes = {
+            "x": (2, 4, 6), "w1": (6, 8), "b1": (8,), "w2": (8, 6), "b2": (6,),
+            "g": (6,), "b": (6,), "w": (6, 6), "wb": (6,),
+        }
+        leaves = {k: rand(rng, *s) for k, s in shapes.items()}
+        w_out = rng.standard_normal((2, 2, 4, 3))
+
+        def grads(wrap):
+            t = {k: wrap(leaf) for k, leaf in leaves.items()}
+            h = ad.feed_forward(*(t[k] for k in ("x", "w1", "b1", "w2", "b2", "g", "b")), 0.3, None)
+            h = ad.add_norm(h, (h, t["w"], t["wb"]), t["g"], t["b"], 0.3, None)
+            h = ad.linear([h], t["w"], t["wb"])
+            backward(wsum(ad.attention(*[(h, t["w"], t["wb"])] * 3, 0.5, None, 2), w_out))
+            out = [leaf.grad for leaf in leaves.values()]
+            for leaf in leaves.values():
+                leaf.grad = None
+            return out
+
+        direct = grads(lambda leaf: leaf)
+        one = ad.tensor(1.0, np.float64)
+        _assert_same_bytes(grads(lambda leaf: ad.mul(leaf, one)), direct)
 
     def test_concat_split_roundtrip_gradients(self):
         rng = np.random.default_rng(4)
@@ -396,7 +434,7 @@ def _primitive_calls():
         "layer_norm": lambda: [ad.layer_norm(p(4, 6), p(6), p(6))],
         "add_norm": lambda: [
             ad.add_norm(p(4, 6), p(4, 6), p(6), p(6), 0.3, np.random.default_rng(0)),
-            ad.add_norm(p(4, 6), p(4, 8), p(6), p(6), 0.3, None, (p(8, 6), p(6))),
+            ad.add_norm(p(4, 6), (p(4, 8), p(8, 6), p(6)), p(6), p(6), 0.3, None),
         ],
         "feed_forward": lambda: [
             ad.feed_forward(
@@ -891,10 +929,10 @@ def oracle_linear(x, weight, bias=None):
     return FUSED_LINEAR(x, weight, bias)
 
 
-def oracle_add_norm(x, y, gain, bias, rate, rng, proj=None):
-    """The residual join as the chain ``add_norm`` replaced, the output
-    projection ``proj`` a ``linear`` node of its own."""
-    z = y if proj is None else oracle_linear(y, *proj)
+def oracle_add_norm(x, y, gain, bias, rate, rng):
+    """The residual join as the chain ``add_norm`` replaced, an output
+    projection ``y = (source, w, b)`` a ``linear`` node of its own."""
+    z = y if isinstance(y, ad.Tensor) else oracle_linear(*y)
     return oracle_layer_norm(ad.add(x, oracle_dropout(z, rate, rng)), gain, bias)
 
 
@@ -904,7 +942,7 @@ def oracle_feed_forward(x, w1, b1, w2, b2, gain, bias, rate, rng):
     ``ad.add_norm`` owning ``w2`` (patch that to ``oracle_add_norm`` for
     the join's chain too)."""
     hidden = oracle_dropout(ad.relu(ad.linear(x, w1, b1)), rate, rng)
-    return ad.add_norm(x, hidden, gain, bias, rate, rng, (w2, b2))
+    return ad.add_norm(x, (hidden, w2, b2), gain, bias, rate, rng)
 
 
 def oracle_broadcast_to(a, shape):
@@ -972,8 +1010,8 @@ def _run_attention_join(attention, add_norm, name, dtype, released_grads):
         drop = None if name == "no-rng" else np.random.default_rng(11)
         heads = ad.swapaxes(attention(q, k, v, 0.5), -2, -3)
         ctx = ad.reshape(heads, (2, 5, 12))
-        proj = (leaves["wo"], leaves["bo"])
-        return ctx, add_norm(x, ctx, leaves["gain"], leaves["bias"], 0.3, drop, proj)
+        proj = (ctx, leaves["wo"], leaves["bo"])
+        return ctx, add_norm(x, proj, leaves["gain"], leaves["bias"], 0.3, drop)
 
     ctx, out = forward()
     with ad.no_grad():
@@ -1034,7 +1072,7 @@ def _run_projected_attention(attention, add_norm, name, rng_on, dtype, released_
             kv = m if m_shape else h
             qkv = ((h, L["wq"], L["bq"]), (kv, L["wk"], None), (kv, L["wv"], L["bv"]))
             ctx = ad.reshape(ad.swapaxes(attention(*qkv, 0.5, mask, heads), -2, -3), h.shape)
-            h = add_norm(h, ctx, L["g"], L["b"], 0.3, drop, (L["wo"], L["bo"]))
+            h = add_norm(h, (ctx, L["wo"], L["bo"]), L["g"], L["b"], 0.3, drop)
         return h
 
     out = forward()
@@ -1091,8 +1129,9 @@ class TestFusedSubLayerOracles:
     def test_ffn_sub_layer_matches_the_chain_bytes(
         self, join, name, dtype, monkeypatch, released_grads
     ):
-        """Against the hidden layer's chain joined by ``ad.add_norm`` with
-        ``proj=(w2, b2)``, and against the join's chain too."""
+        """Against the hidden layer's chain joined by ``ad.add_norm`` over
+        the projection ``(hidden, w2, b2)``, and against the join's chain
+        too."""
         got = _run_sub_layer(ad.feed_forward, name, dtype, released_grads)
         monkeypatch.setattr(ad, "_accumulate", oracle_accumulate)
         if join == "chain":
@@ -1148,8 +1187,8 @@ class TestFusedSubLayerOracles:
             x = ad.mul(leaves["x"], ad.tensor(1.0, dtype))
             vec = ad.broadcast_to(ad.reshape(leaves["v"], (3, 1, 4)), (3, 5, 4))
             drop = np.random.default_rng(5) if rng_on else None
-            proj = (leaves["w"], leaves["b"])
-            folded = add_norm(x, [x, vec], leaves["g"], leaves["beta"], 0.3, drop, proj)
+            proj = ([x, vec], leaves["w"], leaves["b"])
+            folded = add_norm(x, proj, leaves["g"], leaves["beta"], 0.3, drop)
             merged = linear([x, folded], leaves["wm"], leaves["bm"])
             w = rng.standard_normal(merged.shape).astype(dtype)
             backward(ad.tsum(ad.mul(merged, ad.tensor(w, dtype))))
@@ -1235,10 +1274,10 @@ def test_fused_shape_errors_name_the_primitive():
         ad.add_norm(a, a, ad.tensor(np.ones(4)), zeros, 0.1, None)
     w = ad.tensor(np.zeros((4, 3)))
     with pytest.raises(ShapeError, match="add_norm"):  # the projection reads 4 features, y has 3
-        ad.add_norm(a, a, ones, zeros, 0.1, None, (w, zeros))
+        ad.add_norm(a, (a, w, zeros), ones, zeros, 0.1, None)
     with pytest.raises(ShapeError, match="add_norm"):  # its bias is not its output width
-        proj = (w, ad.tensor(np.ones(2)))
-        ad.add_norm(a, ad.tensor(np.zeros((2, 4))), ones, zeros, 0.1, None, proj)
+        proj = (ad.tensor(np.zeros((2, 4))), w, ad.tensor(np.ones(2)))
+        ad.add_norm(a, proj, ones, zeros, 0.1, None)
     w1, b1, w2 = ad.tensor(np.zeros((3, 5))), ad.tensor(np.zeros(5)), ad.tensor(np.zeros((5, 3)))
     with pytest.raises(ShapeError, match="feed_forward"):  # b1 has 4 hidden units, w1 makes 5
         ad.feed_forward(a, w1, ad.tensor(np.zeros(4)), w2, zeros, ones, zeros, 0.1, None)
@@ -1288,13 +1327,12 @@ class TestFusedSubLayerMemory:
         rng = np.random.default_rng(17)
         x = ad.parameter(rng.standard_normal((self.N, self.D)))
         y = ad.parameter(rng.standard_normal((self.N, width or self.D)))
-        proj = None
         if width:
             w = ad.parameter(rng.standard_normal((width, self.D)))
-            proj = (w, ad.parameter(np.zeros(self.D)))
+            y = (y, w, ad.parameter(np.zeros(self.D)))
         gain, bias = ad.parameter(np.ones(self.D)), ad.parameter(np.zeros(self.D))
         drop = np.random.default_rng(18)
-        out, _, held = _traced(lambda: ad.add_norm(x, y, gain, bias, 0.3, drop, proj))
+        out, _, held = _traced(lambda: ad.add_norm(x, y, gain, bias, 0.3, drop))
         assert out.requires_grad
         size = self.N * self.D
         kept = size // 8 + out.values.nbytes  # mask, output
@@ -1351,7 +1389,7 @@ class TestFusedSubLayerMemory:
         assert held <= out.values.nbytes + 4096 < out.values.nbytes + concat, held
         gain = ad.parameter(np.ones(d))
         drop = np.random.default_rng(22)
-        out, _, held = _traced(lambda: ad.add_norm(a, [a, c], gain, bias, 0.3, drop, (w, bias)))
+        out, _, held = _traced(lambda: ad.add_norm(a, ([a, c], w, bias), gain, bias, 0.3, drop))
         kept = n * d // 8 + out.values.nbytes  # mask, output
         assert held <= kept + 4096 < kept + concat, (held, kept)
 

@@ -576,7 +576,7 @@ class TestDecoderAndForward:
         enc = model.encode(inp)
         x = ad.tensor(np.random.default_rng(0).standard_normal((3, 8)), np.float64)
         layer = model.decoder[0]
-        layer.cross_attn(x, layer.project_memory(enc.memory), key_mask=enc.memory_mask)
+        layer.cross_attn(x, layer.cross_attn.project_kv(enc.memory), key_mask=enc.memory_mask)
         np.testing.assert_allclose(attention_probs[-1].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_empty_prefix_rejected(self):

@@ -215,10 +215,16 @@ def test_model_joins_every_sub_layer_through_one_layer_norm_call():
     }
 
 
+def _is_operand(node) -> bool:
+    """Whether ``node`` is a call of a ``Linear``'s ``of``, the one place
+    ``model.py`` builds a projection operand."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of"
+
+
 def test_every_join_but_the_query_layers_owns_its_projection():
     """A join that owns its sub-layer's output projection keeps no node for
     the projected output.  Every call of an ``AddNorm`` attribute in
-    ``model.py`` passes ``proj``, the fourth argument, except
+    ``model.py`` joins a projection operand, ``proj.of(out)``, except
     ``QueryLayer``'s: its projection runs once per document, before the
     broadcast over tokens.  ``FeedForward`` calls no ``AddNorm``: its join,
     which owns ``w2``, is inside ``ad.feed_forward``."""
@@ -241,12 +247,7 @@ def test_every_join_but_the_query_layers_owns_its_projection():
                 and node.func.attr in attrs
                 and getattr(node.func.value, "id", None) == "self"
             ):
-                proj = node.args[3] if len(node.args) > 3 else None
-                proj = next((k.value for k in node.keywords if k.arg == "proj"), proj)
-                passed = proj is not None and not (
-                    isinstance(proj, ast.Constant) and proj.value is None
-                )
-                joins.append((cls.name, node.func.attr, passed))
+                joins.append((cls.name, node.func.attr, _is_operand(node.args[1])))
     assert sorted(joins) == [
         ("DecoderLayer", "ln1", True),
         ("DecoderLayer", "ln2", True),
@@ -254,6 +255,46 @@ def test_every_join_but_the_query_layers_owns_its_projection():
         ("LocalLayer", "ln1", True),
         ("QueryLayer", "ln1", False),
     ]
+
+
+def test_one_projection_operand_and_no_deleted_names():
+    """The projection operand ``(x, w, b)`` is the one way to hand a fused
+    node a projection: neither ``ad.add_norm`` nor ``AddNorm.__call__``
+    takes a separate ``proj``, ``model.py`` builds such a tuple only in
+    ``Linear.of``, and the removed ``sub`` and ``project_memory`` are
+    defined nowhere."""
+    model = ast.parse((SOURCE / "model.py").read_text(encoding="utf-8"))
+    add_norm = _functions(SOURCE / "autodiff.py")["add_norm"]
+    add_norm_call = next(
+        node
+        for cls in ast.walk(model)
+        if isinstance(cls, ast.ClassDef) and cls.name == "AddNorm"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__call__"
+    )
+    for fn in (add_norm, add_norm_call):
+        assert "proj" not in [a.arg for a in (*fn.args.args, *fn.args.kwonlyargs)]
+
+    def builds_operand(node):
+        return (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) == 3
+            and [getattr(e, "attr", None) for e in node.elts[1:]] == ["w", "b"]
+        )
+
+    builders = []
+    for cls in (node for node in model.body if isinstance(node, ast.ClassDef)):
+        for fn in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+            builders += [(cls.name, fn.name) for node in ast.walk(fn) if builds_operand(node)]
+    assert builders == [("Linear", "of")]
+    defined = {
+        node.name
+        for d in (*CALLER_DIRS, "tests")
+        for path in (ROOT / d).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not {"sub", "project_memory"} & defined
 
 
 def _calls_by_scope(path, match):
@@ -293,8 +334,8 @@ def _is_call_of(name, owner=None):
 
 
 def test_no_concat_in_the_model_feeds_a_projection():
-    """A projection of a concatenation takes the parts, ``ad.linear``'s and
-    ``ad.add_norm``'s list input, so the (..., 2d) concat is never a graph
+    """A projection of a concatenation takes the parts, a projection
+    operand's list source, so the (..., 2d) concat is never a graph
     node.  The two concats ``model.py`` keeps feed no projection:
     ``ordering_encoding`` interleaves sines and cosines for a reshape, and
     ``DecoderState.step`` extends the decoding cache under ``no_grad``."""
@@ -307,26 +348,19 @@ def test_no_concat_in_the_model_feeds_a_projection():
 
 def test_every_attention_in_a_graph_computes_its_projections():
     """``model.py`` builds attention in one place, ``MultiHeadAttention.
-    context``, which passes the query projection ``(query, w, b)``, and
-    the only keys and values it does not hand over as projections are
-    ``cached_kv``'s, which decoding makes under ``no_grad``.  So every
-    attention node in a graph computes its q, k and v itself and keeps
-    none of them."""
+    context``, which passes the query's projection operand, and
+    ``project_kv`` hands over the keys' and values' operands.  The only
+    keys and values that are not operands are ``cached_kv``'s, which
+    decoding makes under ``no_grad``.  So every attention node in a graph
+    computes its q, k and v itself and keeps none of them."""
     path = SOURCE / "model.py"
     attention = _calls_by_scope(path, _is_call_of("attention", "ad"))
     assert [(cls, fn) for cls, fn, _, _ in attention] == [("MultiHeadAttention", "context")]
-    context = next(
-        node
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name == "context"
-    )
-    q_arg = attention[0][2].args[0].id
-    assigned = [
-        node.value
-        for node in ast.walk(context)
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == q_arg
-    ]
-    assert len(assigned) == 1 and isinstance(assigned[0], ast.Tuple)
+    assert _is_operand(attention[0][2].args[0])
+    project_kv = _functions(path)["project_kv"]
+    returned = [node.value for node in ast.walk(project_kv) if isinstance(node, ast.Return)]
+    assert len(returned) == 1 and isinstance(returned[0], ast.Tuple)
+    assert [_is_operand(e) for e in returned[0].elts] == [True, True]
     cached = _calls_by_scope(path, _is_call_of("cached_kv"))
     assert cached and all("ad.no_grad()" in withs for _, _, _, withs in cached)
     split = _calls_by_scope(path, lambda call: getattr(call.func, "id", None) == "_split_heads")
