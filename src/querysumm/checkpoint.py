@@ -6,13 +6,14 @@ manifest lists (name, shape, offset, dtype) per tensor plus a free-form
 ``meta`` dict.  A training checkpoint is one such file: weights, optimizer
 moments under ``opt/`` names, and the step in ``meta``.
 
-A save writes a temporary file next to the target, syncs it to disk and
-renames it over the target, so a crash mid-write leaves the previous file
-intact.
+A save goes through ``atomic_write``, as does every JSONL file the package
+writes: a temporary file next to the target, synced to disk and renamed
+over the target, so a crash mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -28,6 +29,25 @@ def _raw_bytes(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file whose content replaces ``path``'s.  It is a temporary
+    file next to ``path``; when the ``with`` block ends without an error it
+    is synced to disk, then renamed over ``path``.  On any error it is
+    removed and ``path`` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write ``arrays`` and ``meta``.  Each array's buffer goes to the file
     as it is; only an array that is not contiguous or not little-endian is
@@ -40,22 +60,13 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": dtype.str})
         offset += arr.nbytes
     manifest = json.dumps({"meta": meta or {}, "tensors": entries}).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(manifest)))
-            fh.write(manifest)
-            for arr in arrays.values():
-                data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-                fh.write(_raw_bytes(data))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(manifest)))
+        fh.write(manifest)
+        for arr in arrays.values():
+            data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+            fh.write(_raw_bytes(data))
 
 
 def _read_manifest(fh, path) -> dict:

@@ -18,13 +18,13 @@ alignment histogram, and corpus statistics.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import bm25
+from .checkpoint import atomic_write
 # ``rouge_n`` is not called here; bench/test_bench.py asserts that the
 # benchmark's tracer wraps this binding of it.
 from .rouge import _f1, rouge_l, rouge_n
@@ -454,20 +454,13 @@ def load_records(path, cls) -> list:
 
 
 def write_jsonl(rows, path) -> None:
-    """One ``json.dumps`` line per row, non-ASCII kept as UTF-8.  The rows
-    go to ``path + ".tmp"``, which replaces ``path`` only once every row is
-    written, so a failure while ``rows`` is produced leaves ``path`` as it
-    was and no temporary file behind."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """One ``json.dumps`` line per row, non-ASCII kept as UTF-8, written
+    through ``atomic_write``: ``path`` changes only once every row is
+    written and synced to disk, so a failure while ``rows`` is produced
+    leaves ``path`` as it was and no temporary file behind."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def save_records(records, path) -> None:

@@ -16,9 +16,11 @@ components extend the baseline:
 * hierarchical merge - decoder memory built from both the final local and
   final global states via a learned projection, instead of global alone.
 
-The decoder is a standard causal transformer layer with cross-attention
-over the flattened encoder memory; output logits reuse the tied input
-embedding, scaled by d_model^-0.5 so an untrained model is near-uniform.
+Padding stops at the encoder: the decoder memory is the merged grid's rows
+at the real tokens only, in grid order, so it needs no mask.  The decoder
+is a standard causal transformer layer with cross-attention over that
+memory; output logits reuse the tied input embedding, scaled by
+d_model^-0.5 so an untrained model is near-uniform.
 
 Every sub-layer of every block joins its input through one post-norm
 residual, ``LayerNorm(x + Dropout(Sublayer(x)))`` (Vaswani et al., 2017),
@@ -168,13 +170,14 @@ class ModelInput:
 
 @dataclass
 class EncodedBatch:
-    """Encoder output: the decoder reads ``memory`` under ``memory_mask``,
-    True at the real tokens of the flattened (N*T) document grid."""
+    """Encoder output.  ``memory`` holds one row per real token of the
+    (N, T) document grid, in grid order, and no padding, so the decoder
+    attends over all of it.  API change: the boolean memory-mask field is
+    removed, since every memory row is real."""
 
     token_states: Tensor  # final global-layer output (N, T, d)
     local_states: Tensor  # final local-layer output (N, T, d)
-    memory: Tensor  # flattened decoder memory (N*T, d)
-    memory_mask: np.ndarray  # (N*T,) bool
+    memory: Tensor  # decoder memory (R, d), R = real tokens of the grid
     ordering: Tensor | None = None  # importance scores r (N,), only with ordering on
 
 
@@ -499,6 +502,9 @@ class OrderingScores:
 
 
 class DecoderLayer:
+    """Causal self-attention, cross-attention over the encoder memory, FFN.
+    The memory holds real rows only, so cross-attention takes no mask."""
+
     def __init__(self, store, name, cfg: ModelConfig):
         self.self_attn = MultiHeadAttention(store, f"{name}.self", cfg.d_model, cfg.heads)
         self.cross_attn = MultiHeadAttention(store, f"{name}.cross", cfg.d_model, cfg.heads)
@@ -506,7 +512,7 @@ class DecoderLayer:
         self.ln2 = AddNorm(store, f"{name}.ln2", cfg)
         self.ffn = FeedForward(store, f"{name}.ffn", f"{name}.ln3", cfg)
 
-    def __call__(self, x, memory_kv, memory_mask, rng=None, self_kv=None):
+    def __call__(self, x, memory_kv, rng=None, self_kv=None):
         """Run positions x (..., S, d): causal self-attention, then
         cross-attention against ``memory_kv`` (``cross_attn.project_kv``'s
         of the encoder memory, or a decoding cache's), then the FFN.  x's
@@ -516,7 +522,7 @@ class DecoderLayer:
         sa, ca = self.self_attn, self.cross_attn
         kv = sa.project_kv(x) if self_kv is None else self_kv
         x = self.ln1(x, sa.wo.of(sa.context(x, kv, causal=True)), rng)
-        x = self.ln2(x, ca.wo.of(ca.context(x, memory_kv, key_mask=memory_mask)), rng)
+        x = self.ln2(x, ca.wo.of(ca.context(x, memory_kv)), rng)
         return self.ffn(x, rng)
 
 
@@ -608,12 +614,12 @@ class SummModel:
             branch = self.merge([local_states, branch])
 
         n, t, d = token_states.shape
-        memory = ad.reshape(branch, (n * t, d))
+        real_rows = np.flatnonzero(token_mask)  # grid order
+        memory = ad.embedding_lookup(ad.reshape(branch, (n * t, d)), real_rows)
         return EncodedBatch(
             token_states=token_states,
             local_states=local_states,
             memory=memory,
-            memory_mask=token_mask.reshape(-1),
             ordering=r,
         )
 
@@ -630,9 +636,10 @@ class SummModel:
         logits = ad.linear(x, ad.swapaxes(self.embed, 0, 1))
         return ad.scale(logits, 1.0 / math.sqrt(self.config.d_model))
 
-    def decode_logits(self, prefix_ids, memory: Tensor, memory_mask, rng=None) -> Tensor:
+    def decode_logits(self, prefix_ids, memory: Tensor, rng=None) -> Tensor:
         """Logits (S, vocab) for every position of the decoder prefix, which
-        must start with the sequence-start id.
+        must start with the sequence-start id, over ``memory``, an
+        ``EncodedBatch.memory``.
 
         The full-sequence forward: ``loss_sum`` trains through it, and it is
         the oracle that ``DecoderState.step`` is tested against.  Decoding
@@ -642,7 +649,7 @@ class SummModel:
             raise ValueError("decoder prefix must start with the sequence-start token")
         x = ad.dropout(self.embed_target(prefix_ids, 0), self.config.dropout, rng)
         for layer in self.decoder:
-            x = layer(x, layer.cross_attn.project_kv(memory), memory_mask, rng)
+            x = layer(x, layer.cross_attn.project_kv(memory), rng)
         return self.output_logits(x)
 
     def start_decoding(self, enc: EncodedBatch) -> DecoderState:
@@ -659,7 +666,7 @@ class SummModel:
         enc = self.encode(inp, rng)
         dec_in = np.concatenate([[BOS_ID], inp.target_ids])
         dec_tgt = np.concatenate([inp.target_ids, [EOS_ID]])
-        logits = self.decode_logits(dec_in, enc.memory, enc.memory_mask, rng)
+        logits = self.decode_logits(dec_in, enc.memory, rng)
         return ad.cross_entropy_sum(logits, dec_tgt)
 
     def loss(self, inp: ModelInput) -> Tensor:
@@ -689,9 +696,10 @@ class SummModel:
 class DecoderState:
     """Incremental decoding of one encoded example, forward only.
 
-    Each decoder layer's cross-attention K/V is projected from the memory
-    once, as (1, heads, M, dk), copied C-contiguous so that each head's
-    keys are dense rows, and shared by every hypothesis.  Each step feeds B
+    Each decoder layer's cross-attention K/V is projected from the memory's
+    R real rows once, as (1, heads, R, dk), copied C-contiguous so that
+    each head's keys are dense rows, and shared by every hypothesis; no key
+    is masked, since the memory holds no padding.  Each step feeds B
     live hypotheses one token each as a (B, 1, d) pass; the layers'
     self-attention K/V of the positions so far are cached per hypothesis
     row.  Attention takes the B one-query rows as one block, and over the
@@ -703,7 +711,6 @@ class DecoderState:
 
     def __init__(self, model: SummModel, enc: EncodedBatch):
         self.model = model
-        self.memory_mask = enc.memory_mask
         with ad.no_grad():
             memory = ad.reshape(enc.memory, (1, *enc.memory.shape))
             self.memory_kv = [layer.cross_attn.cached_kv(memory) for layer in model.decoder]
@@ -734,7 +741,7 @@ class DecoderState:
                     past = self.self_kv[i]
                     kv = tuple(ad.concat([p, new], axis=-2) for p, new in zip(past, kv))
                 self.self_kv[i] = kv
-                x = layer(x, self.memory_kv[i], self.memory_mask, self_kv=kv)
+                x = layer(x, self.memory_kv[i], self_kv=kv)
             logits = self.model.output_logits(x)
         self.length += 1
         return logits.values[:, 0, :]

@@ -132,9 +132,10 @@ def _merge(rng, cfg, store):
 def _decoder(rng, cfg, store):
     layer = DecoderLayer(store, "decoder", cfg)
     x = _states(rng, (3, cfg.d_model))
-    memory = _states(rng, (6, cfg.d_model))
-    memory_mask = np.array([True] * 5 + [False])
-    return lambda: layer(x, layer.cross_attn.project_kv(memory), memory_mask)
+    # Six rows drawn, five kept: the loss weights drawn after them are the
+    # ones the pinned ``decoder`` result was computed with.
+    memory = ad.tensor(rng.standard_normal((6, cfg.d_model))[:5], np.float64)
+    return lambda: layer(x, layer.cross_attn.project_kv(memory))
 
 
 def _toy_input(rng, cfg) -> ModelInput:

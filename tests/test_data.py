@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -521,6 +522,28 @@ def test_jsonl_golden_lines_and_blank_line_tolerant_reads(tmp_path):
     path = tmp_path / "bare.jsonl"
     path.write_text('{"query": "q", "documents": ["d"], "summary": "s"}\n', encoding="utf-8")
     assert load_records(path, Triplet) == [Triplet("q", ["d"], "s")]
+
+
+def test_write_jsonl_syncs_the_rows_before_the_rename(tmp_path, monkeypatch):
+    """The rows reach the disk before the rename makes them the file, so a
+    rename that survives a power failure never names unsynced rows."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def counting_fsync(fd):
+        events.append("fsync")
+        fsync(fd)
+
+    def counting_replace(src, dst):
+        events.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    path = tmp_path / "rows.jsonl"
+    data.write_jsonl([{"a": 1}, {"b": "ü"}], path)
+    assert events == ["fsync", "replace"]
+    assert path.read_bytes() == '{"a": 1}\n{"b": "ü"}\n'.encode("utf-8")
 
 
 @pytest.mark.parametrize(

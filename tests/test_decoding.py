@@ -56,7 +56,6 @@ def dummy_enc():
         token_states=None,
         local_states=None,
         memory=None,
-        memory_mask=np.ones(1, bool),
     )
 
 
@@ -355,7 +354,7 @@ def reference_beam_search_nbest(model, enc, config):
     on its whole prefix at every step.  The oracle of the incremental one."""
 
     def masked_logprobs(tokens):
-        logits = model.decode_logits([BOS_ID] + tokens, enc.memory, enc.memory_mask)
+        logits = model.decode_logits([BOS_ID] + tokens, enc.memory)
         return row_masked_logprobs(logits.values[-1], tokens, config)
 
     active, finished = [([], 0.0)], []

@@ -22,6 +22,7 @@ from querysumm.model import (
     ParamStore,
     QueryLayer,
     SummModel,
+    _broadcast_vector,
     _split_heads,
     check_fields,
     joint_flags,
@@ -71,6 +72,20 @@ def reference_sinusoid(positions, dim):
             if j + 1 < dim:
                 out[row, j + 1] = math.cos(angle)
     return out
+
+
+def grid_memory(model, enc) -> np.ndarray:
+    """The merged grid that ``encode`` takes its memory rows from, at every
+    (N*T) position, padding included, recomputed from ``enc``'s states."""
+    with ad.no_grad():
+        branch = enc.token_states
+        n, t, d = branch.shape
+        if model.config.use_ordering:
+            pe = _broadcast_vector(ordering_encoding(enc.ordering, d), t)
+            branch = model.ordering_fold([branch, pe])
+        if model.config.use_hierarchical_merge:
+            branch = model.merge([enc.local_states, branch])
+    return branch.values.reshape(n * t, d)
 
 
 class TestModelConfig:
@@ -483,9 +498,28 @@ class TestMergeAndMemory:
 
     def test_memory_is_flattened(self):
         model = self.make_model(use_hierarchical_merge=True)
-        enc = model.encode(self.input_for(model))
+        inp = self.input_for(model)
+        enc = model.encode(inp)
         assert enc.memory.shape == (8, 8)
-        assert enc.memory_mask.shape == (8,)
+        assert inp.token_mask.all()  # so every one of the 8 positions is a row
+
+    @pytest.mark.parametrize("flags", [
+        {},
+        dict(use_hierarchical_merge=True),
+        dict(use_ordering=True),
+        dict(use_hierarchical_merge=True, use_ordering=True),
+    ])
+    def test_memory_is_the_grid_at_the_real_tokens(self, flags):
+        """One row per real token, in grid order, byte-equal to the merged
+        grid's row at that token; padding adds no row."""
+        model = self.make_model(**flags)
+        inp = self.input_for(model, n=3, t=5)
+        inp.doc_ids[0, 3:] = PAD_ID
+        inp.doc_ids[2, 1:] = PAD_ID
+        enc = model.encode(inp)
+        real = inp.token_mask.reshape(-1)
+        assert enc.memory.shape == (int(inp.token_mask.sum()), 8) == (9, 8)
+        assert enc.memory.values.tobytes() == grid_memory(model, enc)[real].tobytes()
 
     def test_zeroed_local_block_reduces_to_global_map(self):
         model = self.make_model(use_hierarchical_merge=True)
@@ -521,7 +555,7 @@ class TestMergeAndMemory:
 class TestPaddedDocument:
     def test_all_pad_document_is_no_document(self, attention_probs):
         """An all-PAD row gets no inter-document attention, no ordering
-        score and no unmasked decoder memory."""
+        score and no decoder memory row."""
         model = SummModel(
             tiny_config(40, d_model=8, heads=2, global_layers=2, use_ordering=True,
                         use_hierarchical_merge=True),
@@ -541,8 +575,10 @@ class TestPaddedDocument:
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
         r = enc.ordering.values
         assert r[1] == 0.0 and r.sum() == pytest.approx(1.0)
-        np.testing.assert_array_equal(enc.memory_mask.reshape(3, 5), doc_ids != PAD_ID)
-        assert not enc.memory_mask.reshape(3, 5)[1].any()
+        # Memory rows: documents 0 and 2's real tokens only, 5 + 3 of them.
+        real = (doc_ids != PAD_ID).reshape(-1)
+        np.testing.assert_array_equal(enc.memory.values, grid_memory(model, enc)[real])
+        assert enc.memory.shape[0] == 8
 
 
 class TestDecoderAndForward:
@@ -564,10 +600,10 @@ class TestDecoderAndForward:
         model, inp = self.model_and_input()
         enc = model.encode(inp)
         prefix = [BOS_ID, 10, 11, 12]
-        logits = model.decode_logits(prefix, enc.memory, enc.memory_mask).values
+        logits = model.decode_logits(prefix, enc.memory).values
         edited = list(prefix)
         edited[3] = 33
-        logits2 = model.decode_logits(edited, enc.memory, enc.memory_mask).values
+        logits2 = model.decode_logits(edited, enc.memory).values
         np.testing.assert_array_equal(logits[:3], logits2[:3])
         assert np.abs(logits[3] - logits2[3]).max() > 0
 
@@ -576,16 +612,16 @@ class TestDecoderAndForward:
         enc = model.encode(inp)
         x = ad.tensor(np.random.default_rng(0).standard_normal((3, 8)), np.float64)
         layer = model.decoder[0]
-        layer.cross_attn(x, layer.cross_attn.project_kv(enc.memory), key_mask=enc.memory_mask)
+        layer.cross_attn(x, layer.cross_attn.project_kv(enc.memory))
         np.testing.assert_allclose(attention_probs[-1].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_empty_prefix_rejected(self):
         model, inp = self.model_and_input()
         enc = model.encode(inp)
         with pytest.raises(ValueError):
-            model.decode_logits([], enc.memory, enc.memory_mask)
+            model.decode_logits([], enc.memory)
         with pytest.raises(ValueError):
-            model.decode_logits([5, 6], enc.memory, enc.memory_mask)
+            model.decode_logits([5, 6], enc.memory)
 
     def test_initial_loss_near_uniform_entropy(self):
         rng = np.random.default_rng(2)
@@ -680,13 +716,16 @@ class TestDecoderState:
     """Incremental decoding against its oracle, the full-sequence
     ``decode_logits``."""
 
-    def model_and_encoding(self, dtype, seed=0, **kw):
+    def model_and_input(self, dtype, seed=0, **kw):
         cfg = tiny_config(60, d_model=16, heads=4, decoder_layers=2, **kw)
         model = SummModel(cfg, seed=seed, dtype=dtype)
         rng = np.random.default_rng(seed + 20)
         doc_ids = rng.integers(5, 60, size=(3, 6)).astype(np.int64)
-        doc_ids[2, 4:] = PAD_ID  # padded memory rows must stay masked
-        inp = ModelInput(doc_ids=doc_ids, query_ids=np.array([7, 8], dtype=np.int64))
+        doc_ids[2, 4:] = PAD_ID  # padding must leave no memory row
+        return model, ModelInput(doc_ids=doc_ids, query_ids=np.array([7, 8], dtype=np.int64))
+
+    def model_and_encoding(self, dtype, seed=0, **kw):
+        model, inp = self.model_and_input(dtype, seed, **kw)
         return model, model.encode(inp)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -706,8 +745,30 @@ class TestDecoderState:
             logits = state.step([p[t] for p in prefixes])
             assert logits.shape == (3, 60) and logits.dtype == dtype
             for row, prefix in enumerate(prefixes):
-                full = model.decode_logits(prefix[: t + 1], enc.memory, enc.memory_mask)
+                full = model.decode_logits(prefix[: t + 1], enc.memory)
                 np.testing.assert_allclose(logits[row], full.values[-1], rtol=0, atol=atol)
+
+    def test_extra_pad_columns_leave_every_step_unchanged(self):
+        """Widening the grid with PAD columns adds no memory row: every
+        step's logits stay within 1e-10 (float64) of the narrow grid's,
+        through a beam reorder."""
+        model, inp = self.model_and_input(np.float64)
+        wide = ModelInput(
+            doc_ids=np.pad(inp.doc_ids, ((0, 0), (0, 4)), constant_values=PAD_ID),
+            query_ids=inp.query_ids,
+        )
+        encs = [model.encode(x) for x in (inp, wide)]
+        assert [enc.memory.shape[0] for enc in encs] == [16, 16]
+        states = [model.start_decoding(enc) for enc in encs]
+        rng = np.random.default_rng(3)
+        ids = [BOS_ID] * 3
+        for t in range(8):
+            if t == 4:
+                for state in states:
+                    state.reorder([2, 0, 0])
+            narrow, widened = (state.step(ids) for state in states)
+            np.testing.assert_allclose(widened, narrow, rtol=0, atol=1e-10)
+            ids = rng.integers(5, 60, size=3).tolist()
 
     def test_step_leaves_no_graph_behind(self):
         model, enc = self.model_and_encoding(np.float64)

@@ -1,8 +1,8 @@
 """Static checks over the package source."""
 
 import ast
-import re
-from collections import Counter
+import shutil
+import symtable
 from pathlib import Path
 
 import querysumm
@@ -11,6 +11,8 @@ SOURCE = Path(querysumm.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 # Code that may call the package; the tests are not callers.
 CALLER_DIRS = ("src", "bench", "demos")
+# Binds the functions it wraps by name, as string constants.
+PROFILER = ROOT / "bench" / "tracing.py"
 
 # (file, function, parameter) kept although the body never reads it.
 UNREAD_ALLOWED = {
@@ -44,29 +46,94 @@ def test_every_parameter_is_read():
     assert sorted(unread_parameters()) == sorted(UNREAD_ALLOWED)
 
 
-def uncalled_definitions():
-    """(file, name) of every function, class and method in the package,
-    dunders aside, whose name appears in no caller file except at its own
-    definition: code that only the tests would keep alive."""
-    defs = [
-        (path.name, node.name)
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+# (file, name) of definitions that only a framework calls.
+CALL_ALLOWED = {
+    # argparse calls it on a usage error.
+    ("cli.py", "error"),
+}
+
+
+def _module_reads(source, filename):
+    """Names that module ``source``'s code reads as module-level names or
+    nested definitions, not as parameters or local variables."""
+    reads, tables = set(), [symtable.symtable(source, filename, "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        reads |= {
+            sym.get_name()
+            for sym in table.get_symbols()
+            if sym.is_referenced()
+            and (
+                table.get_type() == "module"
+                or sym.is_global()
+                or sym.is_free()
+                or sym.is_namespace()
+            )
+        }
+    return reads
+
+
+def uncalled_definitions(package=SOURCE):
+    """(file, name) of every function, class and method in ``package``,
+    dunders and ``CALL_ALLOWED`` aside, that no code in the package,
+    ``bench/`` or ``demos/`` uses: code that only the tests would keep
+    alive.  Uses are names in code, never words of comments or docstrings.
+    A method is used as any ``obj.name``.  Any other definition is used
+    where its own module reads it by name, not as a parameter or local
+    variable; where a file imports it by name; or as ``module.name`` with
+    ``module`` a name that an import binds.  A string constant of the
+    profiler, ``PROFILER``, uses what it names."""
+    defs, own_reads = [], {}
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        methods = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body}
+        defs += [
+            (path.name, node.name, id(node) in methods)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+        own_reads[path.name] = _module_reads(source, path.name)
+    attrs, named = set(), set()
+    callers = [
+        *package.glob("*.py"), *(ROOT / "bench").rglob("*.py"), *(ROOT / "demos").rglob("*.py")
     ]
-    words = Counter(
-        word
-        for d in CALLER_DIRS
-        for path in (ROOT / d).rglob("*.py")
-        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    for path in callers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        bound = {a.asname or a.name.split(".")[0] for n in imports for a in n.names}
+        named |= {a.name for n in imports if isinstance(n, ast.ImportFrom) for a in n.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if getattr(node.value, "id", None) in bound:
+                    named.add(node.attr)
+            elif isinstance(node, ast.Constant) and path == PROFILER:
+                named.add(node.value)
+    return sorted(
+        (file, name)
+        for file, name, method in defs
+        if (file, name) not in CALL_ALLOWED
+        and name not in named
+        and name not in (attrs if method else own_reads[file])
     )
-    defined = Counter(name for _, name in defs)
-    return sorted((f, name) for f, name in defs if words[name] <= defined[name])
 
 
 def test_every_definition_has_a_caller():
     assert uncalled_definitions() == []
+
+
+def test_an_uncalled_function_is_reported_whatever_its_name(tmp_path):
+    """``value`` is a word of comments, a local variable, a parameter and a
+    ``MultiHeadPooling`` attribute, none of them a use: an uncalled module
+    function of that name is still reported."""
+    package = tmp_path / "querysumm"
+    shutil.copytree(SOURCE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "optim.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef value(x):\n    return x\n")
+    assert uncalled_definitions(package) == [("optim.py", "value")]
 
 
 # (file, function, parameter) whose default no caller overrides.
@@ -377,3 +444,24 @@ def test_dropout_draws_raw_bits_and_builds_no_float_multiplier():
     source = (SOURCE / "autodiff.py").read_text(encoding="utf-8")
     for banned in ("_keep_scale", "rng.random("):
         assert banned not in source, banned
+
+
+def test_decoder_memory_needs_no_mask():
+    """Padding stops at the encoder: ``memory_mask`` is named in no file
+    under ``src/`` or ``demos/``, ``DecoderLayer.__call__`` takes no mask,
+    and ``SummModel.decode_logits`` still takes ``prefix_ids, memory``
+    first, which the profiler reads by position."""
+    for d in ("src", "demos"):
+        for path in (ROOT / d).rglob("*"):
+            if path.is_file() and path.suffix != ".pyc":
+                assert "memory_mask" not in path.read_text(encoding="utf-8"), path
+    model = ast.parse((SOURCE / "model.py").read_text(encoding="utf-8"))
+    methods = {
+        (cls.name, fn.name): [a.arg for a in (*fn.args.args, *fn.args.kwonlyargs)]
+        for cls in model.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    assert not [p for p in methods["DecoderLayer", "__call__"] if "mask" in p]
+    assert methods["SummModel", "decode_logits"][1:3] == ["prefix_ids", "memory"]

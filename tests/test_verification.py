@@ -23,11 +23,11 @@ GOLDEN_SEED_0 = {
     "ordering": "0x1.4c01d8b96e9a7p-22",
     "merge": "0x1.fcc6237a16bf3p-33",
     "decoder": "0x1.17e2b0cf54c20p-18",
-    "full-baseline": "0x1.7dcdf021398acp-24",
-    "full-merge": "0x1.7df77a34512b2p-20",
-    "full-ordering": "0x1.a81d179ff18cdp-23",
-    "full-query": "0x1.ddc6bb9e658fep-19",
-    "full-joint": "0x1.0e20da652bb9bp-21",
+    "full-baseline": "0x1.092092447db38p-22",
+    "full-merge": "0x1.ea0203a9bbd29p-21",
+    "full-ordering": "0x1.a81d178a3d4d9p-23",
+    "full-query": "0x1.ddc6d48b1d03ep-19",
+    "full-joint": "0x1.cd70d0f7413d3p-21",
 }
 
 
